@@ -7,21 +7,23 @@
 //!
 //! With `--compare`, the fresh run is diffed against a previously committed
 //! baseline (same JSON format — any earlier `--out` file works): the gated
-//! metrics are the `schulze_strongest_paths` **flat kernel** and
-//! **`matrix_build` throughput**, and any slowdown beyond `--max-slowdown`
-//! (default 25%) exits non-zero. CI runs the smoke grid against
-//! `BENCH_baseline_smoke.json`; to re-baseline after an intentional change
-//! (or a runner-hardware change — baselines are machine-specific), copy the
-//! fresh JSON over the committed baseline.
+//! metrics are the `schulze_strongest_paths` **flat kernel**,
+//! **`matrix_build` throughput**, **Make-MR-Fair** and **JSON dataset
+//! decoding** (the last two run on every fair-method request and upload),
+//! and any slowdown beyond `--max-slowdown` (default 25%) exits non-zero. CI
+//! runs the smoke grid against `BENCH_baseline_smoke.json`; to re-baseline
+//! after an intentional change (or a runner-hardware change — baselines are
+//! machine-specific), copy the fresh JSON over the committed baseline.
 //!
-//! Measures the three intra-request kernels the engine's hot path is made of —
-//! precedence-matrix construction, Schulze strongest paths, and the
-//! Fair-Kemeny branch and bound — at a grid of `(n, |R|)` points, serial
-//! versus parallel, and (for Schulze) against the legacy nested-`Vec` kernel
-//! kept as the in-tree baseline; plus the wire codecs and the `delta_update`
-//! row comparing an append-1 precedence delta against a full rebuild. Results are written as JSON so successive
-//! PRs have a trajectory to compare against; CI smoke-runs the tiny grid
-//! (`--smoke`) to keep this harness compiling and running.
+//! Measures the intra-request kernels the engine's hot path is made of —
+//! precedence-matrix construction, Schulze strongest paths, the Fair-Kemeny
+//! branch and bound, and the Make-MR-Fair correction — at a grid of `(n, |R|)`
+//! points, serial versus parallel, and (for Schulze) against the legacy
+//! nested-`Vec` kernel kept as the in-tree baseline; plus the wire codecs and
+//! the `delta_update` row comparing an append-1 precedence delta against a
+//! full rebuild. Results are written as JSON so successive PRs have a
+//! trajectory to compare against; CI smoke-runs the tiny grid (`--smoke`) to
+//! keep this harness compiling and running.
 //!
 //! All timings are best-of-`iters` wall-clock nanoseconds measured in the same
 //! process run, so speedup ratios compare like with like.
@@ -29,10 +31,11 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use mani_aggregation::SchulzeAggregator;
+use mani_aggregation::{BordaAggregator, SchulzeAggregator};
 use mani_bench::BenchFixture;
-use mani_core::{FairKemeny, MfcrMethod};
+use mani_core::{make_mr_fair, FairKemeny, MfcrMethod};
 use mani_engine::EngineDataset;
+use mani_fairness::FairnessThresholds;
 use mani_ranking::{available_threads, Parallelism, PrecedenceMatrix, Ranking};
 use mani_service::{
     dataset_to_value, decode_dataset, encode_dataset, parse_body, parse_dataset, render,
@@ -99,11 +102,13 @@ fn main() {
                 eprintln!(
                     "usage: mani-bench --json [--out FILE] [--smoke] [--iters N]\n\
                      \x20                 [--timestamp STR] [--compare BASELINE [--max-slowdown F]]\n\
-                     writes kernel throughput/latency for matrix-build, Schulze and\n\
-                     Fair-Kemeny at (n, |R|) grid points to FILE (default BENCH_kernels.json).\n\
+                     writes kernel throughput/latency for matrix-build, Schulze,\n\
+                     Fair-Kemeny, Make-MR-Fair and the wire codecs at (n, |R|) grid points\n\
+                     to FILE (default BENCH_kernels.json).\n\
                      --compare diffs the fresh run against a committed baseline and exits\n\
-                     non-zero when the Schulze flat kernel or matrix-build throughput\n\
-                     regresses by more than --max-slowdown (default 0.25).\n\
+                     non-zero when the Schulze flat kernel, matrix-build throughput,\n\
+                     Make-MR-Fair or JSON decoding regresses by more than --max-slowdown\n\
+                     (default 0.25).\n\
                      --timestamp stamps an opaque run label into the output's `meta`\n\
                      header (the comparison gate ignores the header entirely)."
                 );
@@ -132,11 +137,20 @@ fn main() {
     // regime, and the full grid extends to the CSRankings-scale points
     // n ∈ {1000, 2000, 5000}. The wire-codec grid sweeps ranking count (the
     // axis the two encodings diverge on) at a fixed candidate pool.
-    let (matrix_grid, schulze_grid, kemeny_grid, codec_grid, delta_grid, mut iters) = if smoke {
+    let (
+        matrix_grid,
+        schulze_grid,
+        kemeny_grid,
+        correction_grid,
+        codec_grid,
+        delta_grid,
+        mut iters,
+    ) = if smoke {
         (
             vec![(48, 64)],
             vec![(48, 24), (1000, 16)],
             vec![(10, 8)],
+            vec![(1000, 50)],
             vec![(32, 200)],
             vec![(48, 64)],
             3usize,
@@ -153,6 +167,7 @@ fn main() {
                 (5000, 40),
             ],
             vec![(20, 12), (26, 12)],
+            vec![(500, 50), (1000, 50), (2000, 50), (5000, 50)],
             vec![(50, 1000), (50, 10000)],
             vec![(160, 1000), (160, 10000)],
             3usize,
@@ -173,6 +188,10 @@ fn main() {
     for &(n, r) in &kemeny_grid {
         eprintln!("fair-kemeny n={n} |R|={r} ...");
         entries.push(bench_fair_kemeny(n, r, &parallel, iters.min(2), smoke));
+    }
+    for &(n, r) in &correction_grid {
+        eprintln!("make-mr-fair n={n} |R|={r} ...");
+        entries.push(bench_make_mr_fair(n, r, iters));
     }
     for &(n, r) in &codec_grid {
         eprintln!("wire-codec n={n} |R|={r} ...");
@@ -210,13 +229,15 @@ fn main() {
 /// The metrics the regression gate guards: `(kernel, field, what)` triples
 /// where `field` is a best-of-run latency in nanoseconds (lower is better —
 /// for a fixed grid point, latency slowdown equals throughput slowdown).
-const GATED_METRICS: [(&str, &str, &str); 2] = [
+const GATED_METRICS: [(&str, &str, &str); 4] = [
     (
         "schulze_strongest_paths",
         "flat_serial_ns",
         "Schulze flat kernel",
     ),
     ("matrix_build", "serial_ns", "matrix-build throughput"),
+    ("make_mr_fair", "ns", "Make-MR-Fair correction"),
+    ("wire_codec", "json_decode_ns", "JSON dataset decode"),
 ];
 
 /// Diffs `fresh` against the baseline file and reports every gated metric.
@@ -525,6 +546,30 @@ fn bench_fair_kemeny(
             ),
             ("nodes_explored".into(), serial.nodes_explored.to_string()),
             ("optimal".into(), serial.optimal.to_string()),
+        ],
+    }
+}
+
+/// Make-MR-Fair on the Fair-Borda consensus at Δ = 0.1: the correction that
+/// Fair-Borda, Fair-Copeland and Fair-Schulze all end with. `swaps` and
+/// `fallback_used` record what the timed pass did, so a row that got faster by
+/// doing different work shows. Iterations are not capped: the correction takes
+/// milliseconds at every grid point.
+fn bench_make_mr_fair(n: usize, r: usize, iters: usize) -> Entry {
+    let fixture = BenchFixture::low_fair(n, r, 0.6, 0xFA1B);
+    let consensus = BordaAggregator::new().consensus(&fixture.profile);
+    let thresholds = FairnessThresholds::uniform(0.1);
+    let (ns, report) = time_best(iters, || {
+        make_mr_fair(&consensus, &fixture.groups, &thresholds)
+    });
+    Entry {
+        kernel: "make_mr_fair",
+        n,
+        rankings: r,
+        fields: vec![
+            ("ns".into(), ns.to_string()),
+            ("swaps".into(), report.swaps.to_string()),
+            ("fallback_used".into(), report.fallback_used.to_string()),
         ],
     }
 }

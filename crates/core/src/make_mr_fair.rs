@@ -13,13 +13,23 @@
 //!
 //! Each swap strictly decreases `G_highest`'s FPR and increases `G_lowest`'s, moving the
 //! axis towards statistical parity while disturbing as few pairwise preferences as
-//! possible. The loop terminates when every constrained axis is at or below its threshold
-//! (or, as a safety net, when the swap budget of `ω(X) · (|P| + 1)` is exhausted — the
-//! paper's worst-case bound).
+//! possible. The loop terminates when every constrained axis is at or below its threshold,
+//! or when the pass reaches its swap cap. The paper's worst-case bound is
+//! `ω(X) · (|P| + 1)` swaps; the cap is `min(ω(X) · (|P| + 1), 32n + 512)`, so a stalled
+//! pass hands over to the interleave fallback of [`make_mr_fair`] quickly.
+//!
+//! One swap costs O(#axes + n/64), not O(n). The pass keeps every constrained axis's
+//! integer FPR numerators (the counts [`favored_pair_counts`] returns and
+//! [`group_fprs`](mani_fairness::group_fprs) divides) and updates them in O(1) per axis and
+//! swap, so its FPRs are the same `f64` values a full recomputation gives. It finds each
+//! swap pair in per-group position bitsets instead of rescanning the ranking.
 
-use mani_fairness::{group_fprs, FairnessThresholds};
-use mani_ranking::{total_pairs, GroupIndex, GroupMembership, Ranking};
+use mani_fairness::{favored_pair_counts, FairnessThresholds, FprScores};
+use mani_ranking::{total_pairs, CandidateId, GroupIndex, GroupMembership, Ranking};
 use serde::Serialize;
+
+#[cfg(test)]
+mod reference;
 
 /// Result of a Make-MR-Fair correction.
 #[derive(Debug, Clone, Serialize)]
@@ -27,10 +37,12 @@ pub struct CorrectionReport {
     /// The corrected consensus ranking.
     #[serde(skip)]
     pub ranking: Ranking,
-    /// Number of pairwise swaps applied.
+    /// Number of pairwise swaps applied, over both greedy passes when the fallback ran.
     pub swaps: u64,
     /// True when every constrained axis ended at or below its threshold.
     pub satisfied: bool,
+    /// True when the first greedy pass fell short and the fair-interleave fallback ran.
+    pub fallback_used: bool,
 }
 
 /// Numerical slack when comparing parity scores against Δ.
@@ -44,7 +56,9 @@ const EPS: f64 = 1e-9;
 /// are re-spread so that every group of the finest constrained partition occupies evenly
 /// distributed positions while the within-group order of the input consensus is preserved,
 /// and the greedy loop then polishes the result. The fallback trades a little extra PD loss
-/// for guaranteed convergence; see `DESIGN.md`.
+/// for convergence; [`CorrectionReport::fallback_used`] says whether it ran, and
+/// [`CorrectionReport::satisfied`] whether Δ was reached (tiny groups can make it
+/// unreachable).
 pub fn make_mr_fair(
     consensus: &Ranking,
     groups: &GroupIndex,
@@ -59,7 +73,18 @@ pub fn make_mr_fair(
     let interleaved = fair_interleave(consensus, groups, thresholds);
     let mut second_pass = greedy_correction(&interleaved, groups, thresholds);
     second_pass.swaps += first_pass.swaps;
+    second_pass.fallback_used = true;
     second_pass
+}
+
+/// Swap cap of one greedy pass over `n` candidates.
+///
+/// The paper's worst-case bound is ω(X) swaps per constrained axis, but a convergent run
+/// needs far fewer (each early swap moves candidates over long distances). Cap the greedy
+/// pass at a small multiple of n so a stalled pass hands over to the interleave fallback
+/// quickly instead of burning the quadratic budget.
+fn swap_cap(n: usize, groups: &GroupIndex) -> u64 {
+    (total_pairs(n) * (groups.num_attributes() as u64 + 1)).min(32 * n as u64 + 512)
 }
 
 /// The paper's greedy extreme-pair swap loop (Algorithm 2).
@@ -69,61 +94,54 @@ fn greedy_correction(
     thresholds: &FairnessThresholds,
 ) -> CorrectionReport {
     let mut ranking = consensus.clone();
-    let n = ranking.len();
-    // The paper's worst-case bound is ω(X) swaps per constrained axis, but a convergent run
-    // needs far fewer (each early swap moves candidates over long distances). Cap the greedy
-    // pass at a small multiple of n so a stalled pass hands over to the interleave fallback
-    // quickly instead of burning the quadratic budget.
-    let max_swaps =
-        (total_pairs(n) * (groups.num_attributes() as u64 + 1)).min(32 * n as u64 + 512);
+    let max_swaps = swap_cap(ranking.len(), groups);
+    let mut axes = constrained_axes(&ranking, groups, thresholds);
     let mut swaps = 0u64;
 
-    loop {
-        let Some(axis) = most_violating_axis(&ranking, groups, thresholds) else {
-            return CorrectionReport {
-                ranking,
-                swaps,
-                satisfied: true,
-            };
+    let satisfied = 'pass: loop {
+        let Some(axis) = most_violating_axis(&axes) else {
+            break true;
         };
         // Correct the chosen axis all the way down to its threshold before re-examining the
         // others. Correcting one swap at a time and re-picking the most violating axis can
         // oscillate when two axes are correlated (each axis' swap partially undoes the
         // other's); fully correcting an axis per round behaves like coordinate descent and
         // converges on every workload in the evaluation.
-        let membership = axis_membership(groups, axis);
-        let delta = axis_delta(groups, thresholds, axis);
-        let guard = CrossAxisGuard::new(&ranking, groups, thresholds, axis);
-        let mut progressed = false;
-        while group_fprs(&ranking, membership).max_pairwise_gap() > delta + EPS {
+        let membership = axes[axis].membership;
+        let mut round = RoundIndex::new(&ranking, &axes, axis);
+        loop {
+            let fprs = axes[axis].fprs();
+            if fprs.max_pairwise_gap() <= axes[axis].delta + EPS {
+                break;
+            }
             if swaps >= max_swaps {
-                return CorrectionReport {
-                    ranking,
-                    swaps,
-                    satisfied: false,
-                };
+                break 'pass false;
             }
-            if !swap_towards_parity(&mut ranking, membership, &guard) {
-                // No parity-reducing swap exists along this axis; the correction cannot make
-                // further progress.
-                return CorrectionReport {
-                    ranking,
-                    swaps,
-                    satisfied: false,
-                };
-            }
-            swaps += 1;
-            progressed = true;
-        }
-        if !progressed {
-            // The axis was already within threshold (numerical edge); avoid spinning.
-            let satisfied = most_violating_axis(&ranking, groups, thresholds).is_none();
-            return CorrectionReport {
-                ranking,
-                swaps,
-                satisfied,
+            // No parity-reducing swap exists along this axis; the correction cannot make
+            // further progress.
+            let Some((high_pos, low_pos)) = round.swap_pair(&fprs) else {
+                break 'pass false;
             };
+            let demoted = ranking.candidate_at(high_pos);
+            let promoted = ranking.candidate_at(low_pos);
+            ranking.swap_positions(high_pos, low_pos);
+            for counts in &mut axes {
+                counts.apply_swap(demoted, promoted, (low_pos - high_pos) as u64);
+            }
+            round.apply_swap(
+                high_pos,
+                low_pos,
+                membership.group_of(demoted),
+                membership.group_of(promoted),
+            );
+            swaps += 1;
         }
+    };
+    CorrectionReport {
+        ranking,
+        swaps,
+        satisfied,
+        fallback_used: false,
     }
 }
 
@@ -198,199 +216,233 @@ fn finest_constrained_partition(
     }
 }
 
-/// Effective threshold of an axis under the given threshold configuration.
-fn axis_delta(groups: &GroupIndex, thresholds: &FairnessThresholds, axis: AxisRef) -> f64 {
-    match axis {
-        AxisRef::Attribute(i) => {
-            let attr_id = groups
-                .attributes()
-                .nth(i)
-                .expect("axis index comes from enumeration")
-                .0;
-            thresholds.attribute_delta(attr_id).unwrap_or(1.0)
+/// A constrained axis and its FPR numerators, kept in step with the ranking under
+/// correction.
+struct AxisCounts<'g> {
+    membership: &'g GroupMembership,
+    /// The axis's threshold Δ.
+    delta: f64,
+    /// `favored[g]`: over the members `x` of group `g`, the non-members ranked below `x`.
+    favored: Vec<u64>,
+}
+
+impl AxisCounts<'_> {
+    fn fprs(&self) -> FprScores {
+        FprScores::from_favored(&self.favored, self.membership)
+    }
+
+    /// Updates the numerators after `demoted`, at position p, swapped places with
+    /// `promoted`, at position q = p + `distance`.
+    ///
+    /// With `demoted` ∈ A and `promoted` ∈ B, A ≠ B on this axis, favored[A] drops by
+    /// exactly q − p, favored[B] rises by q − p, and no other group changes. Each position
+    /// in p+1..=q costs A one pair: `demoted` is no longer above the non-A candidate
+    /// there (`promoted` included), and an A member there trades `promoted` (counted)
+    /// below it for `demoted` (not counted). Mirrored, each such position gains B one pair.
+    /// A member of a third group between p and q trades one non-member below it for
+    /// another, and a candidate above p or below q has both swapped candidates on the same
+    /// side before and after.
+    fn apply_swap(&mut self, demoted: CandidateId, promoted: CandidateId, distance: u64) {
+        let a = self.membership.group_of(demoted);
+        let b = self.membership.group_of(promoted);
+        if a != b {
+            self.favored[a] -= distance;
+            self.favored[b] += distance;
         }
-        AxisRef::Intersection => thresholds.intersection_delta().unwrap_or(1.0),
     }
 }
 
-/// Which grouping axis a violation belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AxisRef {
-    Attribute(usize),
-    Intersection,
-}
-
-fn axis_membership(groups: &GroupIndex, axis: AxisRef) -> &GroupMembership {
-    match axis {
-        AxisRef::Attribute(i) => {
-            let attr_id = groups
-                .attributes()
-                .nth(i)
-                .expect("axis index comes from enumeration")
-                .0;
-            groups.attribute(attr_id)
-        }
-        AxisRef::Intersection => groups.intersection(),
-    }
-}
-
-/// The constrained axis with the largest ARP/IRP among those exceeding their thresholds,
-/// or `None` when the ranking already satisfies MANI-Rank.
-fn most_violating_axis(
+/// Every constrained axis, in the order the violation search examines them: the
+/// attributes in schema order, then the intersection.
+fn constrained_axes<'g>(
     ranking: &Ranking,
-    groups: &GroupIndex,
+    groups: &'g GroupIndex,
     thresholds: &FairnessThresholds,
-) -> Option<AxisRef> {
-    let mut worst: Option<(AxisRef, f64)> = None;
-    for (i, (attr_id, membership)) in groups.attributes().enumerate() {
-        if let Some(delta) = thresholds.attribute_delta(attr_id) {
-            let score = group_fprs(ranking, membership).max_pairwise_gap();
-            if score > delta + EPS && worst.as_ref().is_none_or(|(_, s)| score > *s) {
-                worst = Some((AxisRef::Attribute(i), score));
-            }
-        }
-    }
-    if let Some(delta) = thresholds.intersection_delta() {
-        let score = group_fprs(ranking, groups.intersection()).max_pairwise_gap();
-        if score > delta + EPS && worst.as_ref().is_none_or(|(_, s)| score > *s) {
-            worst = Some((AxisRef::Intersection, score));
-        }
-    }
-    worst.map(|(axis, _)| axis)
+) -> Vec<AxisCounts<'g>> {
+    let attributes = groups.attributes().filter_map(|(attr_id, membership)| {
+        Some((membership, thresholds.attribute_delta(attr_id)?))
+    });
+    let intersection = thresholds
+        .intersection_delta()
+        .map(|delta| (groups.intersection(), delta));
+    attributes
+        .chain(intersection)
+        .map(|(membership, delta)| AxisCounts {
+            membership,
+            delta,
+            favored: favored_pair_counts(ranking, membership),
+        })
+        .collect()
 }
 
-/// Cross-axis lookahead used to break deterministic swap cycles between correlated axes.
+/// Index of the constrained axis with the largest ARP/IRP among those exceeding their
+/// thresholds (the first one on ties), or `None` when the ranking already satisfies
+/// MANI-Rank.
+fn most_violating_axis(axes: &[AxisCounts<'_>]) -> Option<usize> {
+    let mut worst: Option<(usize, f64)> = None;
+    for (i, axis) in axes.iter().enumerate() {
+        let score = axis.fprs().max_pairwise_gap();
+        if score > axis.delta + EPS && worst.is_none_or(|(_, s)| score > s) {
+            worst = Some((i, score));
+        }
+    }
+    worst.map(|(i, _)| i)
+}
+
+/// Position bitsets for one correction round, built in O(n) when the round starts: one set
+/// per group of the axis being corrected, plus the cross-axis guard's harmless positions.
 ///
-/// When correcting one axis, a swap moves one candidate down (`x_Gh`) and one up (`x_Gl`).
-/// Another axis is harmed when the candidate moving down belongs to that axis's lowest-FPR
-/// group, or the candidate moving up belongs to its highest-FPR group. The guard records,
-/// for every *other* constrained axis, those "sensitive" groups (computed once per
-/// correction round), so the pair selection can prefer swap partners that do not undo the
-/// progress of previously corrected axes. Preference only — if no harmless partner exists,
-/// the default Make-MR-Fair pair is used.
-struct CrossAxisGuard {
-    /// `(membership snapshot reference is not stored; we store per-candidate flags)`.
-    avoid_moving_down: Vec<bool>,
-    avoid_moving_up: Vec<bool>,
+/// The guard breaks deterministic swap cycles between correlated axes. A swap moves one
+/// candidate down (`x_Gh`) and one up (`x_Gl`). Another constrained axis is harmed when the
+/// candidate moving down belongs to that axis's lowest-FPR group, or the candidate moving
+/// up to its highest-FPR group. Those groups are taken once, when the round starts, and
+/// the pair search prefers partners that harm no other axis. Preference only: when no
+/// harmless partner exists, the plain Make-MR-Fair pair is used.
+struct RoundIndex {
+    /// Positions held by each group of the axis being corrected.
+    groups: Vec<PositionSet>,
+    /// Positions whose candidate can move down without harming another axis.
+    harmless_down: PositionSet,
+    /// Positions whose candidate can move up without harming another axis.
+    harmless_up: PositionSet,
 }
 
-impl CrossAxisGuard {
-    fn new(
-        ranking: &Ranking,
-        groups: &GroupIndex,
-        thresholds: &FairnessThresholds,
-        correcting: AxisRef,
-    ) -> Self {
+impl RoundIndex {
+    fn new(ranking: &Ranking, axes: &[AxisCounts<'_>], correcting: usize) -> Self {
         let n = ranking.len();
-        let mut avoid_moving_down = vec![false; n];
-        let mut avoid_moving_up = vec![false; n];
-        let mut mark = |membership: &GroupMembership| {
-            let fprs = group_fprs(ranking, membership);
-            let (Some(high), Some(low)) = (fprs.argmax(), fprs.argmin()) else {
-                return;
-            };
-            for cand in 0..n {
-                let g = membership.membership()[cand];
-                if g == low {
-                    avoid_moving_down[cand] = true;
-                }
-                if g == high {
-                    avoid_moving_up[cand] = true;
-                }
-            }
+        let membership = axes[correcting].membership;
+        // (membership, highest-FPR group, lowest-FPR group) of every other constrained axis.
+        let others: Vec<(&GroupMembership, usize, usize)> = axes
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != correcting)
+            .filter_map(|(_, axis)| {
+                let fprs = axis.fprs();
+                Some((axis.membership, fprs.argmax()?, fprs.argmin()?))
+            })
+            .collect();
+        let mut index = Self {
+            groups: vec![PositionSet::new(n); membership.num_groups()],
+            harmless_down: PositionSet::new(n),
+            harmless_up: PositionSet::new(n),
         };
-        for (i, (attr_id, membership)) in groups.attributes().enumerate() {
-            if correcting == AxisRef::Attribute(i) {
-                continue;
+        for (pos, cand) in ranking.iter().enumerate() {
+            index.groups[membership.group_of(cand)].insert(pos);
+            if others.iter().all(|&(m, _, low)| m.group_of(cand) != low) {
+                index.harmless_down.insert(pos);
             }
-            if thresholds.attribute_delta(attr_id).is_some() {
-                mark(membership);
+            if others.iter().all(|&(m, high, _)| m.group_of(cand) != high) {
+                index.harmless_up.insert(pos);
             }
         }
-        if correcting != AxisRef::Intersection && thresholds.intersection_delta().is_some() {
-            mark(groups.intersection());
-        }
-        Self {
-            avoid_moving_down,
-            avoid_moving_up,
-        }
+        index
     }
 
-    fn harmless_down(&self, candidate: mani_ranking::CandidateId) -> bool {
-        !self.avoid_moving_down[candidate.index()]
+    /// Positions of the next swap pair `(x_Gh, x_Gl)` along the axis whose scores are
+    /// `fprs`, or `None` when no valid pair exists.
+    fn swap_pair(&self, fprs: &FprScores) -> Option<(usize, usize)> {
+        let (high, low) = (fprs.argmax()?, fprs.argmin()?);
+        if high == low {
+            return None;
+        }
+        let (high_set, low_set) = (&self.groups[high], &self.groups[low]);
+        // Bottom-most member of the low group; x_Gh must be above it to have a partner.
+        let bottom_low = low_set.last()?;
+        // x_Gh: lowest-ranked member of the high group above that position, preferring one
+        // whose demotion does not hurt another constrained axis.
+        let high_pos = high_set
+            .last_before(bottom_low, Some(&self.harmless_down))
+            .or_else(|| high_set.last_before(bottom_low, None))?;
+        // x_Gl: highest-ranked member of the low group below x_Gh, preferring one whose
+        // promotion does not hurt another constrained axis.
+        let low_pos = low_set
+            .first_after(high_pos, Some(&self.harmless_up))
+            .or_else(|| low_set.first_after(high_pos, None))?;
+        Some((high_pos, low_pos))
     }
 
-    fn harmless_up(&self, candidate: mani_ranking::CandidateId) -> bool {
-        !self.avoid_moving_up[candidate.index()]
+    /// Follows the ranking's swap of positions `p` and `q`, which held members of groups
+    /// `group_p` and `group_q` of the axis being corrected.
+    fn apply_swap(&mut self, p: usize, q: usize, group_p: usize, group_q: usize) {
+        self.groups[group_p].swap(p, q);
+        self.groups[group_q].swap(p, q);
+        self.harmless_down.swap(p, q);
+        self.harmless_up.swap(p, q);
     }
 }
 
-/// One Make-MR-Fair swap along an axis; returns false when no valid pair exists.
-fn swap_towards_parity(
-    ranking: &mut Ranking,
-    membership: &GroupMembership,
-    guard: &CrossAxisGuard,
-) -> bool {
-    let fprs = group_fprs(ranking, membership);
-    let (Some(high_group), Some(low_group)) = (fprs.argmax(), fprs.argmin()) else {
-        return false;
-    };
-    if high_group == low_group {
-        return false;
-    }
-    // Bottom-most member of the low group; x_Gh must be above it to have a partner.
-    let mut bottom_low = None;
-    for pos in (0..ranking.len()).rev() {
-        if membership.group_of(ranking.candidate_at(pos)) == low_group {
-            bottom_low = Some(pos);
-            break;
+/// A set of ranking positions, one bit per position.
+#[derive(Clone)]
+struct PositionSet {
+    words: Vec<u64>,
+}
+
+impl PositionSet {
+    fn new(n: usize) -> Self {
+        Self {
+            words: vec![0; n.div_ceil(64)],
         }
     }
-    let Some(bottom_low) = bottom_low else {
-        return false;
-    };
-    // x_Gh: lowest-ranked member of the high group above that position, preferring one whose
-    // demotion does not hurt another constrained axis.
-    let mut default_high = None;
-    let mut preferred_high = None;
-    for pos in (0..bottom_low).rev() {
-        let cand = ranking.candidate_at(pos);
-        if membership.group_of(cand) != high_group {
-            continue;
-        }
-        if default_high.is_none() {
-            default_high = Some(pos);
-        }
-        if guard.harmless_down(cand) {
-            preferred_high = Some(pos);
-            break;
+
+    fn insert(&mut self, pos: usize) {
+        self.words[pos / 64] |= 1 << (pos % 64);
+    }
+
+    fn contains(&self, pos: usize) -> bool {
+        self.words[pos / 64] >> (pos % 64) & 1 == 1
+    }
+
+    /// Exchanges the membership of positions `p` and `q`.
+    fn swap(&mut self, p: usize, q: usize) {
+        if self.contains(p) != self.contains(q) {
+            self.words[p / 64] ^= 1 << (p % 64);
+            self.words[q / 64] ^= 1 << (q % 64);
         }
     }
-    let Some(high_pos) = preferred_high.or(default_high) else {
-        return false;
-    };
-    // x_Gl: highest-ranked member of the low group below x_Gh, preferring one whose
-    // promotion does not hurt another constrained axis.
-    let mut default_low = None;
-    let mut preferred_low = None;
-    for pos in (high_pos + 1)..ranking.len() {
-        let cand = ranking.candidate_at(pos);
-        if membership.group_of(cand) != low_group {
-            continue;
-        }
-        if default_low.is_none() {
-            default_low = Some(pos);
-        }
-        if guard.harmless_up(cand) {
-            preferred_low = Some(pos);
-            break;
+
+    /// Word `w` of the set, intersected with `filter` when one is given.
+    fn word(&self, w: usize, filter: Option<&PositionSet>) -> u64 {
+        self.words[w] & filter.map_or(u64::MAX, |f| f.words[w])
+    }
+
+    /// The highest position in the set.
+    fn last(&self) -> Option<usize> {
+        self.last_before(64 * self.words.len(), None)
+    }
+
+    /// The highest position below `end` in the set (and in `filter`, when given).
+    fn last_before(&self, end: usize, filter: Option<&PositionSet>) -> Option<usize> {
+        let last = end.checked_sub(1)?;
+        let mut w = last / 64;
+        let mut bits = self.word(w, filter) & (u64::MAX >> (63 - last % 64));
+        loop {
+            if bits != 0 {
+                return Some(64 * w + 63 - bits.leading_zeros() as usize);
+            }
+            w = w.checked_sub(1)?;
+            bits = self.word(w, filter);
         }
     }
-    let Some(low_pos) = preferred_low.or(default_low) else {
-        return false;
-    };
-    ranking.swap_positions(high_pos, low_pos);
-    true
+
+    /// The lowest position above `start` in the set (and in `filter`, when given).
+    fn first_after(&self, start: usize, filter: Option<&PositionSet>) -> Option<usize> {
+        let first = start + 1;
+        let mut w = first / 64;
+        if w >= self.words.len() {
+            return None;
+        }
+        let mut bits = self.word(w, filter) & (u64::MAX << (first % 64));
+        loop {
+            if bits != 0 {
+                return Some(64 * w + bits.trailing_zeros() as usize);
+            }
+            w += 1;
+            if w == self.words.len() {
+                return None;
+            }
+            bits = self.word(w, filter);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -400,7 +452,7 @@ mod tests {
     use mani_ranking::{kendall_tau, CandidateDb, CandidateDbBuilder};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn db_two_attrs(n: usize) -> (CandidateDb, GroupIndex) {
         let mut b = CandidateDbBuilder::new();
@@ -431,6 +483,7 @@ mod tests {
         let thresholds = FairnessThresholds::uniform(1.0);
         let report = make_mr_fair(&ranking, &idx, &thresholds);
         assert!(report.satisfied);
+        assert!(!report.fallback_used);
         assert_eq!(report.swaps, 0);
         assert_eq!(report.ranking, ranking);
     }
@@ -528,5 +581,89 @@ mod tests {
             // ω(X)·(|P|+1)·4 with |P| = 2 attributes.
             prop_assert!(report.swaps <= total_pairs(db.len()) * 24);
         }
+    }
+
+    /// `n` candidates over 1–3 attributes of 2–4 values each. Value frequencies are skewed
+    /// (weights 1, 1/2, ..., 1/16 drawn per value), so some intersection cells are tiny or
+    /// empty.
+    fn skewed_db(n: usize, rng: &mut StdRng) -> GroupIndex {
+        let mut b = CandidateDbBuilder::new();
+        let mut attributes = Vec::new();
+        for a in 0..1 + rng.gen_range(0..3) {
+            let k = 2 + rng.gen_range(0..3);
+            let id = b
+                .add_attribute(format!("A{a}"), (0..k).map(|v| format!("v{v}")))
+                .unwrap();
+            let weights: Vec<f64> = (0..k)
+                .map(|_| 0.5f64.powi(rng.gen_range(0..5) as i32))
+                .collect();
+            attributes.push((id, weights));
+        }
+        for i in 0..n {
+            let values: Vec<_> = attributes
+                .iter()
+                .map(|(id, weights)| {
+                    let mut pick = rng.gen::<f64>() * weights.iter().sum::<f64>();
+                    let value = weights
+                        .iter()
+                        .position(|w| {
+                            pick -= w;
+                            pick < 0.0
+                        })
+                        .unwrap_or(weights.len() - 1);
+                    (*id, value)
+                })
+                .collect();
+            b.add_candidate(format!("c{i}"), values).unwrap();
+        }
+        GroupIndex::new(&b.build().unwrap())
+    }
+
+    /// The incremental pass against the reference pass on random skewed databases, random
+    /// rankings and every threshold shape. Also counts the control-flow paths the cases
+    /// reached, so a generator change cannot quietly stop covering one.
+    #[test]
+    fn incremental_pass_matches_reference() {
+        let mut rng = StdRng::seed_from_u64(0x3A4F_2D17);
+        let (mut first_pass_satisfied, mut cap_then_fallback) = (0usize, 0usize);
+        let (mut unsatisfied, mut multi_round) = (0usize, 0usize);
+        for case in 0..400 {
+            let n = 4 + rng.gen_range(0..156);
+            let groups = skewed_db(n, &mut rng);
+            let ranking = Ranking::random(n, &mut rng);
+            let delta = 0.02 + 0.48 * rng.gen::<f64>();
+            let thresholds = match rng.gen_range(0..4) {
+                0 => FairnessThresholds::uniform(delta),
+                1 => FairnessThresholds::attributes_only(delta),
+                2 => FairnessThresholds::intersection_only(delta),
+                _ => {
+                    let first = groups.attributes().next().expect("one attribute").0;
+                    FairnessThresholds::uniform(delta).with_attribute_delta(first, delta / 2.0)
+                }
+            };
+            let fast = make_mr_fair(&ranking, &groups, &thresholds);
+            let (slow, first_pass) = reference::make_mr_fair(&ranking, &groups, &thresholds);
+            assert_eq!(
+                fast.ranking, slow.ranking,
+                "case {case}: n = {n}, Δ = {delta}"
+            );
+            assert_eq!(fast.swaps, slow.swaps, "case {case}");
+            assert_eq!(fast.satisfied, slow.satisfied, "case {case}");
+            assert_eq!(fast.fallback_used, slow.fallback_used, "case {case}");
+            first_pass_satisfied += usize::from(!slow.fallback_used);
+            cap_then_fallback += usize::from(first_pass.hit_cap && slow.fallback_used);
+            unsatisfied += usize::from(!slow.satisfied);
+            multi_round += usize::from(first_pass.rounds > 1);
+        }
+        let paths = [
+            first_pass_satisfied,
+            cap_then_fallback,
+            unsatisfied,
+            multi_round,
+        ];
+        assert!(
+            paths.iter().all(|&count| count > 0),
+            "first pass satisfied / cap then fallback / unsatisfied / several rounds: {paths:?}"
+        );
     }
 }

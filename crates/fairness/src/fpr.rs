@@ -86,6 +86,29 @@ impl FprScores {
             })
             .map(|(g, _)| g)
     }
+
+    /// Scores from per-group favoured-pair numerators, as returned by
+    /// [`favored_pair_counts`]: `favored[g] / (|g| · (n − |g|))`.
+    ///
+    /// Callers that keep the integer numerators up to date themselves (Make-MR-Fair
+    /// does, one swap at a time) get the same `f64` scores as [`group_fprs`] on the
+    /// same ranking.
+    pub fn from_favored(favored: &[u64], membership: &GroupMembership) -> Self {
+        let n = membership.num_candidates();
+        let scores = favored
+            .iter()
+            .enumerate()
+            .map(|(g, &count)| {
+                let mixed = mani_ranking::mixed_pairs_for_group(membership.group_size(g), n);
+                if mixed == 0 {
+                    None
+                } else {
+                    Some(count as f64 / mixed as f64)
+                }
+            })
+            .collect();
+        Self { scores }
+    }
 }
 
 /// Computes the FPR of every group along one grouping axis in a single pass.
@@ -93,23 +116,30 @@ impl FprScores {
 /// # Panics
 /// Panics if the ranking and membership table cover different numbers of candidates;
 /// that is a programming error (they must come from the same database).
-#[allow(clippy::explicit_counter_loop)] // seen_total counts candidates walked, not loop turns
 pub fn group_fprs(ranking: &Ranking, membership: &GroupMembership) -> FprScores {
+    FprScores::from_favored(&favored_pair_counts(ranking, membership), membership)
+}
+
+/// The FPR numerators of every group along one axis: `favored[g]` counts, over the
+/// members `x` of `g`, the non-members ranked below `x`.
+///
+/// # Panics
+/// Panics if the ranking and membership table cover different numbers of candidates.
+#[allow(clippy::explicit_counter_loop)] // seen_total counts candidates walked, not loop turns
+pub fn favored_pair_counts(ranking: &Ranking, membership: &GroupMembership) -> Vec<u64> {
     assert_eq!(
         ranking.len(),
         membership.num_candidates(),
         "ranking and group membership must cover the same candidates"
     );
-    let n = ranking.len();
     let num_groups = membership.num_groups();
 
-    // favored[g] accumulates, over members x of g, the number of non-members below x.
     let mut favored = vec![0u64; num_groups];
     // seen_below[g] = how many members of g we have already passed walking bottom-up.
     let mut seen_below = vec![0u64; num_groups];
     let mut seen_total = 0u64;
 
-    for pos in (0..n).rev() {
+    for pos in (0..ranking.len()).rev() {
         let candidate = ranking.candidate_at(pos);
         let g = membership.group_of(candidate);
         // Candidates below this one that are NOT in g:
@@ -117,19 +147,7 @@ pub fn group_fprs(ranking: &Ranking, membership: &GroupMembership) -> FprScores 
         seen_below[g] += 1;
         seen_total += 1;
     }
-
-    let scores = (0..num_groups)
-        .map(|g| {
-            let size = membership.group_size(g);
-            let mixed = mani_ranking::mixed_pairs_for_group(size, n);
-            if mixed == 0 {
-                None
-            } else {
-                Some(favored[g] as f64 / mixed as f64)
-            }
-        })
-        .collect();
-    FprScores { scores }
+    favored
 }
 
 /// FPR of a single group along an axis. Convenience wrapper over [`group_fprs`].

@@ -28,7 +28,7 @@ pub mod pof;
 
 pub use audit::{AttributeAudit, FairnessAudit, GroupAudit};
 pub use criteria::{FairnessThresholds, ManiRankCriteria, Violation};
-pub use fpr::{group_fpr, group_fprs, FprScores};
+pub use fpr::{favored_pair_counts, group_fpr, group_fprs, FprScores};
 pub use parity::{
     attribute_rank_parity, intersectional_rank_parity, max_parity_violation, ParityScores,
 };

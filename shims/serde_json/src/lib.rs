@@ -304,13 +304,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 encoded character.
+                    // Consume the run up to the next quote or escape. Both are ASCII, so
+                    // the run ends on a character boundary and is validated once.
                     let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    let c = text.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -401,6 +405,92 @@ mod tests {
         let text = to_string(&s).unwrap();
         assert_eq!(from_str::<String>(&text).unwrap(), s);
         assert_eq!(from_str::<String>("\"\\u0041\"").unwrap(), "A");
+    }
+
+    /// Parses a JSON string literal; errors compare by message.
+    fn parse_string(text: &str) -> Result<String, String> {
+        from_str::<String>(text).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn strings_keep_multibyte_characters() {
+        // 1-, 2-, 3- and 4-byte UTF-8 encodings, alone and in runs.
+        for s in [
+            "a",
+            "é",
+            "中",
+            "😀",
+            "aé中😀z",
+            "ééé",
+            "😀😀",
+            "Zoë Ångström 東京",
+        ] {
+            assert_eq!(parse_string(&format!("\"{s}\"")), Ok(s.to_string()), "{s}");
+        }
+        assert_eq!(parse_string("\"\""), Ok(String::new()));
+    }
+
+    #[test]
+    fn escapes_next_to_multibyte_characters() {
+        assert_eq!(
+            parse_string(r#""é\n中\"😀\\""#),
+            Ok("é\n中\"😀\\".to_string())
+        );
+        assert_eq!(
+            parse_string(r#""\t😀\/é\b\f\r""#),
+            Ok("\t😀/é\u{8}\u{c}\r".to_string())
+        );
+        assert_eq!(parse_string(r#""\\\\中\\""#), Ok("\\\\中\\".to_string()));
+    }
+
+    #[test]
+    fn unicode_escapes_decode_or_fail_as_before() {
+        assert_eq!(parse_string(r#""\u00e9\u4E2D""#), Ok("é中".to_string()));
+        assert_eq!(parse_string(r#""中\u0041é""#), Ok("中Aé".to_string()));
+        // Surrogate halves are not paired up: each one is an invalid code point.
+        assert_eq!(
+            parse_string(r#""\ud83d\ude00""#),
+            Err("serde: invalid \\u code point".to_string())
+        );
+        assert_eq!(
+            parse_string(r#""\u12G4""#),
+            Err("serde: invalid \\u escape".to_string())
+        );
+        assert_eq!(
+            parse_string(r#""\u12""#),
+            Err("serde: truncated \\u escape".to_string())
+        );
+        assert_eq!(
+            parse_string(r#""\u12"#),
+            Err("serde: truncated \\u escape".to_string())
+        );
+        assert_eq!(
+            parse_string(r#""\uZZZZ""#),
+            Err("serde: invalid \\u escape".to_string())
+        );
+        assert_eq!(
+            parse_string(r#""\x""#),
+            Err("serde: invalid escape Some(120)".to_string())
+        );
+    }
+
+    #[test]
+    fn unterminated_strings_are_rejected() {
+        for text in ["\"", "\"abc", "\"aé中😀", "\"esc\\\"", "\"\\u0041"] {
+            assert_eq!(
+                parse_string(text),
+                Err("serde: unterminated string".to_string()),
+                "{text}"
+            );
+        }
+        assert_eq!(
+            parse_string("\"ends in a backslash\\"),
+            Err("serde: invalid escape None".to_string())
+        );
+        assert_eq!(
+            from_str::<Vec<String>>("[\"é\", \"中").map_err(|e| e.to_string()),
+            Err("serde: unterminated string".to_string())
+        );
     }
 
     #[test]
