@@ -7,13 +7,15 @@
 //!
 //! With `--compare`, the fresh run is diffed against a previously committed
 //! baseline (same JSON format — any earlier `--out` file works): the gated
-//! metrics are the `schulze_strongest_paths` **flat kernel**,
-//! **`matrix_build` throughput**, **Make-MR-Fair** and **JSON dataset
-//! decoding** (the last two run on every fair-method request and upload),
-//! and any slowdown beyond `--max-slowdown` (default 25%) exits non-zero. CI
-//! runs the smoke grid against `BENCH_baseline_smoke.json`; to re-baseline
-//! after an intentional change (or a runner-hardware change — baselines are
-//! machine-specific), copy the fresh JSON over the committed baseline.
+//! metrics are the `schulze_strongest_paths` **flat kernel** and **tiled
+//! kernel** (`strongest_paths_matrix` under the auto tile policy, the call
+//! the engine makes), **`matrix_build` throughput**, **Make-MR-Fair** and
+//! **JSON dataset decoding** (the last two run on every fair-method request
+//! and upload), and any slowdown beyond `--max-slowdown` (default 25%) exits
+//! non-zero. CI runs the smoke grid against `BENCH_baseline_smoke.json`; to
+//! re-baseline after an intentional change (or a runner-hardware change —
+//! baselines are machine-specific), copy the fresh JSON over the committed
+//! baseline.
 //!
 //! Measures the intra-request kernels the engine's hot path is made of —
 //! precedence-matrix construction, Schulze strongest paths, the Fair-Kemeny
@@ -229,11 +231,16 @@ fn main() {
 /// The metrics the regression gate guards: `(kernel, field, what)` triples
 /// where `field` is a best-of-run latency in nanoseconds (lower is better —
 /// for a fixed grid point, latency slowdown equals throughput slowdown).
-const GATED_METRICS: [(&str, &str, &str); 4] = [
+const GATED_METRICS: [(&str, &str, &str); 5] = [
     (
         "schulze_strongest_paths",
         "flat_serial_ns",
         "Schulze flat kernel",
+    ),
+    (
+        "schulze_strongest_paths",
+        "tiled_serial_ns",
+        "Schulze tiled kernel (the engine's path)",
     ),
     ("matrix_build", "serial_ns", "matrix-build throughput"),
     ("make_mr_fair", "ns", "Make-MR-Fair correction"),

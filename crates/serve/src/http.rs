@@ -13,6 +13,10 @@
 //! Request smuggling is rejected at the parser: several `Content-Length`
 //! headers that disagree are a hard `400` — a proxy and this server must never
 //! disagree about where one request ends and the next begins.
+//!
+//! On the way out, every message — a buffered response, a chunked head, each
+//! chunk, the terminating chunk — is rendered into one buffer and leaves in a
+//! single `write` call (see `render_head`).
 
 use std::io::{BufRead, Write};
 use std::time::Instant;
@@ -325,28 +329,66 @@ impl HttpResponse {
         self.write_conn(stream, false)
     }
 
-    /// Serializes the response (status line, headers, body) onto a stream,
-    /// announcing whether the connection stays open for another exchange.
+    /// Serializes the response (status line, headers, body) onto a stream in
+    /// one write, announcing whether the connection stays open for another
+    /// exchange.
     pub fn write_conn(&self, stream: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
-        write!(
-            stream,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
+        let mut message = Vec::with_capacity(HEAD_CAPACITY + self.body.len());
+        render_head(
+            &mut message,
             self.status,
-            status_reason(self.status),
             self.content_type,
-            self.body.len()
+            Framing::Length(self.body.len()),
+            &self.extra_headers,
+            keep_alive,
         )?;
-        for (name, value) in &self.extra_headers {
-            write!(stream, "{name}: {value}\r\n")?;
-        }
-        write!(
-            stream,
-            "Connection: {}\r\n\r\n",
-            if keep_alive { "keep-alive" } else { "close" }
-        )?;
-        stream.write_all(self.body.as_bytes())?;
+        message.extend_from_slice(self.body.as_bytes());
+        stream.write_all(&message)?;
         stream.flush()
     }
+}
+
+/// Room reserved for a response head, so appending the body rarely
+/// reallocates.
+const HEAD_CAPACITY: usize = 256;
+
+/// How a response body is delimited on the wire.
+enum Framing {
+    /// `Content-Length`: a buffered body of this many bytes.
+    Length(usize),
+    /// `Transfer-Encoding: chunked`: a streamed body ended by a zero chunk.
+    Chunked,
+}
+
+/// Renders a response head into `out`: the status line, `Content-Type`, the
+/// framing header, `extra_headers`, `Connection:` and the blank line.
+///
+/// Every message leaves in one `write` call: the head rides in the same
+/// buffer as a buffered body, and each chunk of a streamed body is framed
+/// whole. Many small writes would let Nagle's algorithm hold everything
+/// after the first segment until the client's delayed ACK (~40 ms).
+fn render_head(
+    out: &mut Vec<u8>,
+    status: u16,
+    content_type: &str,
+    framing: Framing,
+    extra_headers: &[(&'static str, String)],
+    keep_alive: bool,
+) -> std::io::Result<()> {
+    write!(
+        out,
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n",
+        status_reason(status)
+    )?;
+    match framing {
+        Framing::Length(length) => write!(out, "Content-Length: {length}\r\n")?,
+        Framing::Chunked => out.extend_from_slice(b"Transfer-Encoding: chunked\r\n"),
+    }
+    for (name, value) in extra_headers {
+        write!(out, "{name}: {value}\r\n")?;
+    }
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    write!(out, "Connection: {connection}\r\n\r\n")
 }
 
 /// Header block of a streamed (`Transfer-Encoding: chunked`) response.
@@ -383,29 +425,24 @@ impl ChunkedResponse {
         self
     }
 
-    /// Writes the status line and headers, announcing chunked framing, and
-    /// returns the body writer. The head is flushed immediately so clients
-    /// see the response begin before the first chunk is produced.
+    /// Writes the status line and headers in one write, announcing chunked
+    /// framing, and returns the body writer. The head is flushed immediately
+    /// so clients see the response begin before the first chunk is produced.
     pub fn begin<'a, W: Write>(
         &self,
         stream: &'a mut W,
         keep_alive: bool,
     ) -> std::io::Result<ChunkedBody<'a, W>> {
-        write!(
-            stream,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\n",
+        let mut head = Vec::with_capacity(HEAD_CAPACITY);
+        render_head(
+            &mut head,
             self.status,
-            status_reason(self.status),
             self.content_type,
+            Framing::Chunked,
+            &self.extra_headers,
+            keep_alive,
         )?;
-        for (name, value) in &self.extra_headers {
-            write!(stream, "{name}: {value}\r\n")?;
-        }
-        write!(
-            stream,
-            "Connection: {}\r\n\r\n",
-            if keep_alive { "keep-alive" } else { "close" }
-        )?;
+        stream.write_all(&head)?;
         stream.flush()?;
         Ok(ChunkedBody {
             stream,
@@ -424,16 +461,19 @@ pub struct ChunkedBody<'a, W: Write> {
 }
 
 impl<W: Write> ChunkedBody<'_, W> {
-    /// Writes one chunk and flushes it. Empty payloads are skipped — a
-    /// zero-length chunk would terminate the body ([`ChunkedBody::finish`]
-    /// does that explicitly).
+    /// Writes one chunk (size line, payload, CRLF) in one write and flushes
+    /// it. Empty payloads are skipped — a zero-length chunk would terminate
+    /// the body ([`ChunkedBody::finish`] does that explicitly).
     pub fn write_chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.stream, "{:x}\r\n", data.len())?;
-        self.stream.write_all(data)?;
-        self.stream.write_all(b"\r\n")?;
+        // Up to 16 hex digits plus two CRLFs of framing.
+        let mut frame = Vec::with_capacity(data.len() + 20);
+        write!(frame, "{:x}\r\n", data.len())?;
+        frame.extend_from_slice(data);
+        frame.extend_from_slice(b"\r\n");
+        self.stream.write_all(&frame)?;
         self.stream.flush()
     }
 
@@ -739,6 +779,78 @@ mod tests {
         }
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: close\r\n"));
+    }
+
+    /// A sink that accepts every buffer whole and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl CountingWriter {
+        /// The calls and bytes written since the last `take`.
+        fn take(&mut self) -> (usize, String) {
+            let writes = std::mem::take(&mut self.writes);
+            let text = String::from_utf8(std::mem::take(&mut self.bytes)).unwrap();
+            (writes, text)
+        }
+    }
+
+    #[test]
+    fn every_message_leaves_in_one_write() {
+        // Several writes per message let Nagle hold all but the first
+        // segment until the peer's delayed ACK: ~40 ms per exchange.
+        let mut sink = CountingWriter::default();
+        HttpResponse::json(503, "{\"error\":\"busy\"}")
+            .with_header("Retry-After", "1")
+            .with_header("x-request-id", "r-1")
+            .write_conn(&mut sink, true)
+            .unwrap();
+        assert_eq!(
+            sink.take(),
+            (
+                1,
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+                 Content-Length: 16\r\nRetry-After: 1\r\nx-request-id: r-1\r\n\
+                 Connection: keep-alive\r\n\r\n{\"error\":\"busy\"}"
+                    .to_string()
+            )
+        );
+
+        let mut body = ChunkedResponse::ndjson(200)
+            .with_header("x-request-id", "r-2")
+            .begin(&mut sink, false)
+            .unwrap();
+        assert_eq!(
+            body.stream.take(),
+            (
+                1,
+                "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+                 Transfer-Encoding: chunked\r\nx-request-id: r-2\r\n\
+                 Connection: close\r\n\r\n"
+                    .to_string()
+            )
+        );
+        body.write_chunk(b"{\"index\":0}\n").unwrap();
+        assert_eq!(
+            body.stream.take(),
+            (1, "c\r\n{\"index\":0}\n\r\n".to_string())
+        );
+        body.finish().unwrap();
+        assert_eq!(body.stream.take(), (1, "0\r\n\r\n".to_string()));
     }
 
     #[test]

@@ -74,7 +74,9 @@
 //! answers `503 Service Unavailable` with `Retry-After` instead of silently
 //! dropping the connection. Within one connection, workers loop HTTP/1.1
 //! keep-alive exchanges (idle timeout, per-connection request cap) before
-//! closing.
+//! closing. Every message the server sends leaves in one write, and every
+//! socket has `TCP_NODELAY` set, so no exchange waits for the client's
+//! delayed ACK.
 //!
 //! Backpressure: the engine's bounded submission queue rejects excess load
 //! with [`mani_engine::EngineError::Overloaded`], which this layer reports as
@@ -200,15 +202,14 @@ pub(crate) mod test_support {
     }
 
     /// Sends one raw HTTP exchange (`Connection: close`) and returns
-    /// `(status, body)`.
+    /// `(status, body)`. The request leaves in one write.
     pub fn http_roundtrip(addr: SocketAddr, request_line: &str, body: &str) -> (u16, String) {
         let mut stream = TcpStream::connect(addr).expect("connect to test server");
-        write!(
-            stream,
+        let request = format!(
             "{request_line}\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
-        )
-        .expect("write request");
+        );
+        stream.write_all(request.as_bytes()).expect("write request");
         let mut raw = String::new();
         stream.read_to_string(&mut raw).expect("read response");
         let status: u16 = raw

@@ -364,6 +364,10 @@ fn handle_connection(
     in_flight: &AtomicUsize,
 ) {
     state.connections().record_accepted();
+    // Each message already leaves in one write; without Nagle, the chunks
+    // of a streamed body also go out as they are produced instead of
+    // waiting for the client's delayed ACK of the previous one (~40 ms).
+    let _ = stream.set_nodelay(true);
     let conn_threads = state.connections().snapshot().conn_threads as usize;
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(clone) => clone,

@@ -27,21 +27,27 @@ pub fn small_engine(threads: usize) -> EngineConfig {
     }
 }
 
-/// Writes one request onto an open stream without reading the response.
-/// `close` adds `Connection: close`; otherwise HTTP/1.1 keep-alive applies.
+/// Writes one JSON request onto an open stream without reading the
+/// response. `close` adds `Connection: close`; otherwise HTTP/1.1
+/// keep-alive applies.
 pub fn send_request(stream: &mut TcpStream, method: &str, path: &str, body: &str, close: bool) {
-    let connection = if close { "Connection: close\r\n" } else { "" };
-    write!(
+    send_binary_request(
         stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\n{connection}Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
+        method,
+        path,
+        "application/json",
+        body.as_bytes(),
+        close,
+    );
 }
 
 /// Writes one request with an arbitrary (possibly binary) body and an
 /// explicit `Content-Type` — the columnar upload path. `close` adds
 /// `Connection: close`; otherwise HTTP/1.1 keep-alive applies.
+///
+/// Head and body leave in one write: split across several, the client's
+/// own Nagle would hold the rest until the server's delayed ACK (~40 ms)
+/// on every keep-alive exchange after the first.
 pub fn send_binary_request(
     stream: &mut TcpStream,
     method: &str,
@@ -51,13 +57,13 @@ pub fn send_binary_request(
     close: bool,
 ) {
     let connection = if close { "Connection: close\r\n" } else { "" };
-    write!(
-        stream,
+    let mut request = format!(
         "{method} {path} HTTP/1.1\r\nHost: test\r\n{connection}Content-Type: {content_type}\r\nContent-Length: {}\r\n\r\n",
         body.len()
     )
-    .expect("send request head");
-    stream.write_all(body).expect("send request body");
+    .into_bytes();
+    request.extend_from_slice(body);
+    stream.write_all(&request).expect("send request");
 }
 
 /// One one-shot exchange with a binary body returning `(status, JSON)`.

@@ -1,7 +1,9 @@
 //! Integration tests for the serve hardening work: keep-alive connection
 //! reuse, poisoned-framing close, slow-loris read timeouts, `503` at pool
-//! saturation (never a silent drop), the dataset registry round trip, and
-//! latency histograms advancing in `GET /v1/stats` — all over real sockets.
+//! saturation (never a silent drop), the dataset registry round trip,
+//! latency histograms advancing in `GET /v1/stats`, a deeply nested body the
+//! server survives, and keep-alive exchanges and streamed sessions that never
+//! wait for a delayed ACK — all over real sockets.
 
 mod common;
 
@@ -10,8 +12,8 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use common::{
-    connection_header, consensus_body, demo_dataset, exchange, get_u64, read_response,
-    send_request, small_engine, spawn_server,
+    connection_header, consensus_body, demo_dataset, exchange, get_u64, read_chunk, read_head,
+    read_response, send_request, small_engine, spawn_server,
 };
 use mani_serve::ServerConfig;
 use serde::Value;
@@ -512,5 +514,92 @@ fn stats_expose_per_endpoint_latency_histograms() {
             > get_u64(&before, &["latency", "stats", "count"]),
         "stats endpoint records itself"
     );
+    handle.stop();
+}
+
+#[test]
+fn deeply_nested_json_body_answers_400_and_the_server_keeps_serving() {
+    let handle = spawn_server(ServerConfig {
+        engine: small_engine(1),
+        ..ServerConfig::default()
+    });
+    let addr = handle.addr();
+    // Unbounded, this recursion would overflow a connection worker's stack
+    // and abort the whole process.
+    let (status, body) = exchange(addr, "POST", "/v1/consensus", &"[".repeat(1 << 20));
+    assert_eq!(status, 400, "{body:?}");
+    let message = body.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(message.contains("nesting deeper than 128"), "{body:?}");
+    let (status, _) = exchange(addr, "GET", "/v1/methods", "");
+    assert_eq!(status, 200);
+    handle.stop();
+}
+
+#[test]
+fn keep_alive_exchanges_do_not_wait_for_delayed_acks() {
+    let handle = spawn_server(ServerConfig {
+        engine: small_engine(1),
+        ..ServerConfig::default()
+    });
+    // The client's Nagle stays on: one write per request is enough. If a
+    // response left in several writes, each exchange after the first would
+    // wait for the client's delayed ACK (>= 40 ms on Linux).
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let started = Instant::now();
+    for round in 0..20 {
+        send_request(&mut stream, "GET", "/v1/methods", "", false);
+        let (status, _, _) = read_response(&mut stream);
+        assert_eq!(status, 200, "round {round}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "20 keep-alive exchanges took {elapsed:?}"
+    );
+    handle.stop();
+}
+
+#[test]
+fn streamed_sessions_do_not_wait_for_delayed_acks() {
+    let handle = spawn_server(ServerConfig {
+        engine: small_engine(1),
+        ..ServerConfig::default()
+    });
+    // A session's head and NDJSON lines are separate writes. Under Nagle
+    // each line waits for the client's delayed ACK of the one before it, so
+    // this covers TCP_NODELAY on the server socket.
+    let session = format!(
+        r#"{{"dataset": {}, "methods": ["Fair-Borda"], "delta": 0.2,
+            "edits": [{{"op": "append", "ranking": ["f","a","b","c","d","e"]}},
+                      {{"op": "append", "ranking": ["a","f","b","c","e","d"]}}]}}"#,
+        demo_dataset("nodelay")
+    );
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut durations = Vec::new();
+    for _ in 0..8 {
+        let started = Instant::now();
+        send_request(&mut stream, "POST", "/v1/sessions", &session, false);
+        let (status, _) = read_head(&mut stream);
+        assert_eq!(status, 200);
+        let mut lines = 0;
+        while read_chunk(&mut stream).is_some() {
+            lines += 1;
+        }
+        assert_eq!(lines, 3, "two edit lines + summary");
+        durations.push(started.elapsed());
+    }
+    // Every session but the first would stall under Nagle; allow one slow
+    // outlier for a busy host.
+    let prompt = durations
+        .iter()
+        .filter(|d| **d < Duration::from_millis(40))
+        .count();
+    assert!(prompt >= 7, "sessions took {durations:?}");
     handle.stop();
 }

@@ -128,15 +128,23 @@ fn write_string(out: &mut String, s: &str) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest container nesting [`from_str`] accepts (the limit real
+/// `serde_json` applies by default). The parser recurses once per level, so
+/// an unbounded depth would let one request body overflow the thread's stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 fn parse_value(text: &str) -> Result<Value, Error> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = parser.value()?;
     parser.skip_whitespace();
@@ -188,14 +196,29 @@ impl<'a> Parser<'a> {
             Some(b't') if self.consume_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.consume_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(Error::new(format!(
                 "unexpected input {other:?} at byte {}",
                 self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to open a
+    /// container beyond [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -499,6 +522,46 @@ mod tests {
         assert!(from_str::<u64>("12trailing").is_err());
         assert!(from_str::<Vec<u64>>("[1,2").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
+    }
+
+    /// `depth` nested containers around a `0`, cycling through `kinds`
+    /// (`'['` or `'{'`) from the outside in.
+    fn nest(depth: usize, kinds: &[char]) -> String {
+        let kinds: Vec<char> = (0..depth).map(|i| kinds[i % kinds.len()]).collect();
+        let mut text = String::new();
+        for &kind in &kinds {
+            text.push_str(if kind == '[' { "[" } else { "{\"k\":" });
+        }
+        text.push('0');
+        for &kind in kinds.iter().rev() {
+            text.push(if kind == '[' { ']' } else { '}' });
+        }
+        text
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        for kinds in [&['['][..], &['{'], &['[', '{'], &['{', '{', '[']] {
+            assert!(
+                from_str::<Value>(&nest(MAX_DEPTH, kinds)).is_ok(),
+                "{kinds:?}"
+            );
+            let over = nest(MAX_DEPTH + 1, kinds);
+            // The error names the offset of the first bracket past the limit.
+            let (offset, _) = over.match_indices(['[', '{']).nth(MAX_DEPTH).unwrap();
+            assert_eq!(
+                from_str::<Value>(&over).unwrap_err().to_string(),
+                format!("serde: nesting deeper than 128 levels at byte {offset}"),
+                "{kinds:?}"
+            );
+        }
+        // A body of nothing but `[` fails at the limit instead of overflowing
+        // the stack.
+        let flood = "[".repeat(1 << 20);
+        assert_eq!(
+            from_str::<Value>(&flood).unwrap_err().to_string(),
+            "serde: nesting deeper than 128 levels at byte 128"
+        );
     }
 
     #[test]
