@@ -33,13 +33,42 @@
 //! ranking weight exceeds `u32::MAX`, so the conversion is exact. Halving the
 //! cell width halves memory bandwidth and doubles SIMD lanes in the
 //! autovectorized inner loops.
+//!
+//! # Consensus by majority-graph components
+//!
+//! [`SchulzeAggregator::consensus_from_matrix_with`] never closes the full
+//! matrix unless it must. One iterative Tarjan pass over the direct edges
+//! finds the strongly connected components of the strict-majority graph
+//! (`a → b` when support(a, b) > support(b, a)). The kernel dispatcher runs
+//! only inside each component of two or more candidates; across components a
+//! candidate beats exactly the candidates it reaches. This is exact, so beat
+//! counts and rankings equal those of the full closure:
+//!
+//! * every edge weighs at least 1, so `p[a][b] > 0` exactly when `b` is
+//!   reachable from `a`;
+//! * a path between two members of one component never leaves it (a
+//!   candidate on it would reach and be reached by both, so it is a member),
+//!   so the closure of the component's sub-matrix equals the full closure on
+//!   those pairs;
+//! * across components at most one direction is reachable (both would merge
+//!   them), so `p[a][b] > p[b][a]` exactly when `b` is reachable from `a`.
+//!
+//! Reachability comes out of the same Tarjan pass. Components complete sinks
+//! first, and each keeps a bitset of its members and every candidate it
+//! reaches; an edge into a component already reached is skipped a 64-bit
+//! word at a time. The cost is O(n² + Σ kᵢ³) for components of kᵢ
+//! candidates, instead of O(n³).
+//! Mallows-like profiles split into hundreds of components and cost about
+//! the O(n²) scans. A profile whose majority graph is one component, such as
+//! a uniform-random one with odd |R|, runs the kernel in place on the full
+//! buffer: the full-matrix path plus one Tarjan scan.
 
+use std::cmp::Ordering;
 use std::sync::{Barrier, Mutex};
 
-use mani_ranking::parallel::{record_fw_blocked_solve, record_pair_shard_tasks};
+use mani_ranking::parallel::record_fw_blocked_solve;
 use mani_ranking::{
-    run_parts, shard_ranges, CandidateId, Parallelism, PrecedenceMatrix, Ranking, RankingProfile,
-    Result,
+    shard_ranges, CandidateId, Parallelism, PrecedenceMatrix, Ranking, RankingProfile, Result,
 };
 
 use crate::borda::ranking_from_points;
@@ -69,6 +98,14 @@ impl PathMatrix {
     /// Row `a`: strengths of the strongest paths from `a` to every candidate.
     pub fn row(&self, a: usize) -> &[u32] {
         &self.strengths[a * self.n..][..self.n]
+    }
+
+    /// The Schulze order of these strengths: candidates by the number of
+    /// opponents they beat (`p[a][b] > p[b][a]`), ties broken by id. Reads all
+    /// n² cells; [`SchulzeAggregator::consensus_from_matrix_with`] reaches the
+    /// same order without closing the full matrix.
+    pub fn ranking(&self) -> Ranking {
+        ranking_from_points(&beat_counts(&self.strengths, self.n))
     }
 
     /// The strengths in the legacy nested `u64` layout.
@@ -173,22 +210,7 @@ impl SchulzeAggregator {
     ) -> PathMatrix {
         let n = matrix.num_candidates();
         let mut strengths = direct_edges(matrix);
-        let tile = parallelism.fw_tile_size(n);
-        let threads = parallelism.kernel_threads(n);
-        if tile < n {
-            let nb = n.div_ceil(tile);
-            if threads > 1 && nb > 1 {
-                floyd_warshall_tiled_parallel(&mut strengths, n, tile, threads);
-            } else {
-                floyd_warshall_tiled_serial(&mut strengths, n, tile);
-            }
-            record_fw_blocked_solve((nb * nb * nb) as u64);
-        } else if threads > 1 && n >= 2 {
-            floyd_warshall_parallel(&mut strengths, n, threads);
-        } else {
-            floyd_warshall_serial(&mut strengths, n);
-        }
-        zero_diagonal(&mut strengths, n);
+        close_paths(&mut strengths, n, parallelism);
         PathMatrix { n, strengths }
     }
 
@@ -198,57 +220,29 @@ impl SchulzeAggregator {
     }
 
     /// Computes the Schulze consensus from a precedence matrix under an
-    /// explicit kernel-parallelism budget. The O(n²) beat-count scoring pass
-    /// is sharded over candidate ranges when the budget allows; each
-    /// candidate's score is an independent count, so the scores (and the
-    /// resulting ranking) are identical for every thread count.
+    /// explicit kernel-parallelism budget.
+    ///
+    /// Strongest paths are closed only inside each strongly connected
+    /// component of the strict-majority graph, with the kernel `parallelism`
+    /// picks for that component's size; pairs in different components are
+    /// decided by reachability (see the module docs). The ranking equals
+    /// [`PathMatrix::ranking`] of [`SchulzeAggregator::strongest_paths_matrix`]
+    /// for every tile size and thread count.
     pub fn consensus_from_matrix_with(
         &self,
         matrix: &PrecedenceMatrix,
         parallelism: &Parallelism,
     ) -> Ranking {
         let n = matrix.num_candidates();
-        let p = self.strongest_paths_matrix(matrix, parallelism);
-        // Score = number of opponents beaten in the strongest-path relation.
-        let threads = parallelism.kernel_threads(n);
-        let scores = if threads > 1 {
-            let p = &p;
-            let parts: Vec<_> = shard_ranges(n, threads)
-                .into_iter()
-                .map(|range| {
-                    move || {
-                        let mut scores = vec![0u64; range.len()];
-                        for (score, a) in scores.iter_mut().zip(range.clone()) {
-                            let row_a = p.row(a);
-                            for (b, &forward) in row_a.iter().enumerate() {
-                                if b != a && forward > p.strength(b, a) {
-                                    *score += 1;
-                                }
-                            }
-                        }
-                        scores
-                    }
-                })
-                .collect();
-            record_pair_shard_tasks(parts.len() as u64);
-            let mut scores = Vec::with_capacity(n);
-            for part in run_parts(threads, parts) {
-                scores.extend_from_slice(&part);
-            }
-            scores
+        let mut edges = direct_edges(matrix);
+        let components = MajorityComponents::new(&edges, n);
+        let beats = if components.len() <= 1 {
+            close_paths(&mut edges, n, parallelism);
+            beat_counts(&edges, n)
         } else {
-            let mut scores = vec![0u64; n];
-            for (a, score) in scores.iter_mut().enumerate() {
-                let row_a = p.row(a);
-                for (b, &forward) in row_a.iter().enumerate() {
-                    if b != a && forward > p.strength(b, a) {
-                        *score += 1;
-                    }
-                }
-            }
-            scores
+            components.beat_counts(&edges, n, parallelism)
         };
-        ranking_from_points(&scores)
+        ranking_from_points(&beats)
     }
 
     /// Computes the Schulze consensus for a profile.
@@ -258,25 +252,277 @@ impl SchulzeAggregator {
 }
 
 /// Initial direct edges: `p[a][b] = support(a, b)` when it beats the opposing
-/// support. `support_for(a, b)` is `row(b)[a]` in the precedence layout, so
-/// the inner read of `against` walks row `a` sequentially.
+/// support `row(a)[b]`.
+///
+/// `support_for(a, b)` is `row(b)[a]` in the precedence layout, a column
+/// read. The buffer is filled in [`EDGE_TILE`]² tiles: each tile's supports
+/// are first transposed into an L1-resident scratch tile from row reads, so
+/// the column walk never strides across the whole matrix.
 fn direct_edges(matrix: &PrecedenceMatrix) -> Vec<u32> {
     let n = matrix.num_candidates();
     let mut strengths = vec![0u32; n * n];
-    for a in 0..n {
-        let row_a = matrix.row(CandidateId(a as u32));
-        let dst = &mut strengths[a * n..][..n];
-        for (b, (slot, &against)) in dst.iter_mut().zip(row_a).enumerate() {
-            if b == a {
-                continue;
+    let mut support = [[0u32; EDGE_TILE]; EDGE_TILE];
+    for a0 in (0..n).step_by(EDGE_TILE) {
+        let a1 = (a0 + EDGE_TILE).min(n);
+        for b0 in (0..n).step_by(EDGE_TILE) {
+            let b1 = (b0 + EDGE_TILE).min(n);
+            for (j, b) in (b0..b1).enumerate() {
+                let column = &matrix.row(CandidateId(b as u32))[a0..a1];
+                for (row, &s) in support.iter_mut().zip(column) {
+                    row[j] = s;
+                }
             }
-            let support = matrix.row(CandidateId(b as u32))[a];
-            if support > against {
-                *slot = support;
+            for (a, support_a) in (a0..a1).zip(&support) {
+                let against = &matrix.row(CandidateId(a as u32))[b0..b1];
+                let dst = &mut strengths[a * n + b0..a * n + b1];
+                for ((slot, &s), &against) in dst.iter_mut().zip(support_a).zip(against) {
+                    *slot = if s > against { s } else { 0 };
+                }
             }
         }
     }
+    // No candidate has an edge to itself, whatever the diagonal counts hold.
+    zero_diagonal(&mut strengths, n);
     strengths
+}
+
+/// Tile edge of [`direct_edges`]: a 64 × 64 `u32` scratch tile is 16 KiB.
+const EDGE_TILE: usize = 64;
+
+/// Closes the `n × n` direct-edge buffer `p` into strongest path strengths
+/// with the kernel `parallelism` selects for `n` candidates: tiled below the
+/// resolved tile size, parallel by row blocks (or tile-row blocks) when the
+/// thread budget allows, serial untiled otherwise.
+fn close_paths(p: &mut [u32], n: usize, parallelism: &Parallelism) {
+    let tile = parallelism.fw_tile_size(n);
+    let threads = parallelism.kernel_threads(n);
+    if tile < n {
+        let nb = n.div_ceil(tile);
+        if threads > 1 && nb > 1 {
+            floyd_warshall_tiled_parallel(p, n, tile, threads);
+        } else {
+            floyd_warshall_tiled_serial(p, n, tile);
+        }
+        record_fw_blocked_solve((nb * nb * nb) as u64);
+    } else if threads > 1 && n >= 2 {
+        floyd_warshall_parallel(p, n, threads);
+    } else {
+        floyd_warshall_serial(p, n);
+    }
+    zero_diagonal(p, n);
+}
+
+/// Beat counts of a closed `n × n` strength matrix: `beats[a]` is the number
+/// of `b` with `p[a][b] > p[b][a]`. Each pair is compared once.
+fn beat_counts(p: &[u32], n: usize) -> Vec<u64> {
+    let mut beats = vec![0u64; n];
+    for a in 0..n {
+        let row_a = &p[a * n..][..n];
+        for b in a + 1..n {
+            match row_a[b].cmp(&p[b * n + a]) {
+                Ordering::Greater => beats[a] += 1,
+                Ordering::Less => beats[b] += 1,
+                Ordering::Equal => {}
+            }
+        }
+    }
+    beats
+}
+
+/// Strongly connected components of the strict-majority graph
+/// (`a → b` when `edges[a * n + b] > 0`), numbered in Tarjan's emission
+/// order: sinks first, so every edge between two components points from a
+/// later component to an earlier one.
+struct MajorityComponents {
+    /// Candidates grouped by component: component `c` is
+    /// `members[starts[c]..starts[c + 1]]`.
+    members: Vec<u32>,
+    starts: Vec<usize>,
+    /// Per component: how many candidates of other components it reaches.
+    /// Every member beats exactly those.
+    across: Vec<u64>,
+}
+
+impl MajorityComponents {
+    /// Iterative Tarjan over the dense edge buffer, scanning every row once
+    /// in 64-column words: O(n²) time and no recursion.
+    ///
+    /// Each DFS frame also collects, as a bitset over candidates, the
+    /// candidates its candidate reaches in completed components. An edge
+    /// into a completed component that the set does not hold yet ORs in that
+    /// component's closed set (its members and everything they reach); the
+    /// other edges into it are then already covered, a word at a time. A
+    /// frame that is not a component root folds its set into its parent's,
+    /// which lies in the same component. So a root's set is final for its
+    /// component, and its popcount is the component's `across`.
+    fn new(edges: &[u32], n: usize) -> Self {
+        const UNSEEN: u32 = u32::MAX;
+        let words = n.div_ceil(64);
+        let mut index = vec![UNSEEN; n];
+        let mut low = vec![0u32; n];
+        let mut of = vec![0u32; n];
+        // Bitsets: `live` holds candidates whose component is not complete,
+        // `unseen` those not visited yet.
+        let mut live = vec![u64::MAX; words];
+        let mut unseen = vec![u64::MAX; words];
+        let mut stack: Vec<usize> = Vec::new();
+        // DFS frames: (candidate, next column of its row to scan), and
+        // `words` words of reached candidates per frame in `acc`.
+        let mut frames: Vec<(usize, usize)> = Vec::new();
+        let mut acc: Vec<u64> = Vec::new();
+        // Closed set of each completed component: members plus reach.
+        let mut closed: Vec<u64> = Vec::new();
+        let mut components = Self {
+            members: Vec::with_capacity(n),
+            starts: vec![0],
+            across: Vec::new(),
+        };
+        let mut next = 0u32;
+        for root in 0..n {
+            if index[root] != UNSEEN {
+                continue;
+            }
+            let mut visit = Some(root);
+            loop {
+                if let Some(v) = visit.take() {
+                    index[v] = next;
+                    low[v] = next;
+                    next += 1;
+                    unseen[v / 64] &= !(1 << (v % 64));
+                    stack.push(v);
+                    frames.push((v, 0));
+                    acc.resize(acc.len() + words, 0);
+                }
+                let Some(frame) = frames.last_mut() else {
+                    break;
+                };
+                let v = frame.0;
+                let row = &edges[v * n..][..n];
+                let frame_acc = acc.len() - words;
+                let set = &mut acc[frame_acc..];
+                let mut low_v = low[v];
+                // No link goes below the stack's bottom: once `low_v` is
+                // there, only unvisited neighbours still matter.
+                let floor = index[stack[0]];
+                'scan: while frame.1 < n {
+                    let start = frame.1;
+                    let word = start / 64;
+                    let end = ((word + 1) * 64).min(n);
+                    frame.1 = end;
+                    let mask = nonzero_mask(&row[start..end]) << (start % 64);
+                    let mut cross = mask & !live[word] & !set[word];
+                    while cross != 0 {
+                        let w = word * 64 + cross.trailing_zeros() as usize;
+                        let reached = &closed[of[w] as usize * words..][..words];
+                        for (dst, &src) in set.iter_mut().zip(reached) {
+                            *dst |= src;
+                        }
+                        cross &= !set[word];
+                    }
+                    let mut open = mask & live[word];
+                    while open != 0 {
+                        if low_v == floor {
+                            open &= unseen[word];
+                            if open == 0 {
+                                break;
+                            }
+                        }
+                        let w = word * 64 + open.trailing_zeros() as usize;
+                        open &= open - 1;
+                        if index[w] == UNSEEN {
+                            frame.1 = w + 1;
+                            visit = Some(w);
+                            break 'scan;
+                        }
+                        low_v = low_v.min(index[w]);
+                    }
+                }
+                low[v] = low_v;
+                if visit.is_some() {
+                    continue;
+                }
+                frames.pop();
+                if low[v] == index[v] {
+                    let c = components.across.len();
+                    let set = &acc[frame_acc..];
+                    components
+                        .across
+                        .push(set.iter().map(|w| u64::from(w.count_ones())).sum());
+                    closed.extend_from_slice(set);
+                    let closed_c = &mut closed[c * words..];
+                    loop {
+                        let w = stack.pop().expect("a root's component is on the stack");
+                        live[w / 64] &= !(1 << (w % 64));
+                        closed_c[w / 64] |= 1 << (w % 64);
+                        of[w] = c as u32;
+                        components.members.push(w as u32);
+                        if w == v {
+                            break;
+                        }
+                    }
+                    components.starts.push(components.members.len());
+                    acc.truncate(frame_acc);
+                    if !frames.is_empty() {
+                        // The tree edge from the parent crosses into `c`.
+                        let parent_set = &mut acc[frame_acc - words..];
+                        if parent_set[v / 64] & (1 << (v % 64)) == 0 {
+                            for (dst, &src) in parent_set.iter_mut().zip(&*closed_c) {
+                                *dst |= src;
+                            }
+                        }
+                    }
+                } else {
+                    let parent = frames.last().expect("a non-root has a parent").0;
+                    low[parent] = low[parent].min(low[v]);
+                    let (parent_set, set) = acc[frame_acc - words..].split_at_mut(words);
+                    for (dst, &src) in parent_set.iter_mut().zip(&*set) {
+                        *dst |= src;
+                    }
+                    acc.truncate(frame_acc);
+                }
+            }
+        }
+        components
+    }
+
+    /// Number of components.
+    fn len(&self) -> usize {
+        self.across.len()
+    }
+
+    /// Schulze beat counts: `across` for every member, plus, inside a
+    /// component of two or more candidates, the beats of the component's own
+    /// `k × k` closure from [`close_paths`].
+    fn beat_counts(&self, edges: &[u32], n: usize, parallelism: &Parallelism) -> Vec<u64> {
+        let mut beats = vec![0u64; n];
+        let mut sub = Vec::new();
+        for (c, &across) in self.across.iter().enumerate() {
+            let members = &self.members[self.starts[c]..self.starts[c + 1]];
+            if let [single] = members {
+                beats[*single as usize] = across;
+                continue;
+            }
+            let k = members.len();
+            sub.clear();
+            for &a in members {
+                let row_a = &edges[a as usize * n..][..n];
+                sub.extend(members.iter().map(|&b| row_a[b as usize]));
+            }
+            close_paths(&mut sub, k, parallelism);
+            for (&a, within) in members.iter().zip(beat_counts(&sub, k)) {
+                beats[a as usize] = across + within;
+            }
+        }
+        beats
+    }
+}
+
+/// Bit `i` set where `cells[i] != 0`, for at most 64 cells.
+fn nonzero_mask(cells: &[u32]) -> u64 {
+    cells
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (i, &s)| mask | u64::from(s != 0) << i)
 }
 
 /// Restores `p[a][a] = 0` after a kernel run.
@@ -862,6 +1108,179 @@ mod tests {
         assert!(after.fw_blocked_solves > before.fw_blocked_solves);
         // 20 candidates at tile 8 -> 3 tile rows -> 27 tile relaxations.
         assert!(after.fw_tiles_relaxed >= before.fw_tiles_relaxed + 27);
+    }
+
+    /// The full-matrix path that component decomposition replaced: rank by beat
+    /// counts over the whole closure from `strongest_paths_matrix`.
+    fn full_matrix_consensus(matrix: &PrecedenceMatrix) -> Ranking {
+        let p = SchulzeAggregator::new().strongest_paths_matrix(matrix, &Parallelism::serial());
+        let n = p.num_candidates();
+        let scores: Vec<u64> = (0..n)
+            .map(|a| {
+                (0..n)
+                    .filter(|&b| b != a && p.strength(a, b) > p.strength(b, a))
+                    .count() as u64
+            })
+            .collect();
+        ranking_from_points(&scores)
+    }
+
+    fn component_count(matrix: &PrecedenceMatrix) -> usize {
+        MajorityComponents::new(&direct_edges(matrix), matrix.num_candidates()).len()
+    }
+
+    /// Blocks `[lo, hi)` of ids concatenated in block order, each block
+    /// shuffled on its own.
+    fn clustered_ranking(bounds: &[usize], rng: &mut StdRng) -> Ranking {
+        let blocks = bounds.windows(2).filter(|block| block[0] < block[1]);
+        let ids = blocks.flat_map(|block| {
+            let (lo, hi) = (block[0], block[1]);
+            let shuffled = Ranking::random(hi - lo, &mut *rng);
+            shuffled.iter().map(|c| c.0 + lo as u32).collect::<Vec<_>>()
+        });
+        Ranking::from_ids(ids.collect::<Vec<_>>()).unwrap()
+    }
+
+    /// Profiles for the differential test, by `shape`: 0 uniform with odd
+    /// |R| (one large component), 1 clustered into `blocks` fixed blocks,
+    /// optionally with one cross-block swap (several non-trivial
+    /// components), 2 weighted, 3 uniform with even |R| (ties, so some pairs
+    /// reach neither way).
+    fn differential_matrix(
+        shape: u8,
+        n: usize,
+        m: usize,
+        blocks: usize,
+        cross_swap: bool,
+        rng: &mut StdRng,
+    ) -> PrecedenceMatrix {
+        let uniform = |count: usize, rng: &mut StdRng| -> Vec<Ranking> {
+            (0..count).map(|_| Ranking::random(n, rng)).collect()
+        };
+        match shape {
+            0 => PrecedenceMatrix::from_rankings(&uniform(2 * m - 1, rng)).unwrap(),
+            1 => {
+                let bounds: Vec<usize> = (0..=blocks).map(|b| b * n / blocks).collect();
+                let mut rankings: Vec<Ranking> = (0..2 * m - 1)
+                    .map(|_| clustered_ranking(&bounds, rng))
+                    .collect();
+                let boundary = bounds[1];
+                if cross_swap && boundary > 0 && boundary < n {
+                    rankings[0].swap_positions(boundary - 1, boundary);
+                }
+                PrecedenceMatrix::from_rankings(&rankings).unwrap()
+            }
+            2 => {
+                let rankings = uniform(m, rng);
+                let weights: Vec<u32> = (0..m as u32).map(|i| i % 5 + 1).collect();
+                PrecedenceMatrix::from_weighted_rankings(&rankings, &weights).unwrap()
+            }
+            _ => PrecedenceMatrix::from_rankings(&uniform(2 * m, rng)).unwrap(),
+        }
+    }
+
+    #[test]
+    fn cycle_above_cycle_ranks_the_upper_cycle_first() {
+        // {0, 1, 2} and {3, 4, 5} are each a 2 : 1 majority cycle, and every
+        // member of the first is above every member of the second everywhere.
+        let rankings = [[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], [2, 0, 1, 5, 3, 4]]
+            .map(|ids| Ranking::from_ids(ids).unwrap());
+        let matrix = PrecedenceMatrix::from_rankings(&rankings).unwrap();
+        assert_eq!(component_count(&matrix), 2);
+        let consensus = SchulzeAggregator::new().consensus_from_matrix(&matrix);
+        assert_eq!(consensus, full_matrix_consensus(&matrix));
+        assert_eq!(consensus, Ranking::identity(6));
+    }
+
+    #[test]
+    fn components_with_no_path_either_way_beat_nobody_across() {
+        // Both 3-cycles, once with each block on top: the blocks tie 3 : 3, so
+        // no path joins them in either direction.
+        let cycle = [[0, 1, 2], [1, 2, 0], [2, 0, 1]];
+        let rankings: Vec<Ranking> = cycle
+            .iter()
+            .flat_map(|ids| {
+                let upper: Vec<u32> = ids.to_vec();
+                let lower: Vec<u32> = ids.iter().map(|&id| id + 3).collect();
+                [
+                    Ranking::from_ids(upper.iter().chain(&lower).copied()).unwrap(),
+                    Ranking::from_ids(lower.iter().chain(&upper).copied()).unwrap(),
+                ]
+            })
+            .collect();
+        let matrix = PrecedenceMatrix::from_rankings(&rankings).unwrap();
+        assert_eq!(component_count(&matrix), 2);
+        let consensus = SchulzeAggregator::new().consensus_from_matrix(&matrix);
+        assert_eq!(consensus, full_matrix_consensus(&matrix));
+        assert_eq!(consensus, Ranking::identity(6));
+    }
+
+    #[test]
+    fn one_and_two_candidates() {
+        let single = PrecedenceMatrix::from_rankings(&[Ranking::identity(1)]).unwrap();
+        assert_eq!(
+            SchulzeAggregator::new().consensus_from_matrix(&single),
+            Ranking::identity(1)
+        );
+        for (ids, expected) in [
+            (vec![[1, 0], [1, 0], [0, 1]], [1, 0]),
+            (vec![[0, 1], [1, 0]], [0, 1]),
+        ] {
+            let rankings: Vec<Ranking> = ids
+                .into_iter()
+                .map(|ids| Ranking::from_ids(ids).unwrap())
+                .collect();
+            let matrix = PrecedenceMatrix::from_rankings(&rankings).unwrap();
+            let consensus = SchulzeAggregator::new().consensus_from_matrix(&matrix);
+            assert_eq!(consensus, full_matrix_consensus(&matrix));
+            assert_eq!(consensus, Ranking::from_ids(expected).unwrap());
+        }
+    }
+
+    #[test]
+    fn one_component_on_the_tiled_kernel_matches_full_path() {
+        // The identity rotated by 0, 7 and 14: every pair is decided 2 : 1,
+        // and 0 → 1 → … → 19 → 0 makes the majority graph one component.
+        let rankings =
+            [0, 7, 14].map(|shift| Ranking::from_ids((0..20).map(|i| (i + shift) % 20)).unwrap());
+        let matrix = PrecedenceMatrix::from_rankings(&rankings).unwrap();
+        assert_eq!(component_count(&matrix), 1);
+        let reference = full_matrix_consensus(&matrix);
+        for threads in [1usize, 2] {
+            let par = Parallelism::new(threads)
+                .with_min_candidates(0)
+                .with_tile_size(8);
+            assert_eq!(
+                SchulzeAggregator::new().consensus_from_matrix_with(&matrix, &par),
+                reference,
+                "threads = {threads}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prop_consensus_matches_full_matrix_path(
+            shape in 0u8..4,
+            // A precedence matrix needs a non-empty ranking, so n starts at 1.
+            n in 1usize..41,
+            m in 1usize..8,
+            blocks in 2usize..6,
+            cross_swap in any::<bool>(),
+            threads in 1usize..9,
+            tile in 1usize..9,
+            seed in any::<u64>()
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let matrix = differential_matrix(shape, n, m, blocks, cross_swap, &mut rng);
+            let reference = full_matrix_consensus(&matrix);
+            let par = Parallelism::new(threads).with_min_candidates(0).with_tile_size(tile);
+            let aggregator = SchulzeAggregator::new();
+            prop_assert_eq!(aggregator.consensus_from_matrix_with(&matrix, &par), reference.clone());
+            prop_assert_eq!(aggregator.strongest_paths_matrix(&matrix, &par).ranking(), reference);
+        }
     }
 
     proptest! {

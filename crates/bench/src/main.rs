@@ -7,11 +7,13 @@
 //!
 //! With `--compare`, the fresh run is diffed against a previously committed
 //! baseline (same JSON format — any earlier `--out` file works): the gated
-//! metrics are the `schulze_strongest_paths` **flat kernel** and **tiled
-//! kernel** (`strongest_paths_matrix` under the auto tile policy, the call
-//! the engine makes), **`matrix_build` throughput**, **Make-MR-Fair** and
-//! **JSON dataset decoding** (the last two run on every fair-method request
-//! and upload), and any slowdown beyond `--max-slowdown` (default 25%) exits
+//! metrics are the `schulze_strongest_paths` **flat kernel**, **tiled
+//! kernel** (`strongest_paths_matrix` under the auto tile policy) and
+//! **consensus** (`consensus_from_matrix_with`, the call the engine makes),
+//! the **one-component Schulze consensus** (its worst case),
+//! **`matrix_build` throughput**, **Make-MR-Fair** and **JSON dataset
+//! decoding** (the last two run on every fair-method request and upload),
+//! and any slowdown beyond `--max-slowdown` (default 25%) exits
 //! non-zero. CI runs the smoke grid against `BENCH_baseline_smoke.json`; to
 //! re-baseline after an intentional change (or a runner-hardware change —
 //! baselines are machine-specific), copy the fresh JSON over the committed
@@ -33,9 +35,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use mani_aggregation::{BordaAggregator, SchulzeAggregator};
+use mani_aggregation::{BordaAggregator, PathMatrix, SchulzeAggregator};
 use mani_bench::BenchFixture;
 use mani_core::{make_mr_fair, FairKemeny, MfcrMethod};
+use mani_datagen::MallowsModel;
 use mani_engine::EngineDataset;
 use mani_fairness::FairnessThresholds;
 use mani_ranking::{available_threads, Parallelism, PrecedenceMatrix, Ranking};
@@ -108,7 +111,7 @@ fn main() {
                      Fair-Kemeny, Make-MR-Fair and the wire codecs at (n, |R|) grid points\n\
                      to FILE (default BENCH_kernels.json).\n\
                      --compare diffs the fresh run against a committed baseline and exits\n\
-                     non-zero when the Schulze flat kernel, matrix-build throughput,\n\
+                     non-zero when a Schulze kernel or consensus, matrix-build throughput,\n\
                      Make-MR-Fair or JSON decoding regresses by more than --max-slowdown\n\
                      (default 0.25).\n\
                      --timestamp stamps an opaque run label into the output's `meta`\n\
@@ -137,11 +140,14 @@ fn main() {
     // smoke grid carries one large-n Schulze point (n = 1000, iters capped by
     // `capped_iters`) so the regression gate exercises the tiled-kernel
     // regime, and the full grid extends to the CSRankings-scale points
-    // n ∈ {1000, 2000, 5000}. The wire-codec grid sweeps ranking count (the
-    // axis the two encodings diverge on) at a fixed candidate pool.
+    // n ∈ {1000, 2000, 5000}. The one-component Schulze points are the
+    // consensus's worst case (no decomposition to exploit). The wire-codec
+    // grid sweeps ranking count (the axis the two encodings diverge on) at a
+    // fixed candidate pool.
     let (
         matrix_grid,
         schulze_grid,
+        one_component_grid,
         kemeny_grid,
         correction_grid,
         codec_grid,
@@ -151,6 +157,7 @@ fn main() {
         (
             vec![(48, 64)],
             vec![(48, 24), (1000, 16)],
+            vec![(1000, 51)],
             vec![(10, 8)],
             vec![(1000, 50)],
             vec![(32, 200)],
@@ -168,6 +175,7 @@ fn main() {
                 (2000, 40),
                 (5000, 40),
             ],
+            vec![(300, 51), (1000, 51), (2000, 51)],
             vec![(20, 12), (26, 12)],
             vec![(500, 50), (1000, 50), (2000, 50), (5000, 50)],
             vec![(50, 1000), (50, 10000)],
@@ -185,7 +193,11 @@ fn main() {
     }
     for &(n, r) in &schulze_grid {
         eprintln!("schulze n={n} |R|={r} ...");
-        entries.push(bench_schulze(n, r, &parallel, capped_iters(n, iters)));
+        entries.push(bench_schulze(n, r, &parallel, iters));
+    }
+    for &(n, r) in &one_component_grid {
+        eprintln!("schulze one-component n={n} |R|={r} ...");
+        entries.push(bench_schulze_one_component(n, r, capped_iters(n, iters)));
     }
     for &(n, r) in &kemeny_grid {
         eprintln!("fair-kemeny n={n} |R|={r} ...");
@@ -231,7 +243,7 @@ fn main() {
 /// The metrics the regression gate guards: `(kernel, field, what)` triples
 /// where `field` is a best-of-run latency in nanoseconds (lower is better —
 /// for a fixed grid point, latency slowdown equals throughput slowdown).
-const GATED_METRICS: [(&str, &str, &str); 5] = [
+const GATED_METRICS: [(&str, &str, &str); 7] = [
     (
         "schulze_strongest_paths",
         "flat_serial_ns",
@@ -240,7 +252,17 @@ const GATED_METRICS: [(&str, &str, &str); 5] = [
     (
         "schulze_strongest_paths",
         "tiled_serial_ns",
-        "Schulze tiled kernel (the engine's path)",
+        "Schulze tiled kernel",
+    ),
+    (
+        "schulze_strongest_paths",
+        "consensus_ns",
+        "Schulze consensus (the engine's call)",
+    ),
+    (
+        "schulze_one_component",
+        "consensus_ns",
+        "Schulze consensus, one component",
     ),
     ("matrix_build", "serial_ns", "matrix-build throughput"),
     ("make_mr_fair", "ns", "Make-MR-Fair correction"),
@@ -450,7 +472,11 @@ fn bench_matrix_build(n: usize, r: usize, parallel: &Parallelism, iters: usize) 
     }
 }
 
-fn bench_schulze(n: usize, r: usize, parallel: &Parallelism, iters: usize) -> Entry {
+/// The full-matrix kernels take `capped_iters`; the consensus takes all
+/// `iters`, because on these Mallows profiles it costs milliseconds where the
+/// kernels cost seconds, and a best-of-2 of milliseconds is too noisy to gate.
+fn bench_schulze(n: usize, r: usize, parallel: &Parallelism, consensus_iters: usize) -> Entry {
+    let iters = capped_iters(n, consensus_iters);
     let fixture = BenchFixture::low_fair(n, r, 0.6, 0xB0B);
     let matrix = fixture.profile.precedence_matrix();
     let aggregator = SchulzeAggregator::new();
@@ -468,9 +494,21 @@ fn bench_schulze(n: usize, r: usize, parallel: &Parallelism, iters: usize) -> En
     });
     assert_eq!(tiled, flat, "tiled kernel must be bit-identical");
     assert_eq!(tiled_par, flat, "parallel kernel must be bit-identical");
+    // The engine's call at kernel_threads = 1: strongest paths closed per
+    // strongly connected component of the majority graph.
+    let (consensus_ns, consensus) = time_best(consensus_iters, || {
+        aggregator.consensus_from_matrix_with(&matrix, &serial)
+    });
+    assert_eq!(
+        consensus,
+        tiled.ranking(),
+        "consensus must rank as the full-matrix beat counts do"
+    );
     let mut fields = vec![
         ("flat_serial_ns".into(), flat_ns.to_string()),
         ("tiled_serial_ns".into(), tiled_ns.to_string()),
+        ("consensus_ns".into(), consensus_ns.to_string()),
+        ("components".into(), majority_components(&flat).to_string()),
         ("parallel_ns".into(), parallel_ns.to_string()),
         (
             "tile_size".into(),
@@ -509,6 +547,63 @@ fn bench_schulze(n: usize, r: usize, parallel: &Parallelism, iters: usize) -> En
         rankings: r,
         fields,
     }
+}
+
+/// The consensus's worst case: a uniform-random profile (Mallows θ = 0)
+/// with odd |R| has no ties, and its majority tournament is one strongly
+/// connected component, so the consensus closes the whole matrix like the
+/// path it replaced. `full_matrix_ns` times that path (`strongest_paths_matrix`
+/// then beat counts); `consensus_ns` should differ from it by the O(n²)
+/// component scan only.
+fn bench_schulze_one_component(n: usize, r: usize, iters: usize) -> Entry {
+    let profile = MallowsModel::new(Ranking::identity(n), 0.0).sample_profile(r, 0x0C0DE);
+    let matrix = profile.precedence_matrix();
+    let aggregator = SchulzeAggregator::new();
+    let serial = Parallelism::serial();
+    // Interleaved, so host drift between the two timings cannot pose as
+    // overhead, and each side frees its n² buffer before the other runs.
+    let (mut full_matrix_ns, mut consensus_ns) = (u64::MAX, u64::MAX);
+    for _ in 0..iters.max(1) {
+        let (ns, reference) = time_best(1, || {
+            aggregator
+                .strongest_paths_matrix(&matrix, &serial)
+                .ranking()
+        });
+        full_matrix_ns = full_matrix_ns.min(ns);
+        let (ns, consensus) = time_best(1, || {
+            aggregator.consensus_from_matrix_with(&matrix, &serial)
+        });
+        consensus_ns = consensus_ns.min(ns);
+        assert_eq!(
+            consensus, reference,
+            "consensus must rank as the full-matrix beat counts do"
+        );
+    }
+    let paths = aggregator.strongest_paths_matrix(&matrix, &serial);
+    Entry {
+        kernel: "schulze_one_component",
+        n,
+        rankings: r,
+        fields: vec![
+            ("consensus_ns".into(), consensus_ns.to_string()),
+            ("full_matrix_ns".into(), full_matrix_ns.to_string()),
+            ("components".into(), majority_components(&paths).to_string()),
+            (
+                "overhead_vs_full_matrix".into(),
+                format!("{:.3}", ratio(consensus_ns, full_matrix_ns) - 1.0),
+            ),
+        ],
+    }
+}
+
+/// Strongly connected components of the strict-majority graph, counted from
+/// the closure: two candidates share one exactly when each reaches the other
+/// (`p > 0` both ways), so a candidate opens a component when it shares none
+/// with a lower id.
+fn majority_components(paths: &PathMatrix) -> usize {
+    (0..paths.num_candidates())
+        .filter(|&a| (0..a).all(|b| paths.strength(a, b) == 0 || paths.strength(b, a) == 0))
+        .count()
 }
 
 fn bench_fair_kemeny(

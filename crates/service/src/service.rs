@@ -841,6 +841,10 @@ impl Service {
                 entry.request_id.clone(),
             )
         };
+        // Read before the poll: `Done` is final and carries the response, so
+        // a job that finishes between the two reads is reported as still
+        // running, never as done without results.
+        let status = handle.status();
         let Some(response) = handle.try_poll() else {
             // Not done yet: release the would-be cache claim for a later
             // poll.
@@ -850,7 +854,7 @@ impl Service {
             }
             return Ok(obj(vec![
                 ("id", s(format!("job-{id}"))),
-                ("status", s(handle.status().label())),
+                ("status", s(status.label())),
                 ("dataset", s(dataset.name())),
                 ("request_id", s(&request_id)),
             ]));
@@ -1807,29 +1811,35 @@ mod tests {
     #[test]
     fn async_jobs_are_accepted_and_pollable() {
         let service = service();
-        let reply = service
-            .consensus(&demo_body(0.25, false), &RequestContext::new(None))
-            .unwrap();
-        let ConsensusReply::Accepted(body) = reply else {
-            panic!("async submit must be accepted-pending");
-        };
-        assert!(render(&body).contains("\"poll\":\"/v1/jobs/job-1\""));
+        // Many short jobs, each polled in a tight loop, so polls land while
+        // a job completes: a "done" answer must always carry its results.
+        for job in 1..=200 {
+            let delta = 0.25 + job as f64 * 1e-6;
+            let reply = service
+                .consensus(&demo_body(delta, false), &RequestContext::new(None))
+                .unwrap();
+            let ConsensusReply::Accepted(body) = reply else {
+                panic!("async submit must be accepted-pending");
+            };
+            let poll = format!("\"poll\":\"/v1/jobs/job-{job}\"");
+            assert!(render(&body).contains(&poll));
 
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let polled = service.job("job-1").unwrap();
-            let text = render(&polled);
-            if text.contains("\"status\":\"done\"") {
-                assert!(text.contains("\"ranking\""), "{text}");
-                break;
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                let polled = service.job(&format!("job-{job}")).unwrap();
+                let text = render(&polled);
+                if text.contains("\"status\":\"done\"") {
+                    assert!(text.contains("\"ranking\""), "{text}");
+                    break;
+                }
+                assert!(Instant::now() < deadline, "job never completed");
+                std::hint::spin_loop();
             }
-            assert!(Instant::now() < deadline, "job never completed");
-            std::thread::yield_now();
         }
         let trace = render(&service.job_trace("job-1").unwrap());
         assert!(trace.contains("\"phases\""), "{trace}");
         assert_eq!(
-            service.job("job-99").unwrap_err().kind,
+            service.job("job-999").unwrap_err().kind,
             ApiErrorKind::NotFound
         );
         assert_eq!(
