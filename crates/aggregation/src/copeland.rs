@@ -22,24 +22,21 @@ impl CopelandAggregator {
 
     /// Computes the Copeland consensus from a precomputed precedence matrix.
     pub fn consensus_from_matrix(&self, matrix: &PrecedenceMatrix) -> Ranking {
-        self.consensus_from_matrix_with(matrix, &Parallelism::serial())
+        let wins: Vec<u64> = matrix.copeland_wins().into_iter().map(u64::from).collect();
+        ranking_from_points(&wins)
     }
 
-    /// Computes the Copeland consensus from a precedence matrix under an
-    /// explicit kernel-parallelism budget: the O(n²) win-count pass is sharded
-    /// over candidate ranges, producing identical win counts (and hence the
-    /// identical ranking) for every thread count.
+    /// [`CopelandAggregator::consensus_from_matrix`] under a
+    /// kernel-parallelism budget, which it ignores: the O(n²) win-count pass
+    /// runs serially at every thread count, because sharding it did not pay
+    /// off at n = 1000–2000. The parameter keeps the signature uniform with
+    /// the other pairwise aggregators.
     pub fn consensus_from_matrix_with(
         &self,
         matrix: &PrecedenceMatrix,
-        parallelism: &Parallelism,
+        _parallelism: &Parallelism,
     ) -> Ranking {
-        let wins: Vec<u64> = matrix
-            .copeland_wins_parallel(parallelism)
-            .into_iter()
-            .map(u64::from)
-            .collect();
-        ranking_from_points(&wins)
+        self.consensus_from_matrix(matrix)
     }
 
     /// Computes the Copeland consensus for a profile.
@@ -106,7 +103,7 @@ mod tests {
         let matrix = RankingProfile::new(rankings).unwrap().precedence_matrix();
         let agg = CopelandAggregator::new();
         for threads in [1usize, 2, 8] {
-            let par = mani_ranking::Parallelism::new(threads).with_min_candidates(0);
+            let par = Parallelism::new(threads);
             assert_eq!(
                 agg.consensus_from_matrix_with(&matrix, &par),
                 agg.consensus_from_matrix(&matrix),

@@ -7,21 +7,18 @@
 //! many opponents they beat in the strongest-path comparison (`p[a][b] > p[b][a]`), which
 //! yields a complete, Condorcet-consistent order; ties are broken by candidate id.
 //!
-//! Three kernels implement the strongest-path computation:
+//! Two kernels implement the strongest-path computation:
 //!
-//! * [`SchulzeAggregator::strongest_paths`] — the straightforward nested-`Vec`
-//!   reference implementation, retained for differential tests and as the
-//!   serial baseline in `mani-bench`'s kernel benchmarks.
-//! * [`SchulzeAggregator::strongest_paths_flat`] — the untiled flat kernel
-//!   (the PR-3 production kernel, now on `u32` cells): flat row-major
-//!   [`PathMatrix`], rows read as slices, entire relaxation rows skipped when
-//!   `p[a][k] == 0`.
+//! * [`SchulzeAggregator::strongest_paths_flat`] — the untiled flat serial
+//!   kernel on `u32` cells: flat row-major [`PathMatrix`], rows read as
+//!   slices, entire relaxation rows skipped when `p[a][k] == 0`.
 //! * [`SchulzeAggregator::strongest_paths_matrix`] — the production
-//!   dispatcher: cache-blocked (tiled) Floyd–Warshall on `u32` cells in the
-//!   standard three-phase blocked order (diagonal tile, then the pivot
-//!   row/column panels, then the remainder), optionally parallelised by
-//!   tile-row blocks. Falls back to the untiled kernels below
-//!   [`mani_ranking::parallel::FW_TILE_MIN_N`] candidates.
+//!   dispatcher: the flat kernel below [`FW_TILE_MIN_N`] candidates, and from
+//!   there cache-blocked (tiled) Floyd–Warshall on [`FW_TILE`]-wide tiles in
+//!   the standard three-phase blocked order (diagonal tile, then the pivot
+//!   row/column panels, then the remainder), parallelised by tile-row blocks
+//!   when the thread budget allows. The flat kernel stays serial at every
+//!   thread count.
 //!
 //! All kernels produce bit-identical strengths: the max–min (widest-path)
 //! closure is unique, every relaxation uses genuine path strengths (so no
@@ -74,6 +71,20 @@ use mani_ranking::{
 use crate::borda::ranking_from_points;
 use crate::traits::ConsensusMethod;
 
+/// Candidate count from which strongest paths are closed by the tiled
+/// kernel. Below it the whole strength matrix (≤ 512² × 4 B = 1 MiB) sits in
+/// L2 anyway and the blocked schedule's phase overhead is pure loss: on the
+/// dev host the tiled kernel pulls ahead of the flat one only between
+/// n = 384 (0.9×) and n = 1000 (1.5×).
+pub const FW_TILE_MIN_N: usize = 512;
+
+/// Tile edge of the tiled kernel. A 64×64 tile of `u32` cells is 16 KiB; the
+/// three tiles a blocked phase touches (C, the A column panel, and the B row
+/// panel) fit a 64 KiB L1 with room for the pivot-row scratch, and a whole
+/// tile-row panel at CSRankings scale (64 × 5000 × 4 B ≈ 1.2 MiB) still fits
+/// a mid-size L2.
+pub const FW_TILE: usize = 64;
+
 /// Flat row-major matrix of strongest path strengths.
 ///
 /// Cells are `u32`: strengths are min/max combinations of pairwise supports,
@@ -107,20 +118,6 @@ impl PathMatrix {
     pub fn ranking(&self) -> Ranking {
         ranking_from_points(&beat_counts(&self.strengths, self.n))
     }
-
-    /// The strengths in the legacy nested `u64` layout.
-    ///
-    /// **Compat shim for differential tests only**: it exists solely to
-    /// compare against [`SchulzeAggregator::strongest_paths`], allocates
-    /// `n + 1` vectors and widens every cell, and must not be called on hot
-    /// paths — production consumers read [`PathMatrix::row`] /
-    /// [`PathMatrix::strength`] directly.
-    pub fn to_nested(&self) -> Vec<Vec<u64>> {
-        self.strengths
-            .chunks_exact(self.n)
-            .map(|row| row.iter().map(|&s| s as u64).collect())
-            .collect()
-    }
 }
 
 /// The Schulze consensus method.
@@ -133,57 +130,16 @@ impl SchulzeAggregator {
         Self
     }
 
-    /// Computes the matrix of strongest path strengths `p[a][b]` — reference
-    /// implementation in the legacy nested layout.
-    ///
-    /// Only edges with positive support participate (the standard "winning votes" variant:
-    /// an edge exists from `a` to `b` when more rankings prefer `a` to `b` than vice versa).
-    ///
-    /// This is the differential-testing reference and the serial baseline of
-    /// the kernel benchmarks; production call sites use
-    /// [`SchulzeAggregator::strongest_paths_matrix`].
-    #[allow(clippy::needless_range_loop)] // Floyd-Warshall style: indices are the clearer idiom
-    pub fn strongest_paths(&self, matrix: &PrecedenceMatrix) -> Vec<Vec<u64>> {
-        let n = matrix.num_candidates();
-        let mut p = vec![vec![0u64; n]; n];
-        for a in 0..n {
-            for b in 0..n {
-                if a == b {
-                    continue;
-                }
-                let (ca, cb) = (CandidateId(a as u32), CandidateId(b as u32));
-                let support = matrix.support_for(ca, cb) as u64;
-                let against = matrix.support_for(cb, ca) as u64;
-                if support > against {
-                    p[a][b] = support;
-                }
-            }
-        }
-        for k in 0..n {
-            for a in 0..n {
-                if a == k {
-                    continue;
-                }
-                for b in 0..n {
-                    if b == a || b == k {
-                        continue;
-                    }
-                    let through_k = p[a][k].min(p[k][b]);
-                    if through_k > p[a][b] {
-                        p[a][b] = through_k;
-                    }
-                }
-            }
-        }
-        p
-    }
-
     /// Computes strongest path strengths with the untiled flat serial kernel
-    /// (the PR-3 production kernel ported to `u32` cells).
+    /// at any size.
     ///
-    /// Kept public as the benchmark comparison point for the tiled kernel and
-    /// as the middle rung of the differential tests; production call sites use
+    /// Kept public as the benchmark comparison point for the tiled kernel;
+    /// production call sites use
     /// [`SchulzeAggregator::strongest_paths_matrix`].
+    ///
+    /// Every edge weighs at least 1 and only edges with positive margin exist
+    /// (the "winning votes" variant: `a → b` when more rankings prefer `a` to
+    /// `b` than vice versa).
     pub fn strongest_paths_flat(&self, matrix: &PrecedenceMatrix) -> PathMatrix {
         let n = matrix.num_candidates();
         let mut strengths = direct_edges(matrix);
@@ -192,17 +148,14 @@ impl SchulzeAggregator {
         PathMatrix { n, strengths }
     }
 
-    /// Computes strongest path strengths into a flat [`PathMatrix`], choosing
-    /// the kernel from `parallelism`: tile size via
-    /// [`Parallelism::fw_tile_size`] (auto-tiled at
-    /// [`mani_ranking::parallel::FW_TILE_MIN_N`] candidates and above, untiled
-    /// below) and thread count via [`Parallelism::kernel_threads`]
-    /// (parallelised by row blocks, or tile-row blocks when tiled).
+    /// Computes strongest path strengths into a flat [`PathMatrix`]: flat
+    /// serial below [`FW_TILE_MIN_N`] candidates, tiled from there on up to
+    /// [`Parallelism::max_threads`] threads.
     ///
-    /// Bit-identical to [`SchulzeAggregator::strongest_paths`] for every tile
-    /// size and thread count: the widest-path closure is unique, so any
-    /// complete Floyd–Warshall schedule — blocked or not, sharded or not —
-    /// computes the same integers.
+    /// Bit-identical to [`SchulzeAggregator::strongest_paths_flat`] for every
+    /// thread count: the widest-path closure is unique, so any complete
+    /// Floyd–Warshall schedule — blocked or not, sharded or not — computes
+    /// the same integers.
     pub fn strongest_paths_matrix(
         &self,
         matrix: &PrecedenceMatrix,
@@ -210,7 +163,7 @@ impl SchulzeAggregator {
     ) -> PathMatrix {
         let n = matrix.num_candidates();
         let mut strengths = direct_edges(matrix);
-        close_paths(&mut strengths, n, parallelism);
+        close_paths(&mut strengths, n, parallelism.max_threads());
         PathMatrix { n, strengths }
     }
 
@@ -223,26 +176,18 @@ impl SchulzeAggregator {
     /// explicit kernel-parallelism budget.
     ///
     /// Strongest paths are closed only inside each strongly connected
-    /// component of the strict-majority graph, with the kernel `parallelism`
-    /// picks for that component's size; pairs in different components are
-    /// decided by reachability (see the module docs). The ranking equals
-    /// [`PathMatrix::ranking`] of [`SchulzeAggregator::strongest_paths_matrix`]
-    /// for every tile size and thread count.
+    /// component of the strict-majority graph, with the kernel
+    /// [`SchulzeAggregator::strongest_paths_matrix`] picks for that
+    /// component's size; pairs in different components are decided by
+    /// reachability (see the module docs). The ranking equals
+    /// [`PathMatrix::ranking`] of the full closure for every thread count.
     pub fn consensus_from_matrix_with(
         &self,
         matrix: &PrecedenceMatrix,
         parallelism: &Parallelism,
     ) -> Ranking {
-        let n = matrix.num_candidates();
-        let mut edges = direct_edges(matrix);
-        let components = MajorityComponents::new(&edges, n);
-        let beats = if components.len() <= 1 {
-            close_paths(&mut edges, n, parallelism);
-            beat_counts(&edges, n)
-        } else {
-            components.beat_counts(&edges, n, parallelism)
-        };
-        ranking_from_points(&beats)
+        let threads = parallelism.max_threads();
+        consensus_by_components(matrix, |p, k| close_paths(p, k, threads))
     }
 
     /// Computes the Schulze consensus for a profile.
@@ -289,26 +234,49 @@ fn direct_edges(matrix: &PrecedenceMatrix) -> Vec<u32> {
 /// Tile edge of [`direct_edges`]: a 64 × 64 `u32` scratch tile is 16 KiB.
 const EDGE_TILE: usize = 64;
 
-/// Closes the `n × n` direct-edge buffer `p` into strongest path strengths
-/// with the kernel `parallelism` selects for `n` candidates: tiled below the
-/// resolved tile size, parallel by row blocks (or tile-row blocks) when the
-/// thread budget allows, serial untiled otherwise.
-fn close_paths(p: &mut [u32], n: usize, parallelism: &Parallelism) {
-    let tile = parallelism.fw_tile_size(n);
-    let threads = parallelism.kernel_threads(n);
-    if tile < n {
-        let nb = n.div_ceil(tile);
-        if threads > 1 && nb > 1 {
-            floyd_warshall_tiled_parallel(p, n, tile, threads);
-        } else {
-            floyd_warshall_tiled_serial(p, n, tile);
-        }
-        record_fw_blocked_solve((nb * nb * nb) as u64);
-    } else if threads > 1 && n >= 2 {
-        floyd_warshall_parallel(p, n, threads);
+/// The Schulze ranking of `matrix` with strongest paths closed by `close`
+/// only inside each majority-graph component of two or more candidates
+/// (see the module docs). `close(p, k)` must close a `k × k` direct-edge
+/// buffer in place and zero its diagonal.
+fn consensus_by_components(
+    matrix: &PrecedenceMatrix,
+    mut close: impl FnMut(&mut [u32], usize),
+) -> Ranking {
+    let n = matrix.num_candidates();
+    let mut edges = direct_edges(matrix);
+    let components = MajorityComponents::new(&edges, n);
+    let beats = if components.len() <= 1 {
+        close(&mut edges, n);
+        beat_counts(&edges, n)
+    } else {
+        components.beat_counts(&edges, n, close)
+    };
+    ranking_from_points(&beats)
+}
+
+/// Closes the `n × n` direct-edge buffer `p` into strongest path strengths:
+/// flat serial below [`FW_TILE_MIN_N`] candidates, tiled on up to `threads`
+/// threads from there.
+fn close_paths(p: &mut [u32], n: usize, threads: usize) {
+    if n >= FW_TILE_MIN_N {
+        close_tiled(p, n, FW_TILE, threads);
     } else {
         floyd_warshall_serial(p, n);
+        zero_diagonal(p, n);
     }
+}
+
+/// Closes `p` with the tiled kernel on `tile`-wide tiles, split by tile-row
+/// blocks across up to `threads` threads, and records the solve in the
+/// kernel counters.
+fn close_tiled(p: &mut [u32], n: usize, tile: usize, threads: usize) {
+    let nb = n.div_ceil(tile);
+    if threads > 1 && nb > 1 {
+        floyd_warshall_tiled_parallel(p, n, tile, threads);
+    } else {
+        floyd_warshall_tiled_serial(p, n, tile);
+    }
+    record_fw_blocked_solve((nb * nb * nb) as u64);
     zero_diagonal(p, n);
 }
 
@@ -492,8 +460,13 @@ impl MajorityComponents {
 
     /// Schulze beat counts: `across` for every member, plus, inside a
     /// component of two or more candidates, the beats of the component's own
-    /// `k × k` closure from [`close_paths`].
-    fn beat_counts(&self, edges: &[u32], n: usize, parallelism: &Parallelism) -> Vec<u64> {
+    /// `k × k` closure from `close`.
+    fn beat_counts(
+        &self,
+        edges: &[u32],
+        n: usize,
+        mut close: impl FnMut(&mut [u32], usize),
+    ) -> Vec<u64> {
         let mut beats = vec![0u64; n];
         let mut sub = Vec::new();
         for (c, &across) in self.across.iter().enumerate() {
@@ -508,7 +481,7 @@ impl MajorityComponents {
                 let row_a = &edges[a as usize * n..][..n];
                 sub.extend(members.iter().map(|&b| row_a[b as usize]));
             }
-            close_paths(&mut sub, k, parallelism);
+            close(&mut sub, k);
             for (&a, within) in members.iter().zip(beat_counts(&sub, k)) {
                 beats[a as usize] = across + within;
             }
@@ -547,83 +520,10 @@ fn relax_full_row(row_a: &mut [u32], row_k: &[u32], pak: u32) {
     }
 }
 
-/// Serial untiled Floyd–Warshall over the flat strength buffer.
+/// Serial untiled Floyd–Warshall over the flat strength buffer: the
+/// pivot-row closure of the tiled kernel, with every row a pivot row.
 fn floyd_warshall_serial(p: &mut [u32], n: usize) {
-    let mut row_k = vec![0u32; n];
-    for k in 0..n {
-        // Row k is stable during step k (relaxing it through itself is a
-        // no-op), so one snapshot lets every other row read it without
-        // aliasing `p`.
-        row_k.copy_from_slice(&p[k * n..][..n]);
-        for a in 0..n {
-            if a == k {
-                continue;
-            }
-            let pak = p[a * n + k];
-            if pak == 0 {
-                // min(0, ·) can never improve a non-negative strength: the
-                // whole relaxation row is a no-op. On realistic profiles this
-                // skips roughly half of all (a, k) pairs.
-                continue;
-            }
-            relax_full_row(&mut p[a * n..][..n], &row_k, pak);
-        }
-    }
-}
-
-/// Row-block-parallel untiled Floyd–Warshall: for a fixed `k` every row is
-/// updated independently, so `threads` workers each own a contiguous block of
-/// rows and synchronise twice per `k`-step on a barrier (once after the pivot
-/// row is published, once before the next pivot is written).
-fn floyd_warshall_parallel(p: &mut [u32], n: usize, threads: usize) {
-    let ranges = shard_ranges(n, threads);
-    if ranges.len() <= 1 {
-        floyd_warshall_serial(p, n);
-        return;
-    }
-    let barrier = Barrier::new(ranges.len());
-    let pivot_row = Mutex::new(vec![0u32; n]);
-    // Split the flat buffer into per-worker row blocks.
-    let mut blocks: Vec<(usize, &mut [u32])> = Vec::with_capacity(ranges.len());
-    let mut rest = p;
-    for range in &ranges {
-        let (block, tail) = rest.split_at_mut(range.len() * n);
-        blocks.push((range.start, block));
-        rest = tail;
-    }
-    std::thread::scope(|scope| {
-        for (start, block) in blocks {
-            let barrier = &barrier;
-            let pivot_row = &pivot_row;
-            scope.spawn(move || {
-                let rows = block.len() / n;
-                let mut row_k = vec![0u32; n];
-                for k in 0..n {
-                    if (start..start + rows).contains(&k) {
-                        let mut shared = pivot_row.lock().expect("pivot row lock poisoned");
-                        shared.copy_from_slice(&block[(k - start) * n..][..n]);
-                    }
-                    // All workers see the published pivot row before relaxing.
-                    barrier.wait();
-                    row_k.copy_from_slice(&pivot_row.lock().expect("pivot row lock poisoned"));
-                    for (local, row_a) in block.chunks_exact_mut(n).enumerate() {
-                        let a = start + local;
-                        if a == k {
-                            continue;
-                        }
-                        let pak = row_a[k];
-                        if pak == 0 {
-                            continue;
-                        }
-                        relax_full_row(row_a, &row_k, pak);
-                    }
-                    // Nobody may publish pivot k+1 while a worker still reads
-                    // the shared buffer for pivot k.
-                    barrier.wait();
-                }
-            });
-        }
-    });
+    close_pivot_rows(p, n, 0, 0, n, &mut vec![0u32; n]);
 }
 
 /// Phase 1 + 2 (row panel) of a `k`-block: closes the pivot rows `k0..k1` —
@@ -642,6 +542,9 @@ fn close_pivot_rows(
     row_k: &mut [u32],
 ) {
     for k in k0..k1 {
+        // Row k is stable during step k (relaxing it through itself is a
+        // no-op), so one snapshot lets every other row read it without
+        // aliasing `block`.
         row_k.copy_from_slice(&block[(k - row_start) * n..][..n]);
         for a in k0..k1 {
             if a == k {
@@ -650,6 +553,9 @@ fn close_pivot_rows(
             let row_a = &mut block[(a - row_start) * n..][..n];
             let pak = row_a[k];
             if pak == 0 {
+                // min(0, ·) can never improve a non-negative strength: the
+                // whole relaxation row is a no-op. On realistic profiles this
+                // skips roughly half of all (a, k) pairs.
                 continue;
             }
             relax_full_row(row_a, row_k, pak);
@@ -897,9 +803,7 @@ fn floyd_warshall_tiled_serial(p: &mut [u32], n: usize, tile: usize) {
 /// pivot rows (phases 1 + 2-row) and publishes them into a shared panel
 /// buffer; after a barrier every worker copies the panel locally and runs the
 /// column-panel and remainder phases on its own rows. A second barrier keeps
-/// block `kb + 1`'s publish from racing block `kb`'s readers — the same
-/// two-barrier schedule as the untiled parallel kernel, at tile-row
-/// granularity.
+/// block `kb + 1`'s publish from racing block `kb`'s readers.
 fn floyd_warshall_tiled_parallel(p: &mut [u32], n: usize, tile: usize, threads: usize) {
     let nb = n.div_ceil(tile);
     let tile_ranges = shard_ranges(nb, threads);
@@ -997,8 +901,51 @@ mod tests {
         assert_eq!(consensus.candidate_at(0), CandidateId(1));
     }
 
+    /// The reference every kernel must match: the widest-path closure by
+    /// the textbook triple loop over nested rows, cell by cell.
+    #[allow(clippy::needless_range_loop)] // Floyd-Warshall style: indices are the clearer idiom
+    fn naive_strongest_paths(matrix: &PrecedenceMatrix) -> PathMatrix {
+        let n = matrix.num_candidates();
+        let support =
+            |a: usize, b: usize| matrix.support_for(CandidateId(a as u32), CandidateId(b as u32));
+        let mut p = vec![vec![0u32; n]; n];
+        for a in 0..n {
+            for b in 0..n {
+                if a != b && support(a, b) > support(b, a) {
+                    p[a][b] = support(a, b);
+                }
+            }
+        }
+        for k in 0..n {
+            for a in 0..n {
+                for b in 0..n {
+                    if a != k && b != k && a != b {
+                        p[a][b] = p[a][b].max(p[a][k].min(p[k][b]));
+                    }
+                }
+            }
+        }
+        PathMatrix {
+            n,
+            strengths: p.concat(),
+        }
+    }
+
+    /// Strongest paths from the tiled kernel at an explicit tile edge and
+    /// thread count, whatever the size.
+    fn tiled(matrix: &PrecedenceMatrix, tile: usize, threads: usize) -> PathMatrix {
+        let n = matrix.num_candidates();
+        let mut strengths = direct_edges(matrix);
+        close_tiled(&mut strengths, n, tile, threads);
+        PathMatrix { n, strengths }
+    }
+
+    fn random_matrix(n: usize, m: usize, rng: &mut StdRng) -> PrecedenceMatrix {
+        let rankings: Vec<Ranking> = (0..m).map(|_| Ranking::random(n, &mut *rng)).collect();
+        PrecedenceMatrix::from_rankings(&rankings).unwrap()
+    }
+
     #[test]
-    #[allow(clippy::needless_range_loop)]
     fn strongest_paths_classic_example() {
         // Wikipedia-style 3-candidate cycle check: A > B (2 of 3), B > C (2 of 3), C > A (2 of 3)
         // forms a majority cycle; strongest paths must still be computed consistently.
@@ -1009,13 +956,14 @@ mod tests {
         ])
         .unwrap();
         let matrix = profile.precedence_matrix();
-        let p = SchulzeAggregator::new().strongest_paths(&matrix);
+        let p = SchulzeAggregator::new().strongest_paths_flat(&matrix);
+        assert_eq!(p, naive_strongest_paths(&matrix));
         // Every direct majority edge has weight 2, and the cycle gives every pair a path of
         // strength 2 in both directions -> complete tie.
         for a in 0..3 {
             for b in 0..3 {
                 if a != b {
-                    assert_eq!(p[a][b], 2, "p[{a}][{b}]");
+                    assert_eq!(p.strength(a, b), 2, "p[{a}][{b}]");
                 }
             }
         }
@@ -1025,23 +973,20 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)]
     fn strongest_path_at_least_direct_support() {
         let mut rng = StdRng::seed_from_u64(23);
-        let rankings: Vec<Ranking> = (0..7).map(|_| Ranking::random(6, &mut rng)).collect();
-        let profile = RankingProfile::new(rankings).unwrap();
-        let matrix = profile.precedence_matrix();
-        let p = SchulzeAggregator::new().strongest_paths(&matrix);
+        let matrix = random_matrix(6, 7, &mut rng);
+        let p = SchulzeAggregator::new().strongest_paths_flat(&matrix);
         for a in 0..6 {
             for b in 0..6 {
                 if a == b {
                     continue;
                 }
                 let (ca, cb) = (CandidateId(a as u32), CandidateId(b as u32));
-                let support = matrix.support_for(ca, cb) as u64;
-                let against = matrix.support_for(cb, ca) as u64;
+                let support = matrix.support_for(ca, cb);
+                let against = matrix.support_for(cb, ca);
                 if support > against {
-                    assert!(p[a][b] >= support);
+                    assert!(p.strength(a, b) >= support);
                 }
             }
         }
@@ -1051,21 +996,18 @@ mod tests {
     fn flat_kernel_matches_reference_across_thread_counts() {
         let mut rng = StdRng::seed_from_u64(77);
         for n in [1usize, 2, 3, 7, 12, 25] {
-            let rankings: Vec<Ranking> = (0..9).map(|_| Ranking::random(n, &mut rng)).collect();
-            let matrix = RankingProfile::new(rankings).unwrap().precedence_matrix();
-            let reference = SchulzeAggregator::new().strongest_paths(&matrix);
+            let matrix = random_matrix(n, 9, &mut rng);
+            let reference = naive_strongest_paths(&matrix);
             assert_eq!(
-                SchulzeAggregator::new()
-                    .strongest_paths_flat(&matrix)
-                    .to_nested(),
+                SchulzeAggregator::new().strongest_paths_flat(&matrix),
                 reference,
                 "flat kernel, n = {n}"
             );
             for threads in [1usize, 2, 3, 8] {
-                let par = Parallelism::new(threads).with_min_candidates(0);
+                let par = Parallelism::new(threads);
                 let flat = SchulzeAggregator::new().strongest_paths_matrix(&matrix, &par);
                 assert_eq!(flat.num_candidates(), n);
-                assert_eq!(flat.to_nested(), reference, "n = {n}, threads = {threads}");
+                assert_eq!(flat, reference, "n = {n}, threads = {threads}");
                 assert_eq!(
                     SchulzeAggregator::new().consensus_from_matrix_with(&matrix, &par),
                     SchulzeAggregator::new().consensus_from_matrix(&matrix),
@@ -1077,18 +1019,26 @@ mod tests {
     #[test]
     fn tiled_kernel_matches_reference_across_tile_sizes_and_threads() {
         let mut rng = StdRng::seed_from_u64(4242);
-        for n in [2usize, 5, 13, 31, 64, 70] {
-            let rankings: Vec<Ranking> = (0..7).map(|_| Ranking::random(n, &mut rng)).collect();
-            let matrix = RankingProfile::new(rankings).unwrap().precedence_matrix();
-            let reference = SchulzeAggregator::new().strongest_paths_flat(&matrix);
+        let mut matrices: Vec<PrecedenceMatrix> = [2usize, 5, 13, 31, 64, 70]
+            .into_iter()
+            .map(|n| random_matrix(n, 7, &mut rng))
+            .collect();
+        // A weighted profile covering several partial and full tiles.
+        let rankings: Vec<Ranking> = (0..9).map(|_| Ranking::random(70, &mut rng)).collect();
+        let weights: Vec<u32> = (0..9u32).map(|w| (w % 5) + 1).collect();
+        matrices.push(PrecedenceMatrix::from_weighted_rankings(&rankings, &weights).unwrap());
+        for matrix in &matrices {
+            let n = matrix.num_candidates();
+            let reference = naive_strongest_paths(matrix);
+            assert_eq!(
+                SchulzeAggregator::new().strongest_paths_flat(matrix),
+                reference
+            );
             for tile in [1usize, 3, 8, 32, 64, n] {
                 for threads in [1usize, 2, 8] {
-                    let par = Parallelism::new(threads)
-                        .with_min_candidates(0)
-                        .with_tile_size(tile);
-                    let tiled = SchulzeAggregator::new().strongest_paths_matrix(&matrix, &par);
                     assert_eq!(
-                        tiled, reference,
+                        tiled(matrix, tile, threads),
+                        reference,
                         "n = {n}, tile = {tile}, threads = {threads}"
                     );
                 }
@@ -1099,21 +1049,19 @@ mod tests {
     #[test]
     fn tiled_solves_bump_kernel_counters() {
         let mut rng = StdRng::seed_from_u64(9);
-        let rankings: Vec<Ranking> = (0..5).map(|_| Ranking::random(20, &mut rng)).collect();
-        let matrix = RankingProfile::new(rankings).unwrap().precedence_matrix();
+        let matrix = random_matrix(20, 5, &mut rng);
         let before = mani_ranking::kernel_counter_snapshot();
-        let par = Parallelism::serial().with_tile_size(8);
-        SchulzeAggregator::new().strongest_paths_matrix(&matrix, &par);
+        tiled(&matrix, 8, 1);
         let after = mani_ranking::kernel_counter_snapshot();
         assert!(after.fw_blocked_solves > before.fw_blocked_solves);
         // 20 candidates at tile 8 -> 3 tile rows -> 27 tile relaxations.
         assert!(after.fw_tiles_relaxed >= before.fw_tiles_relaxed + 27);
     }
 
-    /// The full-matrix path that component decomposition replaced: rank by beat
-    /// counts over the whole closure from `strongest_paths_matrix`.
+    /// The full-matrix path that component decomposition replaced: rank by
+    /// beat counts over the whole reference closure.
     fn full_matrix_consensus(matrix: &PrecedenceMatrix) -> Ranking {
-        let p = SchulzeAggregator::new().strongest_paths_matrix(matrix, &Parallelism::serial());
+        let p = naive_strongest_paths(matrix);
         let n = p.num_candidates();
         let scores: Vec<u64> = (0..n)
             .map(|a| {
@@ -1247,11 +1195,8 @@ mod tests {
         assert_eq!(component_count(&matrix), 1);
         let reference = full_matrix_consensus(&matrix);
         for threads in [1usize, 2] {
-            let par = Parallelism::new(threads)
-                .with_min_candidates(0)
-                .with_tile_size(8);
             assert_eq!(
-                SchulzeAggregator::new().consensus_from_matrix_with(&matrix, &par),
+                consensus_by_components(&matrix, |p, k| close_tiled(p, k, 8, threads)),
                 reference,
                 "threads = {threads}"
             );
@@ -1276,10 +1221,15 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let matrix = differential_matrix(shape, n, m, blocks, cross_swap, &mut rng);
             let reference = full_matrix_consensus(&matrix);
-            let par = Parallelism::new(threads).with_min_candidates(0).with_tile_size(tile);
+            let par = Parallelism::new(threads);
             let aggregator = SchulzeAggregator::new();
             prop_assert_eq!(aggregator.consensus_from_matrix_with(&matrix, &par), reference.clone());
-            prop_assert_eq!(aggregator.strongest_paths_matrix(&matrix, &par).ranking(), reference);
+            prop_assert_eq!(
+                consensus_by_components(&matrix, |p, k| close_tiled(p, k, tile, threads)),
+                reference.clone()
+            );
+            prop_assert_eq!(aggregator.strongest_paths_matrix(&matrix, &par).ranking(), reference.clone());
+            prop_assert_eq!(tiled(&matrix, tile, threads).ranking(), reference);
         }
     }
 
@@ -1292,27 +1242,27 @@ mod tests {
             seed in any::<u64>()
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let rankings: Vec<Ranking> = (0..m).map(|_| Ranking::random(n, &mut rng)).collect();
-            let matrix = RankingProfile::new(rankings).unwrap().precedence_matrix();
-            let par = Parallelism::new(threads).with_min_candidates(0);
-            let flat = SchulzeAggregator::new().strongest_paths_matrix(&matrix, &par);
-            prop_assert_eq!(flat.to_nested(), SchulzeAggregator::new().strongest_paths(&matrix));
+            let matrix = random_matrix(n, m, &mut rng);
+            let reference = naive_strongest_paths(&matrix);
+            let aggregator = SchulzeAggregator::new();
+            prop_assert_eq!(&aggregator.strongest_paths_flat(&matrix), &reference);
+            let par = Parallelism::new(threads);
+            prop_assert_eq!(aggregator.strongest_paths_matrix(&matrix, &par), reference);
         }
 
         #[test]
         fn prop_tiled_kernel_bit_identical_to_flat(
-            n in 1usize..20,
+            n in 1usize..24,
             m in 1usize..8,
-            tile in 1usize..9,
+            tile in 1usize..12,
             threads in 1usize..9,
             seed in any::<u64>()
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let rankings: Vec<Ranking> = (0..m).map(|_| Ranking::random(n, &mut rng)).collect();
-            let matrix = RankingProfile::new(rankings).unwrap().precedence_matrix();
-            let par = Parallelism::new(threads).with_min_candidates(0).with_tile_size(tile);
-            let tiled = SchulzeAggregator::new().strongest_paths_matrix(&matrix, &par);
-            prop_assert_eq!(tiled, SchulzeAggregator::new().strongest_paths_flat(&matrix));
+            let matrix = random_matrix(n, m, &mut rng);
+            let flat = SchulzeAggregator::new().strongest_paths_flat(&matrix);
+            prop_assert_eq!(&tiled(&matrix, tile, threads), &flat, "tile = {}, threads = {}", tile, threads);
+            prop_assert_eq!(flat, naive_strongest_paths(&matrix));
         }
 
         #[test]

@@ -1,6 +1,6 @@
 //! Shared scoring helpers over profiles and precedence matrices.
 
-use mani_ranking::{Parallelism, PrecedenceMatrix, RankingProfile};
+use mani_ranking::{PrecedenceMatrix, RankingProfile};
 
 /// Borda points per candidate: the total number of candidates ranked below it, summed over
 /// all base rankings. O(|R| · n).
@@ -31,23 +31,6 @@ pub fn weighted_borda_points(profile: &RankingProfile, weights: &[u64]) -> Vec<u
 /// Copeland wins per candidate (ties count for both), straight from the precedence matrix.
 pub fn copeland_wins(matrix: &PrecedenceMatrix) -> Vec<u32> {
     matrix.copeland_wins()
-}
-
-/// Copeland wins under an explicit kernel-parallelism budget: candidate-pair
-/// sharded over contiguous candidate ranges, identical integers to
-/// [`copeland_wins`] for every thread count.
-pub fn copeland_wins_parallel(matrix: &PrecedenceMatrix, parallelism: &Parallelism) -> Vec<u32> {
-    matrix.copeland_wins_parallel(parallelism)
-}
-
-/// Pairwise support scores under an explicit kernel-parallelism budget:
-/// column-range sharded, bit-identical to
-/// [`PrecedenceMatrix::pairwise_support_scores`] for every thread count.
-pub fn pairwise_support_scores_parallel(
-    matrix: &PrecedenceMatrix,
-    parallelism: &Parallelism,
-) -> Vec<u64> {
-    matrix.pairwise_support_scores_parallel(parallelism)
 }
 
 #[cfg(test)]
@@ -91,24 +74,5 @@ mod tests {
         let profile = RankingProfile::new(vec![Ranking::identity(3)]).unwrap();
         let wins = copeland_wins(&profile.precedence_matrix());
         assert_eq!(wins, vec![2, 1, 0]);
-    }
-
-    #[test]
-    fn parallel_delegates_match_serial() {
-        let profile = RankingProfile::new(vec![
-            Ranking::from_ids([2, 0, 1, 3]).unwrap(),
-            Ranking::from_ids([3, 1, 0, 2]).unwrap(),
-        ])
-        .unwrap();
-        let matrix = profile.precedence_matrix();
-        let par = Parallelism::new(4).with_min_candidates(0);
-        assert_eq!(
-            copeland_wins_parallel(&matrix, &par),
-            copeland_wins(&matrix)
-        );
-        assert_eq!(
-            pairwise_support_scores_parallel(&matrix, &par),
-            matrix.pairwise_support_scores()
-        );
     }
 }

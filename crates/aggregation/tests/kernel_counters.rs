@@ -4,6 +4,7 @@
 //! process-wide, so this check has a test binary of its own: no other test
 //! solves concurrently and moves them.
 
+use mani_aggregation::schulze::{FW_TILE, FW_TILE_MIN_N};
 use mani_aggregation::SchulzeAggregator;
 use mani_ranking::{kernel_counter_snapshot, Parallelism, PrecedenceMatrix, Ranking};
 
@@ -26,22 +27,23 @@ fn blocked_cycles(blocks: usize, size: usize) -> PrecedenceMatrix {
 #[test]
 fn blocked_solves_count_only_components_on_the_tiled_kernel() {
     let aggregator = SchulzeAggregator::new();
-    let par = Parallelism::serial().with_tile_size(8);
+    let par = Parallelism::serial();
+    assert_eq!((FW_TILE_MIN_N, FW_TILE), (512, 64));
 
-    // Four components of five candidates: each is below the tile edge, so
-    // no cubic work reaches the tiled kernel.
-    let decomposable = blocked_cycles(4, 5);
+    // Two components of 300 candidates: each is below the tiling gate, so
+    // the flat kernel closes them and the counters stay put.
+    let decomposable = blocked_cycles(2, 300);
     let before = kernel_counter_snapshot();
     aggregator.consensus_from_matrix_with(&decomposable, &par);
     let after = kernel_counter_snapshot();
     assert_eq!(after.fw_blocked_solves, before.fw_blocked_solves);
     assert_eq!(after.fw_tiles_relaxed, before.fw_tiles_relaxed);
 
-    // The same twenty candidates as one component: a tiled solve of
-    // ⌈20 / 8⌉³ = 27 tiles.
-    let one_component = blocked_cycles(1, 20);
+    // 520 candidates as one component: a tiled solve of
+    // ⌈520 / 64⌉³ = 729 tiles.
+    let one_component = blocked_cycles(1, 520);
     aggregator.consensus_from_matrix_with(&one_component, &par);
     let last = kernel_counter_snapshot();
     assert_eq!(last.fw_blocked_solves, after.fw_blocked_solves + 1);
-    assert_eq!(last.fw_tiles_relaxed, after.fw_tiles_relaxed + 27);
+    assert_eq!(last.fw_tiles_relaxed, after.fw_tiles_relaxed + 729);
 }

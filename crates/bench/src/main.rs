@@ -8,7 +8,8 @@
 //! With `--compare`, the fresh run is diffed against a previously committed
 //! baseline (same JSON format — any earlier `--out` file works): the gated
 //! metrics are the `schulze_strongest_paths` **flat kernel**, **tiled
-//! kernel** (`strongest_paths_matrix` under the auto tile policy) and
+//! kernel** (`strongest_paths_matrix` at one thread: tiled from 512
+//! candidates, flat below) and
 //! **consensus** (`consensus_from_matrix_with`, the call the engine makes),
 //! the **one-component Schulze consensus** (its worst case),
 //! **`matrix_build` throughput**, **Make-MR-Fair** and **JSON dataset
@@ -22,19 +23,25 @@
 //! Measures the intra-request kernels the engine's hot path is made of —
 //! precedence-matrix construction, Schulze strongest paths, the Fair-Kemeny
 //! branch and bound, and the Make-MR-Fair correction — at a grid of `(n, |R|)`
-//! points, serial versus parallel, and (for Schulze) against the legacy
-//! nested-`Vec` kernel kept as the in-tree baseline; plus the wire codecs and
-//! the `delta_update` row comparing an append-1 precedence delta against a
-//! full rebuild. Results are written as JSON so successive PRs have a
-//! trajectory to compare against; CI smoke-runs the tiny grid (`--smoke`) to
-//! keep this harness compiling and running.
+//! points, serial versus parallel where a parallel kernel runs at that size;
+//! plus the wire codecs and the `delta_update` row comparing an append-1
+//! precedence delta against a full rebuild. Parallel columns use the plain
+//! thread budget `Parallelism::new(threads)`, the configuration
+//! `mani serve --kernel-threads` reaches. Results are written as JSON so
+//! successive PRs have a trajectory to compare against; CI smoke-runs the
+//! tiny grid (`--smoke`) to keep this harness compiling and running.
 //!
-//! All timings are best-of-`iters` wall-clock nanoseconds measured in the same
-//! process run, so speedup ratios compare like with like.
+//! All timings are per-call wall-clock nanoseconds, best of at least `iters`
+//! samples measured in the same process run, so speedup ratios compare like
+//! with like. A call shorter than 1 ms is timed in batches that last at least
+//! 1 ms per sample, so a microsecond kernel's sample is not mostly timer and
+//! allocator noise, and one figure's samples span at least 250 ms.
 
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
+use mani_aggregation::schulze::{FW_TILE, FW_TILE_MIN_N};
 use mani_aggregation::{BordaAggregator, PathMatrix, SchulzeAggregator};
 use mani_bench::BenchFixture;
 use mani_core::{make_mr_fair, FairKemeny, MfcrMethod};
@@ -131,16 +138,16 @@ fn main() {
     }
 
     let threads = available_threads();
-    let parallel = Parallelism::new(threads).with_min_candidates(0);
+    let parallel = Parallelism::new(threads);
     let mut entries = Vec::new();
 
     // (n, |R|) grid points per kernel; the smoke grid keeps CI runs in
-    // seconds while staying large enough (tens of microseconds per gated
-    // kernel) that best-of-N timings are stable for the --compare gate. The
-    // smoke grid carries one large-n Schulze point (n = 1000, iters capped by
-    // `capped_iters`) so the regression gate exercises the tiled-kernel
-    // regime, and the full grid extends to the CSRankings-scale points
-    // n ∈ {1000, 2000, 5000}. The one-component Schulze points are the
+    // seconds, and `time_best` batches its microsecond kernels into samples
+    // of at least 1 ms spread over at least 250 ms, so best-of-N timings are
+    // stable for the --compare gate. The smoke grid carries one large-n
+    // Schulze point (n = 1000, iters capped by `capped_iters`) so the
+    // regression gate exercises the tiled-kernel regime, and the full grid
+    // extends to the CSRankings-scale points n ∈ {1000, 2000, 5000}. The one-component Schulze points are the
     // consensus's worst case (no decomposition to exploit). The wire-codec
     // grid sweeps ranking count (the axis the two encodings diverge on) at a
     // fixed candidate pool.
@@ -409,18 +416,80 @@ fn as_u64(value: Option<&serde::Value>) -> Option<u64> {
     }
 }
 
-/// Best-of-`iters` wall-clock nanoseconds for `work`, which must return a
-/// value (kept alive so the optimiser cannot delete the computation).
-fn time_best<R>(iters: usize, mut work: impl FnMut() -> R) -> (u64, R) {
-    let mut best = u64::MAX;
-    let mut last = None;
-    for _ in 0..iters.max(1) {
+/// Shortest timed sample: calls faster than this are timed in batches.
+const MIN_SAMPLE: Duration = Duration::from_millis(1);
+
+/// Shortest span over which one figure's samples are drawn.
+const MIN_SPAN: Duration = Duration::from_millis(250);
+
+/// Shortest round of samples taken on one thread before sampling moves to
+/// the other thread.
+const MIN_ROUND: Duration = Duration::from_millis(25);
+
+/// Per-call wall-clock nanoseconds for `work`, best of at least `iters`
+/// samples, and the value of its last call (kept alive so the optimiser
+/// cannot delete the computation).
+///
+/// A sample times a batch of calls and reports their mean. The batch starts
+/// at one call and doubles until it lasts [`MIN_SAMPLE`]; that batch is the
+/// first sample, and the other samples use its size, so a call of at least
+/// [`MIN_SAMPLE`] is timed alone. Sampling goes on until `iters` samples are
+/// taken and [`MIN_SPAN`] has passed, in rounds of at least [`MIN_ROUND`]
+/// that alternate between the calling thread and a scoped thread, which the
+/// scheduler starts on the other core. On a shared virtual machine a core's
+/// speed changes in phases (a 2-vCPU cloud VM measured 1.5–1.8× between
+/// phases lasting from tens of milliseconds to tens of seconds, on each core
+/// independently), so back-to-back samples on one core often all land in
+/// one slow phase; the best sample across a span and both cores catches a
+/// fast one. Rounds rather than single samples alternate, so a kernel's data
+/// moves between the cores' caches once per round.
+fn time_best<R: Send>(iters: usize, mut work: impl FnMut() -> R + Send) -> (u64, R) {
+    let mut sample = |batch: u64| {
         let started = Instant::now();
-        let result = work();
-        best = best.min(started.elapsed().as_nanos() as u64);
-        last = Some(result);
+        let mut last = black_box(work());
+        for _ in 1..batch {
+            last = black_box(work());
+        }
+        (started.elapsed(), last)
+    };
+    let span = Instant::now();
+    let mut batch = 1u64;
+    let (mut elapsed, mut last) = sample(batch);
+    while elapsed < MIN_SAMPLE {
+        batch *= 2;
+        (elapsed, last) = sample(batch);
     }
-    (best, last.expect("at least one iteration"))
+    let mut best = elapsed.as_nanos() as u64 / batch;
+    let mut samples = 1;
+    let mut round = |samples: &mut usize| {
+        let started = Instant::now();
+        let mut best = u64::MAX;
+        let mut last = None;
+        while last.is_none() || started.elapsed() < MIN_ROUND {
+            let (elapsed, value) = sample(batch);
+            best = best.min(elapsed.as_nanos() as u64 / batch);
+            last = Some(value);
+            *samples += 1;
+        }
+        (best, last.expect("a round takes at least one sample"))
+    };
+    let mut rounds = 0;
+    while samples < iters.max(1) || span.elapsed() < MIN_SPAN {
+        let (round_best, value) = if rounds % 2 == 0 {
+            std::thread::scope(|scope| {
+                scope
+                    .spawn(|| round(&mut samples))
+                    .join()
+                    .expect("bench sample panicked")
+            })
+        } else {
+            round(&mut samples)
+        };
+        best = best.min(round_best);
+        last = value;
+        rounds += 1;
+    }
+    (best, last)
 }
 
 fn ratio(baseline: u64, candidate: u64) -> f64 {
@@ -443,12 +512,6 @@ fn capped_iters(n: usize, iters: usize) -> usize {
         iters
     }
 }
-
-/// Largest `n` at which the legacy nested-`Vec` Schulze kernel is still timed
-/// (and its bit-identity checked). Beyond this the O(n³) legacy kernel alone
-/// would dominate the run's wall clock, so large-n entries compare the flat,
-/// tiled and parallel kernels against each other only.
-const LEGACY_SCHULZE_MAX_N: usize = 512;
 
 fn bench_matrix_build(n: usize, r: usize, parallel: &Parallelism, iters: usize) -> Entry {
     let fixture = BenchFixture::low_fair(n, r, 0.6, 0xA11CE);
@@ -475,6 +538,9 @@ fn bench_matrix_build(n: usize, r: usize, parallel: &Parallelism, iters: usize) 
 /// The full-matrix kernels take `capped_iters`; the consensus takes all
 /// `iters`, because on these Mallows profiles it costs milliseconds where the
 /// kernels cost seconds, and a best-of-2 of milliseconds is too noisy to gate.
+/// `parallel_ns` is timed only from [`FW_TILE_MIN_N`] candidates, where the
+/// tiled kernel runs and splits by tile-row blocks; below it every thread
+/// count runs the flat serial kernel.
 fn bench_schulze(n: usize, r: usize, parallel: &Parallelism, consensus_iters: usize) -> Entry {
     let iters = capped_iters(n, consensus_iters);
     let fixture = BenchFixture::low_fair(n, r, 0.6, 0xB0B);
@@ -484,16 +550,12 @@ fn bench_schulze(n: usize, r: usize, parallel: &Parallelism, consensus_iters: us
     // Un-tiled flat serial kernel: the gated `flat_serial_ns` metric and the
     // denominator for the tiled/parallel speedup figures.
     let (flat_ns, flat) = time_best(iters, || aggregator.strongest_paths_flat(&matrix));
-    // Tiled serial kernel under the auto tile policy (untiled below the
-    // FW_TILE_MIN_N threshold, in which case this times the same flat path).
+    // The dispatcher at one thread: tiled from FW_TILE_MIN_N, else the same
+    // flat path.
     let (tiled_ns, tiled) = time_best(iters, || {
         aggregator.strongest_paths_matrix(&matrix, &serial)
     });
-    let (parallel_ns, tiled_par) = time_best(iters, || {
-        aggregator.strongest_paths_matrix(&matrix, parallel)
-    });
     assert_eq!(tiled, flat, "tiled kernel must be bit-identical");
-    assert_eq!(tiled_par, flat, "parallel kernel must be bit-identical");
     // The engine's call at kernel_threads = 1: strongest paths closed per
     // strongly connected component of the majority graph.
     let (consensus_ns, consensus) = time_best(consensus_iters, || {
@@ -501,45 +563,34 @@ fn bench_schulze(n: usize, r: usize, parallel: &Parallelism, consensus_iters: us
     });
     assert_eq!(
         consensus,
-        tiled.ranking(),
+        flat.ranking(),
         "consensus must rank as the full-matrix beat counts do"
     );
+    let tile_size = if n >= FW_TILE_MIN_N { FW_TILE } else { n };
     let mut fields = vec![
         ("flat_serial_ns".into(), flat_ns.to_string()),
         ("tiled_serial_ns".into(), tiled_ns.to_string()),
         ("consensus_ns".into(), consensus_ns.to_string()),
         ("components".into(), majority_components(&flat).to_string()),
-        ("parallel_ns".into(), parallel_ns.to_string()),
-        (
-            "tile_size".into(),
-            serial.fw_tile_size(n.max(1)).to_string(),
-        ),
-        ("threads".into(), parallel.max_threads().to_string()),
+        ("tile_size".into(), tile_size.to_string()),
         (
             "speedup_tiled_vs_flat".into(),
             format!("{:.3}", ratio(flat_ns, tiled_ns)),
         ),
-        (
-            "speedup_parallel_vs_flat".into(),
-            format!("{:.3}", ratio(flat_ns, parallel_ns)),
-        ),
     ];
-    if n <= LEGACY_SCHULZE_MAX_N {
-        let (legacy_ns, reference) = time_best(iters, || aggregator.strongest_paths(&matrix));
-        assert_eq!(
-            flat.to_nested(),
-            reference,
-            "flat kernel must be bit-identical"
-        );
-        fields.push(("legacy_serial_ns".into(), legacy_ns.to_string()));
-        fields.push((
-            "speedup_flat_vs_legacy".into(),
-            format!("{:.3}", ratio(legacy_ns, flat_ns)),
-        ));
-        fields.push((
-            "speedup_parallel_vs_legacy".into(),
-            format!("{:.3}", ratio(legacy_ns, parallel_ns)),
-        ));
+    if n >= FW_TILE_MIN_N {
+        let (parallel_ns, tiled_par) = time_best(iters, || {
+            aggregator.strongest_paths_matrix(&matrix, parallel)
+        });
+        assert_eq!(tiled_par, flat, "parallel kernel must be bit-identical");
+        fields.extend([
+            ("parallel_ns".into(), parallel_ns.to_string()),
+            ("threads".into(), parallel.max_threads().to_string()),
+            (
+                "speedup_parallel_vs_flat".into(),
+                format!("{:.3}", ratio(flat_ns, parallel_ns)),
+            ),
+        ]);
     }
     Entry {
         kernel: "schulze_strongest_paths",

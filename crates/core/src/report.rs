@@ -46,7 +46,7 @@ impl MfcrOutcome {
         let criteria = ManiRankCriteria::evaluate(&ranking, ctx.groups, &ctx.thresholds);
         let pd_loss = match ctx.shared_precedence() {
             Some(matrix) => {
-                let total = matrix.total_disagreements_parallel(&ranking, &ctx.parallelism())?;
+                let total = matrix.total_disagreements(&ranking)?;
                 let denom = mani_ranking::total_pairs(ctx.profile.num_candidates())
                     * ctx.profile.len() as u64;
                 if denom == 0 {

@@ -47,10 +47,14 @@ pub struct EngineConfig {
     /// Blocking submissions are not queued and do not count against the depth.
     pub queue_depth: usize,
     /// Kernel-level threads *within* one method solve (sharded matrix builds,
-    /// blocked Schulze, subtree-parallel branch and bound); `0` means one per
+    /// tiled Schulze, subtree-parallel branch and bound); `0` means one per
     /// available core, `1` — the default — keeps kernels serial. Composes
     /// with `threads`: batch parallelism spreads requests, kernel parallelism
-    /// accelerates each large request.
+    /// accelerates each large request. Each kernel keeps its own size gate
+    /// and stays serial below it: the matrix build below
+    /// `max(n, |R|) = 48` or four rankings per thread, Floyd–Warshall below
+    /// 512 candidates per majority-graph component, and the exact search
+    /// below 8 candidates.
     ///
     /// Kernel fan-out is **opt-in** for two reasons: completed solves are
     /// bit-identical but *anytime* exact solves (node budget exhausted) are
@@ -60,17 +64,6 @@ pub struct EngineConfig {
     /// concurrently large requests, which an operator should choose
     /// deliberately.
     pub kernel_threads: usize,
-    /// Candidate count below which kernels stay serial regardless of
-    /// `kernel_threads` (small solves finish faster than threads spawn);
-    /// `0` means the default threshold
-    /// ([`mani_ranking::parallel::DEFAULT_MIN_CANDIDATES`]).
-    pub kernel_min_candidates: usize,
-    /// Floyd–Warshall tile size for the blocked Schulze kernel; `0` — the
-    /// default — picks automatically ([`mani_ranking::parallel::DEFAULT_FW_TILE`]
-    /// at [`mani_ranking::parallel::FW_TILE_MIN_N`] candidates and above,
-    /// untiled below). Results are bit-identical for every tile size; this
-    /// only tunes cache behaviour.
-    pub kernel_tile_size: usize,
 }
 
 impl Default for EngineConfig {
@@ -80,8 +73,6 @@ impl Default for EngineConfig {
             default_budget: None,
             queue_depth: 0,
             kernel_threads: 1,
-            kernel_min_candidates: 0,
-            kernel_tile_size: 0,
         }
     }
 }
@@ -90,17 +81,9 @@ impl EngineConfig {
     /// The kernel [`Parallelism`] this config resolves to (`kernel_threads`
     /// of `0` means one per available core).
     pub fn kernel_parallelism(&self) -> Parallelism {
-        let parallelism = match self.kernel_threads {
+        match self.kernel_threads {
             0 => Parallelism::auto(),
             threads => Parallelism::new(threads),
-        };
-        let parallelism = match self.kernel_min_candidates {
-            0 => parallelism,
-            min => parallelism.with_min_candidates(min),
-        };
-        match self.kernel_tile_size {
-            0 => parallelism,
-            tile => parallelism.with_tile_size(tile),
         }
     }
 }
@@ -153,9 +136,6 @@ pub struct EngineStats {
     /// Tile relaxations performed by blocked Floyd–Warshall solves,
     /// process-wide (`⌈n / tile⌉³` per solve).
     pub fw_tiles_relaxed: u64,
-    /// Candidate-pair (row/column-range) shard tasks spawned by matrix build
-    /// and scoring kernels, process-wide.
-    pub pair_shard_tasks: u64,
     /// Ranking-shard tasks spawned by matrix build kernels, process-wide.
     pub ranking_shard_tasks: u64,
 }
@@ -288,7 +268,6 @@ impl ConsensusEngine {
             pool_tasks_executed: pool.executed,
             fw_blocked_solves: kernels.fw_blocked_solves,
             fw_tiles_relaxed: kernels.fw_tiles_relaxed,
-            pair_shard_tasks: kernels.pair_shard_tasks,
             ranking_shard_tasks: kernels.ranking_shard_tasks,
         }
     }
@@ -777,7 +756,6 @@ mod tests {
             let engine = ConsensusEngine::with_config(EngineConfig {
                 threads: 2,
                 kernel_threads,
-                kernel_min_candidates: 2,
                 ..EngineConfig::default()
             });
             assert_eq!(engine.kernel_parallelism().max_threads(), kernel_threads);

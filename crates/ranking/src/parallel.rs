@@ -9,14 +9,14 @@
 //! of a long-lived pool because kernels operate on borrowed, request-local
 //! buffers that cannot be sent to `'static` pool jobs without copying.
 //!
-//! The [`Parallelism`] config carries two decisions every kernel needs:
-//! how many threads it may use, and the problem-size threshold below which
-//! threading overhead outweighs the win (small inputs stay serial).
+//! The [`Parallelism`] config is a thread budget and nothing else. Each
+//! kernel keeps its own size gate, a constant next to its code, below which
+//! threading overhead outweighs the win and the kernel stays serial.
 //!
 //! Every kernel built on these primitives is **bit-identical** to its serial
 //! counterpart: work is split so that either the per-shard results are summed
 //! with integer arithmetic (order-insensitive) or the partition itself does not
-//! change the arithmetic (row-block Floyd–Warshall, index-ordered subtree
+//! change the arithmetic (tile-row-block Floyd–Warshall, index-ordered subtree
 //! merges).
 
 use std::ops::Range;
@@ -24,63 +24,25 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
-/// Default candidate-count threshold below which kernels stay serial.
-///
-/// Thread spawn plus join costs a few tens of microseconds; kernels at
-/// `n < 48` finish in comparable time, so threading them is pure overhead.
-pub const DEFAULT_MIN_CANDIDATES: usize = 48;
-
-/// Default Floyd–Warshall tile edge when [`Parallelism::tile_size`] is auto.
-///
-/// A 64×64 tile of `u32` cells is 16 KiB; the three tiles a blocked-FW phase
-/// touches (C, the A column panel, and the B row panel) fit comfortably in a
-/// 64 KiB L1 with room for the pivot-row scratch, and a whole tile-row panel
-/// at CSRankings scale (64 × 5000 × 4 B ≈ 1.2 MiB) still fits mid-size L2.
-pub const DEFAULT_FW_TILE: usize = 64;
-
-/// Candidate count below which the auto tile policy keeps Floyd–Warshall
-/// untiled: under this size the whole strength matrix (≤ 512² × 4 B = 1 MiB)
-/// sits in L2 anyway and the blocked schedule's phase overhead is pure loss —
-/// measured on the dev host the tiled kernel only pulls ahead of the flat one
-/// between n = 384 (0.9×) and n = 1000 (1.5×).
-pub const FW_TILE_MIN_N: usize = 512;
-
-/// Kernel parallelism budget: how many threads one solve may use, the
-/// problem-size gate that keeps small solves serial, and the cache-tile edge
-/// used by blocked kernels.
+/// Kernel parallelism budget: how many threads one solve may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Parallelism {
     /// Maximum worker threads a single kernel may occupy (minimum one).
     threads: usize,
-    /// Candidate count below which kernels run serially regardless of
-    /// `threads`.
-    min_candidates: usize,
-    /// Floyd–Warshall tile edge; `0` selects the auto policy
-    /// (see [`Parallelism::fw_tile_size`]).
-    tile_size: usize,
 }
 
 // Manual impl rather than derive: wire payloads must not be able to bypass
 // the `threads >= 1` invariant every constructor enforces, so the field is
-// clamped on the way in exactly like `Parallelism::new` does. `tile_size` is
-// optional so payloads serialized before the field existed keep
-// deserializing (absent means auto).
+// clamped on the way in exactly like `Parallelism::new` does. Payloads
+// written when the budget also carried `min_candidates` and `tile_size`
+// still deserialize; those fields are ignored.
 impl Deserialize for Parallelism {
     fn deserialize_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .ok_or_else(|| serde::Error::new(format!("Parallelism: missing field `{name}`")))
-                .and_then(usize::deserialize_value)
-        };
-        Ok(Self {
-            threads: field("threads")?.max(1),
-            min_candidates: field("min_candidates")?,
-            tile_size: match value.get("tile_size") {
-                Some(raw) => usize::deserialize_value(raw)?,
-                None => 0,
-            },
-        })
+        let threads = value
+            .get("threads")
+            .ok_or_else(|| serde::Error::new("Parallelism: missing field `threads`"))
+            .and_then(usize::deserialize_value)?;
+        Ok(Self::new(threads))
     }
 }
 
@@ -96,41 +58,19 @@ impl Default for Parallelism {
 impl Parallelism {
     /// Strictly serial execution (the default).
     pub fn serial() -> Self {
-        Self {
-            threads: 1,
-            min_candidates: DEFAULT_MIN_CANDIDATES,
-            tile_size: 0,
-        }
+        Self::new(1)
     }
 
-    /// Up to `threads` threads per kernel (clamped to at least one), with the
-    /// default size threshold.
+    /// Up to `threads` threads per kernel (clamped to at least one).
     pub fn new(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            min_candidates: DEFAULT_MIN_CANDIDATES,
-            tile_size: 0,
         }
     }
 
-    /// One thread per available core, with the default size threshold.
+    /// One thread per available core.
     pub fn auto() -> Self {
         Self::new(available_threads())
-    }
-
-    /// Overrides the candidate-count threshold (`0` forces parallelism for
-    /// every input size — useful in tests).
-    pub fn with_min_candidates(mut self, min_candidates: usize) -> Self {
-        self.min_candidates = min_candidates;
-        self
-    }
-
-    /// Overrides the Floyd–Warshall tile edge (`0` restores the auto policy).
-    /// Blocked kernels are bit-identical for every tile size, so this is a
-    /// pure tuning knob.
-    pub fn with_tile_size(mut self, tile_size: usize) -> Self {
-        self.tile_size = tile_size;
-        self
     }
 
     /// The configured maximum thread count.
@@ -138,57 +78,22 @@ impl Parallelism {
         self.threads
     }
 
-    /// The candidate-count threshold below which kernels stay serial.
-    pub fn min_candidates(&self) -> usize {
-        self.min_candidates
-    }
-
-    /// The configured tile edge (`0` means auto).
-    pub fn tile_size(&self) -> usize {
-        self.tile_size
-    }
-
-    /// Resolves the Floyd–Warshall tile edge for a problem of `n` candidates:
-    /// the explicit [`Parallelism::with_tile_size`] override when set, else
-    /// [`DEFAULT_FW_TILE`] once `n` reaches [`FW_TILE_MIN_N`]. A result `>= n`
-    /// means "run untiled". Never returns zero for `n > 0`.
-    pub fn fw_tile_size(&self, n: usize) -> usize {
-        let tile = match self.tile_size {
-            0 if n < FW_TILE_MIN_N => n,
-            0 => DEFAULT_FW_TILE,
-            explicit => explicit,
-        };
-        tile.clamp(1, n.max(1))
-    }
-
     /// True when this config never fans out.
     pub fn is_serial(&self) -> bool {
         self.threads <= 1
-    }
-
-    /// Number of threads a kernel over `n` candidates should use: `1` when the
-    /// input is below the threshold, the configured budget otherwise.
-    pub fn kernel_threads(&self, n: usize) -> usize {
-        if self.threads <= 1 || n < self.min_candidates {
-            1
-        } else {
-            self.threads
-        }
     }
 }
 
 /// Process-wide kernel activity counters (monotone, relaxed atomics).
 ///
 /// Kernels record how work was partitioned — blocked Floyd–Warshall solves
-/// and the tiles they relaxed, candidate-pair (row-range) shard tasks, and
-/// ranking shard tasks — so operators can see *which* sharding axis and
-/// kernel shape production traffic actually exercises. The counters are
+/// and the tiles they relaxed, and ranking shard tasks — so operators can see
+/// which kernel shape production traffic actually exercises. The counters are
 /// process-global (kernels run on borrowed request-local buffers and carry no
 /// per-engine handle); `mani-engine` snapshots them into `EngineStats` and
 /// `mani-serve` exports them on `/metrics`.
 static FW_BLOCKED_SOLVES: AtomicU64 = AtomicU64::new(0);
 static FW_TILES_RELAXED: AtomicU64 = AtomicU64::new(0);
-static PAIR_SHARD_TASKS: AtomicU64 = AtomicU64::new(0);
 static RANKING_SHARD_TASKS: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the process-wide kernel partitioning counters.
@@ -198,9 +103,6 @@ pub struct KernelCounterSnapshot {
     pub fw_blocked_solves: u64,
     /// Tiles relaxed across all blocked Floyd–Warshall solves.
     pub fw_tiles_relaxed: u64,
-    /// Candidate-pair (row-range) shard tasks executed by matrix builds and
-    /// O(n²) scoring kernels.
-    pub pair_shard_tasks: u64,
     /// Ranking shard tasks executed by matrix builds.
     pub ranking_shard_tasks: u64,
 }
@@ -210,7 +112,6 @@ pub fn kernel_counter_snapshot() -> KernelCounterSnapshot {
     KernelCounterSnapshot {
         fw_blocked_solves: FW_BLOCKED_SOLVES.load(Ordering::Relaxed),
         fw_tiles_relaxed: FW_TILES_RELAXED.load(Ordering::Relaxed),
-        pair_shard_tasks: PAIR_SHARD_TASKS.load(Ordering::Relaxed),
         ranking_shard_tasks: RANKING_SHARD_TASKS.load(Ordering::Relaxed),
     }
 }
@@ -220,12 +121,6 @@ pub fn kernel_counter_snapshot() -> KernelCounterSnapshot {
 pub fn record_fw_blocked_solve(tiles: u64) {
     FW_BLOCKED_SOLVES.fetch_add(1, Ordering::Relaxed);
     FW_TILES_RELAXED.fetch_add(tiles, Ordering::Relaxed);
-}
-
-/// Records `tasks` candidate-pair (row-range) shard tasks (observability hook
-/// for kernel implementations).
-pub fn record_pair_shard_tasks(tasks: u64) {
-    PAIR_SHARD_TASKS.fetch_add(tasks, Ordering::Relaxed);
 }
 
 /// Records `tasks` ranking shard tasks (observability hook for kernel
@@ -311,19 +206,9 @@ mod tests {
     fn serial_config_is_default_and_stays_serial() {
         let par = Parallelism::default();
         assert!(par.is_serial());
-        assert_eq!(par.kernel_threads(10_000), 1);
-        assert_eq!(par.min_candidates(), DEFAULT_MIN_CANDIDATES);
-    }
-
-    #[test]
-    fn threshold_gates_threading() {
-        let par = Parallelism::new(8);
-        assert_eq!(par.max_threads(), 8);
-        assert_eq!(par.kernel_threads(DEFAULT_MIN_CANDIDATES - 1), 1);
-        assert_eq!(par.kernel_threads(DEFAULT_MIN_CANDIDATES), 8);
-        let eager = Parallelism::new(4).with_min_candidates(0);
-        assert_eq!(eager.kernel_threads(1), 4);
-        assert!(!eager.is_serial());
+        assert_eq!(par.max_threads(), 1);
+        assert_eq!(par, Parallelism::serial());
+        assert!(!Parallelism::new(4).is_serial());
     }
 
     #[test]
@@ -334,44 +219,32 @@ mod tests {
     }
 
     #[test]
-    fn auto_tile_policy_keeps_small_problems_untiled() {
-        let auto = Parallelism::serial();
-        assert_eq!(auto.tile_size(), 0);
-        // Below the tiling threshold the resolved tile covers the whole
-        // matrix (untiled); at and above it the default tile engages.
-        assert_eq!(auto.fw_tile_size(FW_TILE_MIN_N - 1), FW_TILE_MIN_N - 1);
-        assert_eq!(auto.fw_tile_size(FW_TILE_MIN_N), DEFAULT_FW_TILE);
-        assert_eq!(auto.fw_tile_size(5000), DEFAULT_FW_TILE);
-        // Degenerate sizes stay sane.
-        assert_eq!(auto.fw_tile_size(0), 1);
-        assert_eq!(auto.fw_tile_size(1), 1);
-    }
-
-    #[test]
-    fn explicit_tile_size_wins_and_is_clamped() {
-        let par = Parallelism::new(4).with_tile_size(32);
-        assert_eq!(par.tile_size(), 32);
-        assert_eq!(par.fw_tile_size(5000), 32);
-        // An explicit tile forces tiling even below the auto threshold, but
-        // never exceeds the matrix itself.
-        assert_eq!(par.fw_tile_size(100), 32);
-        assert_eq!(par.fw_tile_size(10), 10);
-        assert_eq!(
-            Parallelism::serial().with_tile_size(0).fw_tile_size(5000),
-            DEFAULT_FW_TILE
-        );
+    fn deserialize_ignores_retired_fields_and_clamps_threads() {
+        use serde::Value;
+        let payload = |threads: u64| {
+            Value::Object(vec![
+                ("threads".to_string(), Value::UInt(threads)),
+                ("min_candidates".to_string(), Value::UInt(0)),
+                ("tile_size".to_string(), Value::UInt(8)),
+            ])
+        };
+        let parsed = Parallelism::deserialize_value(&payload(3)).unwrap();
+        assert_eq!(parsed, Parallelism::new(3));
+        let clamped = Parallelism::deserialize_value(&payload(0)).unwrap();
+        assert_eq!(clamped, Parallelism::serial());
+        let round = Parallelism::deserialize_value(&parsed.serialize_value()).unwrap();
+        assert_eq!(round, parsed);
+        assert!(Parallelism::deserialize_value(&Value::Object(Vec::new())).is_err());
     }
 
     #[test]
     fn kernel_counters_are_monotone() {
         let before = kernel_counter_snapshot();
         record_fw_blocked_solve(27);
-        record_pair_shard_tasks(4);
         record_ranking_shard_tasks(2);
         let after = kernel_counter_snapshot();
         assert!(after.fw_blocked_solves > before.fw_blocked_solves);
         assert!(after.fw_tiles_relaxed >= before.fw_tiles_relaxed + 27);
-        assert!(after.pair_shard_tasks >= before.pair_shard_tasks + 4);
         assert!(after.ranking_shard_tasks >= before.ranking_shard_tasks + 2);
     }
 

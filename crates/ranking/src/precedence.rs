@@ -6,15 +6,11 @@
 //! Copeland, Schulze and their fair variants) operates on this matrix, so it is computed
 //! once per profile and shared.
 
-use std::ops::Range;
-
 use serde::{Deserialize, Serialize};
 
 use crate::candidate::CandidateId;
 use crate::error::RankingError;
-use crate::parallel::{
-    record_pair_shard_tasks, record_ranking_shard_tasks, run_parts, shard_ranges, Parallelism,
-};
+use crate::parallel::{record_ranking_shard_tasks, run_parts, shard_ranges, Parallelism};
 use crate::ranking::Ranking;
 use crate::Result;
 
@@ -60,29 +56,6 @@ fn accumulate_ranking(counts: &mut [u32], n: usize, ranking: &Ranking, w: u32) {
     }
 }
 
-/// Adds one ranking's pairwise precedences into a contiguous block of matrix
-/// rows `rows` (a candidate-pair shard): only pairs whose `below` candidate
-/// falls inside `rows` are written, so disjoint row blocks never alias.
-fn accumulate_ranking_rows(
-    block: &mut [u32],
-    rows: &Range<usize>,
-    n: usize,
-    ranking: &Ranking,
-    w: u32,
-) {
-    let order = ranking.as_slice();
-    for (j, below) in order.iter().enumerate().skip(1) {
-        let b = below.index();
-        if b < rows.start || b >= rows.end {
-            continue;
-        }
-        let row = &mut block[(b - rows.start) * n..][..n];
-        for above in &order[..j] {
-            row[above.index()] += w;
-        }
-    }
-}
-
 /// Builds the counts buffer for a shard of (ranking, weight) pairs.
 fn build_shard(rankings: &[Ranking], weights: Option<&[u32]>, n: usize) -> Vec<u32> {
     let mut counts = vec![0u32; n * n];
@@ -101,85 +74,59 @@ fn build_shard(rankings: &[Ranking], weights: Option<&[u32]>, n: usize) -> Vec<u
     counts
 }
 
-/// Builds the row block `rows` of the matrix by scanning every ranking.
-fn build_row_shard(
-    rankings: &[Ranking],
-    weights: Option<&[u32]>,
-    n: usize,
-    rows: Range<usize>,
-) -> Vec<u32> {
-    let mut block = vec![0u32; rows.len() * n];
-    match weights {
-        None => {
-            for ranking in rankings {
-                accumulate_ranking_rows(&mut block, &rows, n, ranking, 1);
-            }
-        }
-        Some(weights) => {
-            for (ranking, &w) in rankings.iter().zip(weights) {
-                accumulate_ranking_rows(&mut block, &rows, n, ranking, w);
-            }
-        }
+/// `max(n, |R|)` below which a build stays serial: it finishes in about the
+/// time threads take to spawn and join.
+const PARALLEL_BUILD_MIN_SIZE: usize = 48;
+
+/// Fewest rankings a build shard may get: with fewer, summing the shards'
+/// `n²` partial matrices costs more than the shard's share of the build.
+const RANKINGS_PER_SHARD: usize = 4;
+
+/// Shard count for a build of `rankings` rankings over `n` candidates: one
+/// (serial) below [`PARALLEL_BUILD_MIN_SIZE`], else up to the thread budget
+/// with at least [`RANKINGS_PER_SHARD`] rankings per shard.
+fn build_shards(n: usize, rankings: usize, parallelism: &Parallelism) -> usize {
+    if n.max(rankings) < PARALLEL_BUILD_MIN_SIZE {
+        1
+    } else {
+        parallelism
+            .max_threads()
+            .min(rankings / RANKINGS_PER_SHARD)
+            .max(1)
     }
-    block
 }
 
-/// Minimum rankings-per-thread before ranking sharding beats row sharding.
-const RANKING_SHARD_FACTOR: usize = 4;
-
-/// Builds counts across `threads` shards, picking the sharding axis:
-///
-/// * **Ranking sharding** — when the profile is long relative to the thread
-///   count, each shard accumulates a disjoint slice of rankings into a private
-///   full matrix and the partials are summed element-wise.
-/// * **Candidate-pair (row) sharding** — for short-but-wide matrices, each
-///   shard scans *every* ranking but writes only a disjoint block of matrix
-///   rows, so there is no `n²` partial-matrix merge and the build scales with
-///   `n` independent of the ranking count.
-///
-/// Precedence counts are additive per ranking and integer addition is
-/// order-insensitive, so both axes (and every shard boundary) are
+/// Builds counts across `shards` ranking shards: each shard accumulates a
+/// disjoint slice of rankings into a private full matrix, and the partials
+/// are summed element-wise. Precedence counts are additive per ranking and
+/// integer addition is order-insensitive, so every shard count is
 /// bit-identical to the serial build.
 fn build_sharded(
     rankings: &[Ranking],
     weights: Option<&[u32]>,
     n: usize,
-    threads: usize,
+    shards: usize,
 ) -> Vec<u32> {
-    let threads = threads.max(1).min(rankings.len().max(n));
-    if threads <= 1 {
+    if shards <= 1 {
         return build_shard(rankings, weights, n);
     }
-    if rankings.len() >= threads * RANKING_SHARD_FACTOR {
-        let parts: Vec<_> = shard_ranges(rankings.len(), threads)
-            .into_iter()
-            .map(|range| {
-                let shard = &rankings[range.clone()];
-                let shard_weights = weights.map(|w| &w[range]);
-                move || build_shard(shard, shard_weights, n)
-            })
-            .collect();
-        record_ranking_shard_tasks(parts.len() as u64);
-        let mut partials = run_parts(threads, parts).into_iter();
-        let mut counts = partials.next().expect("at least one shard");
-        for partial in partials {
-            for (total, part) in counts.iter_mut().zip(&partial) {
-                *total += part;
-            }
+    let parts: Vec<_> = shard_ranges(rankings.len(), shards)
+        .into_iter()
+        .map(|range| {
+            let shard = &rankings[range.clone()];
+            let shard_weights = weights.map(|w| &w[range]);
+            move || build_shard(shard, shard_weights, n)
+        })
+        .collect();
+    record_ranking_shard_tasks(parts.len() as u64);
+    let mut partials = run_parts(shards, parts).into_iter();
+    let mut counts = partials.next().expect("at least one shard");
+    for partial in partials {
+        for (total, part) in counts.iter_mut().zip(&partial) {
+            *total += part;
         }
-        counts
-    } else {
-        let parts: Vec<_> = shard_ranges(n, threads)
-            .into_iter()
-            .map(|rows| move || build_row_shard(rankings, weights, n, rows))
-            .collect();
-        record_pair_shard_tasks(parts.len() as u64);
-        let mut counts = Vec::with_capacity(n * n);
-        for block in run_parts(threads, parts) {
-            counts.extend_from_slice(&block);
-        }
-        counts
     }
+    counts
 }
 
 /// Every support cell is bounded above by the total ranking weight, so one
@@ -207,12 +154,13 @@ impl PrecedenceMatrix {
     ///
     /// The size gate uses the larger of `n` and `|R|`: this kernel shards by
     /// rankings, so a short-but-wide profile (small `n`, huge `|R|`) is
-    /// exactly as parallelisable as a tall one.
+    /// exactly as parallelisable as a tall one. A profile of fewer than four
+    /// rankings per thread gets fewer shards, down to a serial build.
     pub fn from_rankings_parallel(rankings: &[Ranking], parallelism: &Parallelism) -> Result<Self> {
         let n = validated_len(rankings)?;
         check_support_capacity(rankings.len() as u64)?;
-        let threads = parallelism.kernel_threads(n.max(rankings.len()));
-        let counts = build_sharded(rankings, None, n, threads);
+        let shards = build_shards(n, rankings.len(), parallelism);
+        let counts = build_sharded(rankings, None, n, shards);
         Ok(Self {
             n,
             num_rankings: rankings.len(),
@@ -241,8 +189,8 @@ impl PrecedenceMatrix {
         let n = validated_len(rankings)?;
         let total_weight: u64 = weights.iter().map(|&w| w as u64).sum();
         check_support_capacity(total_weight)?;
-        let threads = parallelism.kernel_threads(n.max(rankings.len()));
-        let counts = build_sharded(rankings, Some(weights), n, threads);
+        let shards = build_shards(n, rankings.len(), parallelism);
+        let counts = build_sharded(rankings, Some(weights), n, shards);
         Ok(Self {
             n,
             num_rankings: total_weight as usize,
@@ -366,45 +314,6 @@ impl PrecedenceMatrix {
         Ok(cost)
     }
 
-    /// Parallel variant of [`PrecedenceMatrix::total_disagreements`]: consensus
-    /// positions are sharded into contiguous ranges whose partial costs are
-    /// summed. `u64` addition is exact and associative, so the total is
-    /// bit-identical to the serial scan for every thread count.
-    pub fn total_disagreements_parallel(
-        &self,
-        consensus: &Ranking,
-        parallelism: &Parallelism,
-    ) -> Result<u64> {
-        if consensus.len() != self.n {
-            return Err(RankingError::LengthMismatch {
-                left: consensus.len(),
-                right: self.n,
-            });
-        }
-        let threads = parallelism.kernel_threads(self.n);
-        if threads <= 1 {
-            return self.total_disagreements(consensus);
-        }
-        let order = consensus.as_slice();
-        let parts: Vec<_> = shard_ranges(self.n, threads)
-            .into_iter()
-            .map(|range| {
-                move || {
-                    let mut cost = 0u64;
-                    for (i, &above) in order.iter().enumerate().take(range.end).skip(range.start) {
-                        let row = self.row(above);
-                        for &below in &order[i + 1..] {
-                            cost += row[below.index()] as u64;
-                        }
-                    }
-                    cost
-                }
-            })
-            .collect();
-        record_pair_shard_tasks(parts.len() as u64);
-        Ok(run_parts(threads, parts).into_iter().sum())
-    }
-
     /// Copeland wins for each candidate: the number of pairwise contests the candidate wins,
     /// counting ties as wins for both sides (as in the paper's Fair-Copeland description).
     pub fn copeland_wins(&self) -> Vec<u32> {
@@ -427,44 +336,6 @@ impl PrecedenceMatrix {
         wins
     }
 
-    /// Parallel variant of [`PrecedenceMatrix::copeland_wins`]: candidates are
-    /// sharded into contiguous ranges and each shard decides all `n - 1`
-    /// contests of its own candidates. Every contest is resolved by the same
-    /// `>=` comparison on the same two cells as the serial triangle pass, so
-    /// the win counts are identical integers.
-    pub fn copeland_wins_parallel(&self, parallelism: &Parallelism) -> Vec<u32> {
-        let threads = parallelism.kernel_threads(self.n);
-        if threads <= 1 {
-            return self.copeland_wins();
-        }
-        let n = self.n;
-        let counts = &self.counts;
-        let parts: Vec<_> = shard_ranges(n, threads)
-            .into_iter()
-            .map(|range| {
-                move || {
-                    let mut wins = vec![0u32; range.len()];
-                    for (w, a) in wins.iter_mut().zip(range.clone()) {
-                        let row_a = &counts[a * n..][..n];
-                        for b in 0..n {
-                            // support_for(a, b) = row(b)[a]; support_for(b, a) = row(a)[b].
-                            if b != a && counts[b * n + a] >= row_a[b] {
-                                *w += 1;
-                            }
-                        }
-                    }
-                    wins
-                }
-            })
-            .collect();
-        record_pair_shard_tasks(parts.len() as u64);
-        let mut wins = Vec::with_capacity(n);
-        for part in run_parts(threads, parts) {
-            wins.extend_from_slice(&part);
-        }
-        wins
-    }
-
     /// Borda-style score for each candidate derived from the matrix: total support the
     /// candidate receives across all pairwise contests.
     pub fn pairwise_support_scores(&self) -> Vec<u64> {
@@ -476,40 +347,6 @@ impl PrecedenceMatrix {
             for (score, &count) in scores.iter_mut().zip(row) {
                 *score += count as u64;
             }
-        }
-        scores
-    }
-
-    /// Parallel variant of [`PrecedenceMatrix::pairwise_support_scores`]: the
-    /// column space is sharded into contiguous ranges and each shard sweeps
-    /// every row restricted to its columns. Per column the accumulation visits
-    /// rows in the same top-to-bottom order as the serial sweep, so every
-    /// score is bit-identical.
-    pub fn pairwise_support_scores_parallel(&self, parallelism: &Parallelism) -> Vec<u64> {
-        let threads = parallelism.kernel_threads(self.n);
-        if threads <= 1 {
-            return self.pairwise_support_scores();
-        }
-        let n = self.n;
-        let counts = &self.counts;
-        let parts: Vec<_> = shard_ranges(n, threads)
-            .into_iter()
-            .map(|cols| {
-                move || {
-                    let mut scores = vec![0u64; cols.len()];
-                    for row in counts.chunks_exact(n) {
-                        for (score, &count) in scores.iter_mut().zip(&row[cols.clone()]) {
-                            *score += count as u64;
-                        }
-                    }
-                    scores
-                }
-            })
-            .collect();
-        record_pair_shard_tasks(parts.len() as u64);
-        let mut scores = Vec::with_capacity(n);
-        for part in run_parts(threads, parts) {
-            scores.extend_from_slice(&part);
         }
         scores
     }
@@ -668,56 +505,23 @@ mod tests {
     }
 
     #[test]
-    fn row_sharded_build_matches_ranking_sharded() {
-        // Two rankings across eight threads falls below the ranking-shard
-        // factor, forcing the candidate-pair (row) sharding path.
-        let rankings = vec![
-            Ranking::from_ids([3, 1, 4, 0, 2, 5]).unwrap(),
-            Ranking::from_ids([5, 0, 2, 4, 1, 3]).unwrap(),
-        ];
-        let par = Parallelism::new(8).with_min_candidates(0);
-        assert_eq!(
-            PrecedenceMatrix::from_rankings_parallel(&rankings, &par).unwrap(),
-            PrecedenceMatrix::from_rankings(&rankings).unwrap()
-        );
-        let weights = [2, 5];
-        assert_eq!(
-            PrecedenceMatrix::from_weighted_rankings_parallel(&rankings, &weights, &par).unwrap(),
-            PrecedenceMatrix::from_weighted_rankings(&rankings, &weights).unwrap()
-        );
-    }
-
-    #[test]
-    fn parallel_scoring_matches_serial() {
-        let rankings = sample_rankings();
-        let w = PrecedenceMatrix::from_rankings(&rankings).unwrap();
-        let par = Parallelism::new(3).with_min_candidates(0);
-        let consensus = Ranking::from_ids([2, 0, 3, 1]).unwrap();
-        assert_eq!(
-            w.total_disagreements_parallel(&consensus, &par).unwrap(),
-            w.total_disagreements(&consensus).unwrap()
-        );
-        assert_eq!(w.copeland_wins_parallel(&par), w.copeland_wins());
-        assert_eq!(
-            w.pairwise_support_scores_parallel(&par),
-            w.pairwise_support_scores()
-        );
-        assert!(matches!(
-            w.total_disagreements_parallel(&Ranking::identity(3), &par),
-            Err(RankingError::LengthMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn parallel_build_respects_min_candidates_gate() {
-        // Below the threshold the parallel entry point must still produce the
+        // Below the size gate the parallel entry point must still produce the
         // same matrix (it just runs serially).
         let rankings = sample_rankings();
-        let gated = Parallelism::new(8); // default threshold 48 > n = 4
+        let gated = Parallelism::new(8);
+        assert_eq!(build_shards(4, rankings.len(), &gated), 1);
         assert_eq!(
             PrecedenceMatrix::from_rankings_parallel(&rankings, &gated).unwrap(),
             PrecedenceMatrix::from_rankings(&rankings).unwrap()
         );
+        // At the gate every thread gets a shard of at least four rankings;
+        // a wide profile with few rankings stays serial.
+        assert_eq!(build_shards(4, PARALLEL_BUILD_MIN_SIZE, &gated), 8);
+        assert_eq!(build_shards(4, PARALLEL_BUILD_MIN_SIZE - 1, &gated), 1);
+        assert_eq!(build_shards(1000, 12, &gated), 3);
+        assert_eq!(build_shards(1000, 4, &Parallelism::new(2)), 1);
+        assert_eq!(build_shards(1000, 400, &Parallelism::serial()), 1);
     }
 
     #[test]
@@ -849,7 +653,7 @@ mod tests {
             shards in 1usize..9,
             seed in any::<u64>()
         ) {
-            // Appending onto a serially built matrix must equal the *parallel*
+            // Appending onto a serially built matrix must equal the sharded
             // rebuild of the extended profile for every shard count (both are
             // bit-identical to the serial rebuild, hence to each other).
             let mut rng = StdRng::seed_from_u64(seed);
@@ -859,9 +663,7 @@ mod tests {
             let extra = Ranking::random(n, &mut rng);
             matrix.apply_append(&extra, 1).unwrap();
             rankings.push(extra);
-            let par = Parallelism::new(shards).with_min_candidates(0);
-            let rebuilt = PrecedenceMatrix::from_rankings_parallel(&rankings, &par).unwrap();
-            prop_assert_eq!(&matrix, &rebuilt);
+            prop_assert_eq!(&matrix.counts, &build_sharded(&rankings, None, n, shards));
         }
 
         #[test]
@@ -874,38 +676,11 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let rankings: Vec<Ranking> = (0..m).map(|_| Ranking::random(n, &mut rng)).collect();
             let serial = PrecedenceMatrix::from_rankings(&rankings).unwrap();
-            let par = Parallelism::new(shards).with_min_candidates(0);
-            let parallel = PrecedenceMatrix::from_rankings_parallel(&rankings, &par).unwrap();
-            prop_assert_eq!(&serial, &parallel);
+            prop_assert_eq!(&serial.counts, &build_sharded(&rankings, None, n, shards));
 
             let weights: Vec<u32> = (0..m as u32).map(|i| (seed as u32 % 5) + i % 7 + 1).collect();
             let serial_w = PrecedenceMatrix::from_weighted_rankings(&rankings, &weights).unwrap();
-            let parallel_w =
-                PrecedenceMatrix::from_weighted_rankings_parallel(&rankings, &weights, &par).unwrap();
-            prop_assert_eq!(&serial_w, &parallel_w);
-        }
-
-        #[test]
-        fn prop_pair_sharded_scoring_is_bit_identical(
-            n in 2usize..12,
-            m in 1usize..10,
-            shards in 1usize..9,
-            seed in any::<u64>()
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let rankings: Vec<Ranking> = (0..m).map(|_| Ranking::random(n, &mut rng)).collect();
-            let consensus = Ranking::random(n, &mut rng);
-            let w = PrecedenceMatrix::from_rankings(&rankings).unwrap();
-            let par = Parallelism::new(shards).with_min_candidates(0);
-            prop_assert_eq!(
-                w.total_disagreements_parallel(&consensus, &par).unwrap(),
-                w.total_disagreements(&consensus).unwrap()
-            );
-            prop_assert_eq!(w.copeland_wins_parallel(&par), w.copeland_wins());
-            prop_assert_eq!(
-                w.pairwise_support_scores_parallel(&par),
-                w.pairwise_support_scores()
-            );
+            prop_assert_eq!(&serial_w.counts, &build_sharded(&rankings, Some(&weights), n, shards));
         }
 
         #[test]

@@ -56,9 +56,6 @@ CONSENSUS OPTIONS:
     --threads N                  worker threads (default: one per core)
     --kernel-threads N           threads within one solve for large datasets
                                  (default 1 = serial; 0 = one per core)
-    --kernel-tile-size N         Floyd-Warshall tile size for blocked Schulze
-                                 (default 0 = auto; results are identical for
-                                 every tile size)
     --budget NODES               branch-and-bound node budget for exact methods
     --audit                      also print a per-group fairness audit per method
     --stream                     print each dataset's results the moment its
@@ -86,8 +83,6 @@ SERVE OPTIONS (see docs/API.md for the JSON wire format):
     --threads N                  engine worker threads (default: one per core)
     --kernel-threads N           threads within one solve for large datasets
                                  (default 1 = serial; 0 = one per core)
-    --kernel-tile-size N         Floyd-Warshall tile size for blocked Schulze
-                                 (default 0 = auto)
     --queue-depth N              max in-flight async jobs before 429 (default 256)
     --cache-capacity N           response-cache entries (default 1024)
     --budget NODES               default branch-and-bound budget for exact methods
@@ -229,7 +224,6 @@ fn cmd_consensus(args: &[String]) -> Result<(), EngineError> {
             "delta",
             "threads",
             "kernel-threads",
-            "kernel-tile-size",
             "budget",
         ],
         &["audit", "stream"],
@@ -267,7 +261,6 @@ fn cmd_consensus(args: &[String]) -> Result<(), EngineError> {
     let delta: f64 = flags.get_parsed("delta", 0.1)?;
     let threads: usize = flags.get_parsed("threads", 0)?;
     let kernel_threads: usize = flags.get_parsed("kernel-threads", 1)?;
-    let kernel_tile_size: usize = flags.get_parsed("kernel-tile-size", 0)?;
     let budget: Option<u64> =
         match flags.get("budget") {
             Some(raw) => Some(raw.parse().map_err(|_| {
@@ -283,12 +276,10 @@ fn cmd_consensus(args: &[String]) -> Result<(), EngineError> {
             threads,
             default_budget: budget,
             kernel_threads,
-            kernel_tile_size,
             // Both CLI paths ride the async submission queue; size it to the
             // batch so a many-dataset run is never rejected for a capacity
             // bound meant for network backpressure.
             queue_depth: datasets.len(),
-            ..EngineConfig::default()
         },
         0,
     );
@@ -616,7 +607,6 @@ fn cmd_serve(args: &[String]) -> Result<(), EngineError> {
             "addr",
             "threads",
             "kernel-threads",
-            "kernel-tile-size",
             "queue-depth",
             "cache-capacity",
             "budget",
@@ -639,7 +629,6 @@ fn cmd_serve(args: &[String]) -> Result<(), EngineError> {
     let addr = flags.get("addr").unwrap_or("127.0.0.1:8080").to_string();
     let threads: usize = flags.get_parsed("threads", 0)?;
     let kernel_threads: usize = flags.get_parsed("kernel-threads", 1)?;
-    let kernel_tile_size: usize = flags.get_parsed("kernel-tile-size", 0)?;
     let queue_depth: usize = flags.get_parsed("queue-depth", 0)?;
     let cache_capacity: usize = flags.get_parsed("cache-capacity", 0)?;
     let max_connections: usize = flags.get_parsed("max-connections", 0)?;
@@ -662,8 +651,6 @@ fn cmd_serve(args: &[String]) -> Result<(), EngineError> {
                 default_budget: budget,
                 queue_depth,
                 kernel_threads,
-                kernel_tile_size,
-                ..EngineConfig::default()
             },
             cache_capacity,
             max_connections,

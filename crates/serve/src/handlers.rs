@@ -665,10 +665,8 @@ mod tests {
         assert!(stats.body.contains("\"matrix_build_ns\""));
         assert!(stats.body.contains("\"nodes_expanded\""));
         assert!(stats.body.contains("\"kernel_threads\""));
-        assert!(stats.body.contains("\"kernel_tile_size\""));
         assert!(stats.body.contains("\"fw_blocked_solves\""));
         assert!(stats.body.contains("\"fw_tiles_relaxed\""));
-        assert!(stats.body.contains("\"pair_shard_tasks\""));
         assert!(stats.body.contains("\"ranking_shard_tasks\""));
     }
 
@@ -826,7 +824,6 @@ mod tests {
         assert!(metrics.body.contains("mani_pool_tasks_executed_total"));
         assert!(metrics.body.contains("mani_kernel_fw_blocked_solves_total"));
         assert!(metrics.body.contains("mani_kernel_fw_tiles_relaxed_total"));
-        assert!(metrics.body.contains("mani_kernel_pair_shard_tasks_total"));
         assert!(metrics
             .body
             .contains("mani_kernel_ranking_shard_tasks_total"));

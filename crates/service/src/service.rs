@@ -1187,15 +1187,17 @@ impl Service {
                         "kernel_threads",
                         Value::UInt(self.engine.kernel_parallelism().max_threads() as u64),
                     ),
-                    (
-                        "kernel_tile_size",
-                        Value::UInt(self.engine.kernel_parallelism().tile_size() as u64),
-                    ),
                     ("queue_depth", Value::UInt(engine.queue_depth as u64)),
                     ("in_flight", Value::UInt(engine.in_flight as u64)),
                     ("submitted", Value::UInt(engine.submitted)),
                     ("completed", Value::UInt(engine.completed)),
                     ("rejected", Value::UInt(engine.rejected)),
+                    ("pool_queued", Value::UInt(engine.pool_queued as u64)),
+                    ("pool_busy", Value::UInt(engine.pool_busy as u64)),
+                    (
+                        "pool_tasks_executed",
+                        Value::UInt(engine.pool_tasks_executed),
+                    ),
                 ]),
             ),
             (
@@ -1206,7 +1208,6 @@ impl Service {
                     ("nodes_expanded", Value::UInt(engine.nodes_expanded)),
                     ("fw_blocked_solves", Value::UInt(engine.fw_blocked_solves)),
                     ("fw_tiles_relaxed", Value::UInt(engine.fw_tiles_relaxed)),
-                    ("pair_shard_tasks", Value::UInt(engine.pair_shard_tasks)),
                     (
                         "ranking_shard_tasks",
                         Value::UInt(engine.ranking_shard_tasks),
@@ -1442,11 +1443,6 @@ impl Service {
             "mani_kernel_fw_tiles_relaxed_total",
             "Tiles relaxed by blocked Floyd-Warshall solves, process-wide.",
             engine.fw_tiles_relaxed,
-        );
-        w.counter(
-            "mani_kernel_pair_shard_tasks_total",
-            "Candidate-pair shard tasks spawned by matrix/scoring kernels, process-wide.",
-            engine.pair_shard_tasks,
         );
         w.counter(
             "mani_kernel_ranking_shard_tasks_total",
@@ -1920,6 +1916,156 @@ mod tests {
         assert!(version.contains("\"git\":null"), "{version}");
         let methods = render(&methods_value());
         assert!(methods.contains("\"Fair-Kemeny\""), "{methods}");
+    }
+
+    #[test]
+    fn every_engine_counter_appears_on_both_stats_surfaces() {
+        let service = service();
+        // Destructured field by field, so a field added to or removed from
+        // `EngineStats` fails to compile here until this table says where
+        // it renders on both surfaces.
+        let mani_engine::EngineStats {
+            queue_depth,
+            in_flight,
+            submitted,
+            completed,
+            rejected,
+            matrix_build_ns,
+            delta_appends,
+            delta_retracts,
+            delta_rebuild_fallbacks,
+            solve_ns,
+            nodes_expanded,
+            batches_opened,
+            batches_drained,
+            batch_results_yielded,
+            pool_queued,
+            pool_busy,
+            pool_tasks_executed,
+            fw_blocked_solves,
+            fw_tiles_relaxed,
+            ranking_shard_tasks,
+        } = service.engine.stats();
+        let surfaces = [
+            (
+                queue_depth as u64,
+                "engine/queue_depth",
+                "mani_engine_queue_depth",
+            ),
+            (
+                in_flight as u64,
+                "engine/in_flight",
+                "mani_engine_jobs_in_flight",
+            ),
+            (
+                submitted,
+                "engine/submitted",
+                "mani_engine_jobs_submitted_total",
+            ),
+            (
+                completed,
+                "engine/completed",
+                "mani_engine_jobs_completed_total",
+            ),
+            (
+                rejected,
+                "engine/rejected",
+                "mani_engine_jobs_rejected_total",
+            ),
+            (pool_queued as u64, "engine/pool_queued", "mani_pool_queued"),
+            (pool_busy as u64, "engine/pool_busy", "mani_pool_busy"),
+            (
+                pool_tasks_executed,
+                "engine/pool_tasks_executed",
+                "mani_pool_tasks_executed_total",
+            ),
+            (
+                matrix_build_ns,
+                "kernels/matrix_build_ns",
+                "mani_engine_matrix_build_seconds_total",
+            ),
+            (
+                solve_ns,
+                "kernels/solve_ns",
+                "mani_engine_solve_seconds_total",
+            ),
+            (
+                nodes_expanded,
+                "kernels/nodes_expanded",
+                "mani_engine_nodes_expanded_total",
+            ),
+            (
+                fw_blocked_solves,
+                "kernels/fw_blocked_solves",
+                "mani_kernel_fw_blocked_solves_total",
+            ),
+            (
+                fw_tiles_relaxed,
+                "kernels/fw_tiles_relaxed",
+                "mani_kernel_fw_tiles_relaxed_total",
+            ),
+            (
+                ranking_shard_tasks,
+                "kernels/ranking_shard_tasks",
+                "mani_kernel_ranking_shard_tasks_total",
+            ),
+            (
+                batches_opened,
+                "streaming/batches_opened",
+                "mani_engine_batches_opened_total",
+            ),
+            (
+                batches_drained,
+                "streaming/batches_drained",
+                "mani_engine_batches_drained_total",
+            ),
+            (
+                batch_results_yielded,
+                "streaming/results_yielded",
+                "mani_engine_batch_results_yielded_total",
+            ),
+            (
+                delta_appends,
+                "precedence_cache/delta_appends",
+                "mani_precedence_cache_delta_appends_total",
+            ),
+            (
+                delta_retracts,
+                "precedence_cache/delta_retracts",
+                "mani_precedence_cache_delta_retracts_total",
+            ),
+            (
+                delta_rebuild_fallbacks,
+                "precedence_cache/delta_rebuild_fallbacks",
+                "mani_precedence_cache_delta_rebuilds_total",
+            ),
+        ];
+        // Rendered after the snapshot, so every counter reads at least the
+        // snapshot's value (process-wide kernel counters may move meanwhile).
+        let stats = service.stats(&TransportStats::default());
+        let build = BuildInfo {
+            name: "mani-test",
+            version: "0.0.0",
+            git: None,
+            profile: "debug",
+            features: &[],
+        };
+        let exposition = service.metrics_exposition(&build, &TransportStats::default());
+        for (snapshot, path, metric) in surfaces {
+            let json = path
+                .split('/')
+                .try_fold(&stats, |value, key| value.get(key));
+            match json {
+                Some(Value::UInt(rendered)) => assert!(*rendered >= snapshot, "{path}"),
+                other => panic!("/v1/stats has no integer at {path}: {other:?}"),
+            }
+            assert!(
+                exposition.lines().any(|line| line
+                    .strip_prefix(metric)
+                    .is_some_and(|rest| rest.starts_with([' ', '{']))),
+                "/metrics has no {metric} sample"
+            );
+        }
     }
 
     #[test]

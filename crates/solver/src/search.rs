@@ -35,7 +35,9 @@ use crate::constraints::AxisConstraint;
 use crate::model::{KemenyProblem, SolveOutcome, SolverConfig};
 
 /// Below this candidate count subtree parallelism is never attempted: the
-/// frontier bookkeeping would rival the whole search.
+/// frontier bookkeeping would rival the whole search. This is the search's
+/// only size gate; the sizes at which an exact search finishes are far below
+/// the gates of the O(n²) and O(n³) kernels.
 const MIN_PARALLEL_CANDIDATES: usize = 8;
 
 /// Solves a (fairness-constrained) Kemeny problem exactly, within the node budget.
@@ -69,7 +71,7 @@ pub fn solve(
     let mut static_order: Vec<u32> = (0..n as u32).collect();
     static_order.sort_by(|&a, &b| wins[b as usize].cmp(&wins[a as usize]).then(a.cmp(&b)));
 
-    let threads = config.parallelism.kernel_threads(n);
+    let threads = config.parallelism.max_threads();
     if threads > 1 && n >= MIN_PARALLEL_CANDIDATES {
         if let Some(outcome) = solve_parallel(
             problem,
@@ -756,8 +758,8 @@ mod tests {
                 let sequential = solve(&problem, Some(&incumbent), &SolverConfig::default());
                 assert!(sequential.optimal);
                 for threads in [1usize, 2, 8] {
-                    let config = SolverConfig::default()
-                        .with_parallelism(Parallelism::new(threads).with_min_candidates(0));
+                    let config =
+                        SolverConfig::default().with_parallelism(Parallelism::new(threads));
                     let parallel = solve(&problem, Some(&incumbent), &config);
                     assert!(parallel.optimal);
                     assert_eq!(parallel.ranking, sequential.ranking, "threads = {threads}");
@@ -779,8 +781,7 @@ mod tests {
         let problem = KemenyProblem::constrained(profile.precedence_matrix(), vec![constraint]);
         let incumbent = Ranking::identity(8);
         let sequential = solve(&problem, Some(&incumbent), &SolverConfig::default());
-        let config =
-            SolverConfig::default().with_parallelism(Parallelism::new(4).with_min_candidates(0));
+        let config = SolverConfig::default().with_parallelism(Parallelism::new(4));
         let parallel = solve(&problem, Some(&incumbent), &config);
         assert_eq!(parallel.optimal, sequential.optimal);
         assert_eq!(parallel.ranking, sequential.ranking);
@@ -803,7 +804,7 @@ mod tests {
             let problem = KemenyProblem::unconstrained(profile.precedence_matrix());
             let sequential = solve(&problem, None, &SolverConfig::default());
             let config = SolverConfig::default()
-                .with_parallelism(Parallelism::new(threads).with_min_candidates(0));
+                .with_parallelism(Parallelism::new(threads));
             let parallel = solve(&problem, None, &config);
             prop_assert!(sequential.optimal && parallel.optimal);
             prop_assert_eq!(&parallel.ranking, &sequential.ranking);

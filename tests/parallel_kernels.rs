@@ -1,6 +1,9 @@
 //! Cross-crate properties of the parallel consensus kernels: every parallel
 //! kernel must be bit-identical to its serial counterpart for every thread
-//! and shard count, from the raw kernels up through the engine.
+//! and shard count, from the public kernels up through the engine. Inputs
+//! are sized above each kernel's own gate where the property needs the
+//! parallel path; the tiled Floyd–Warshall at small sizes and explicit tiles
+//! is covered by the unit tests in `mani-aggregation`'s `schulze.rs`.
 
 use std::sync::Arc;
 
@@ -17,39 +20,27 @@ use rand::SeedableRng;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-fn forced(threads: usize) -> Parallelism {
-    // min_candidates 1: exercise the parallel code paths even at tiny n.
-    Parallelism::new(threads).with_min_candidates(1)
-}
-
-fn forced_tiled(threads: usize, tile: usize) -> Parallelism {
-    forced(threads).with_tile_size(tile)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
     fn prop_sharded_matrix_equals_sequential(
         n in 2usize..16,
-        m in 1usize..24,
+        // At least 48 rankings: the build's size gate is max(n, |R|) >= 48.
+        m in 48usize..96,
         shards in 1usize..9,
         seed in proptest::prelude::any::<u64>()
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let rankings: Vec<Ranking> = (0..m).map(|_| Ranking::random(n, &mut rng)).collect();
+        let par = Parallelism::new(shards);
         let serial = PrecedenceMatrix::from_rankings(&rankings).unwrap();
-        let sharded =
-            PrecedenceMatrix::from_rankings_parallel(&rankings, &forced(shards)).unwrap();
+        let sharded = PrecedenceMatrix::from_rankings_parallel(&rankings, &par).unwrap();
         prop_assert_eq!(&serial, &sharded);
 
         let weights: Vec<u32> = (1..=m as u32).map(|w| (w % 9) + 1).collect();
         let serial_w = PrecedenceMatrix::from_weighted_rankings(&rankings, &weights).unwrap();
-        let sharded_w = PrecedenceMatrix::from_weighted_rankings_parallel(
-            &rankings,
-            &weights,
-            &forced(shards),
-        )
-        .unwrap();
+        let sharded_w =
+            PrecedenceMatrix::from_weighted_rankings_parallel(&rankings, &weights, &par).unwrap();
         prop_assert_eq!(&serial_w, &sharded_w);
     }
 
@@ -63,12 +54,12 @@ proptest! {
         let rankings: Vec<Ranking> = (0..m).map(|_| Ranking::random(n, &mut rng)).collect();
         let matrix = RankingProfile::new(rankings).unwrap().precedence_matrix();
         let aggregator = SchulzeAggregator::new();
-        let reference = aggregator.strongest_paths(&matrix);
+        let reference = aggregator.strongest_paths_flat(&matrix);
         let serial_consensus = aggregator.consensus_from_matrix(&matrix);
         for threads in THREAD_COUNTS {
-            let par = forced(threads);
+            let par = Parallelism::new(threads);
             prop_assert_eq!(
-                aggregator.strongest_paths_matrix(&matrix, &par).to_nested(),
+                aggregator.strongest_paths_matrix(&matrix, &par),
                 reference.clone(),
                 "strengths diverged at threads = {}", threads
             );
@@ -81,75 +72,29 @@ proptest! {
     }
 }
 
-/// Tentpole differential: the cache-blocked (tiled) Floyd–Warshall must be
-/// cell-for-cell identical to the legacy nested reference AND to the untiled
-/// flat serial kernel at every tile size and thread count, on a weighted
-/// profile large enough to cover several partial and full tiles.
+/// The tiled Floyd–Warshall on a weighted profile above its size gate:
+/// every thread count closes the same strengths as the flat kernel, and the
+/// consensus ranks as the full closure does.
 #[test]
-fn tiled_fw_matches_legacy_and_flat_across_tiles_and_threads() {
-    let n = 70;
+fn tiled_fw_matches_flat_above_the_tile_gate() {
+    let n = mani_aggregation::schulze::FW_TILE_MIN_N + 8;
     let mut rng = StdRng::seed_from_u64(0x7117ED);
     let rankings: Vec<Ranking> = (0..9).map(|_| Ranking::random(n, &mut rng)).collect();
-    let weights: Vec<u32> = (0..9u32).map(|w| (w % 5) + 1).collect();
+    let weights: Vec<u32> = (0..9u32).map(|w| 2 * (w % 5) + 1).collect();
     let matrix = PrecedenceMatrix::from_weighted_rankings(&rankings, &weights).unwrap();
     let aggregator = SchulzeAggregator::new();
-    let reference = aggregator.strongest_paths(&matrix);
     let flat = aggregator.strongest_paths_flat(&matrix);
-    assert_eq!(flat.to_nested(), reference, "flat kernel diverged");
-    for tile in [8usize, 32, 64, n] {
-        for threads in THREAD_COUNTS {
-            let tiled = aggregator.strongest_paths_matrix(&matrix, &forced_tiled(threads, tile));
-            assert_eq!(
-                tiled, flat,
-                "tiled kernel diverged at tile = {tile}, threads = {threads}"
-            );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-    #[test]
-    fn prop_tiled_fw_bit_identical(
-        n in 1usize..24,
-        m in 1usize..8,
-        tile in 1usize..12,
-        threads in 1usize..9,
-        seed in proptest::prelude::any::<u64>()
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let rankings: Vec<Ranking> = (0..m).map(|_| Ranking::random(n, &mut rng)).collect();
-        let matrix = RankingProfile::new(rankings).unwrap().precedence_matrix();
-        let aggregator = SchulzeAggregator::new();
-        let flat = aggregator.strongest_paths_flat(&matrix);
-        let tiled = aggregator.strongest_paths_matrix(&matrix, &forced_tiled(threads, tile));
-        prop_assert_eq!(&tiled, &flat, "tile = {}, threads = {}", tile, threads);
-        prop_assert_eq!(flat.to_nested(), aggregator.strongest_paths(&matrix));
-    }
-
-    #[test]
-    fn prop_pair_sharded_scoring_matches_serial(
-        n in 2usize..16,
-        m in 1usize..10,
-        shards in 1usize..9,
-        seed in proptest::prelude::any::<u64>()
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let rankings: Vec<Ranking> = (0..m).map(|_| Ranking::random(n, &mut rng)).collect();
-        let matrix = PrecedenceMatrix::from_rankings(&rankings).unwrap();
-        let par = forced(shards);
-        prop_assert_eq!(
-            mani_aggregation::scoring::copeland_wins_parallel(&matrix, &par),
-            mani_aggregation::scoring::copeland_wins(&matrix)
+    for threads in THREAD_COUNTS {
+        let par = Parallelism::new(threads);
+        assert_eq!(
+            aggregator.strongest_paths_matrix(&matrix, &par),
+            flat,
+            "tiled kernel diverged at threads = {threads}"
         );
-        prop_assert_eq!(
-            matrix.pairwise_support_scores_parallel(&par),
-            matrix.pairwise_support_scores()
-        );
-        let consensus = Ranking::random(n, &mut rng);
-        prop_assert_eq!(
-            matrix.total_disagreements_parallel(&consensus, &par).unwrap(),
-            matrix.total_disagreements(&consensus).unwrap()
+        assert_eq!(
+            aggregator.consensus_from_matrix_with(&matrix, &par),
+            flat.ranking(),
+            "consensus diverged at threads = {threads}"
         );
     }
 }
@@ -170,14 +115,14 @@ fn fair_kemeny_is_bit_identical_across_threads_and_shard_counts() {
         );
         for threads in THREAD_COUNTS {
             let ctx = MfcrContext::new(&db, &groups, &profile, FairnessThresholds::uniform(delta))
-                .with_parallelism(forced(threads));
+                .with_parallelism(Parallelism::new(threads));
             let parallel = FairKemeny::new().solve(&ctx).unwrap();
             assert!(parallel.optimal);
             assert_eq!(parallel.ranking, serial.ranking, "threads = {threads}");
             assert_eq!(parallel.pd_loss, serial.pd_loss, "threads = {threads}");
 
             // An explicit solver config with its own parallelism must win too.
-            let config = SolverConfig::default().with_parallelism(forced(threads));
+            let config = SolverConfig::default().with_parallelism(Parallelism::new(threads));
             let explicit = FairKemeny::with_config(config).solve(&serial_ctx).unwrap();
             assert_eq!(explicit.ranking, serial.ranking, "threads = {threads}");
         }
@@ -203,7 +148,6 @@ fn engine_results_are_bit_identical_across_kernel_thread_counts() {
         let engine = ConsensusEngine::with_config(EngineConfig {
             threads: 2,
             kernel_threads,
-            kernel_min_candidates: 1,
             ..EngineConfig::default()
         });
         engine.submit(ConsensusRequest::new(
