@@ -35,7 +35,9 @@
 //! samples measured in the same process run, so speedup ratios compare like
 //! with like. A call shorter than 1 ms is timed in batches that last at least
 //! 1 ms per sample, so a microsecond kernel's sample is not mostly timer and
-//! allocator noise, and one figure's samples span at least 250 ms.
+//! allocator noise, and one figure's samples span at least 250 ms. The smoke
+//! grid runs three passes and keeps each timing's best; the ratio columns
+//! are computed from the kept timings.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -69,6 +71,84 @@ impl Entry {
             .iter()
             .find(|(key, _)| key == name)
             .and_then(|(_, value)| value.parse().ok())
+    }
+
+    /// Appends the columns computed from the row's timings, once the final
+    /// timings are known: speed-ups as `numerator / denominator`
+    /// ([`SPEEDUPS`]), the one-component consensus's overhead over the
+    /// full-matrix path, and codec throughputs in MB/s.
+    fn derive_ratios(&mut self) {
+        let mut derived = Vec::new();
+        for (column, numerator, denominator) in SPEEDUPS {
+            if let (Some(a), Some(b)) = (self.field_u64(numerator), self.field_u64(denominator)) {
+                derived.push((column, format!("{:.3}", ratio(a, b))));
+            }
+        }
+        if let (Some(consensus), Some(full)) = (
+            self.field_u64("consensus_ns"),
+            self.field_u64("full_matrix_ns"),
+        ) {
+            let overhead = ratio(consensus, full) - 1.0;
+            derived.push(("overhead_vs_full_matrix", format!("{overhead:.3}")));
+        }
+        for (column, bytes, ns) in THROUGHPUTS {
+            if let (Some(bytes), Some(ns)) = (self.field_u64(bytes), self.field_u64(ns)) {
+                let mb_s = bytes as f64 / ns.max(1) as f64 * 1e3;
+                derived.push((column, format!("{mb_s:.1}")));
+            }
+        }
+        self.fields.extend(
+            derived
+                .into_iter()
+                .map(|(column, value)| (column.to_string(), value)),
+        );
+    }
+}
+
+/// Speed-up columns: `(column, numerator, denominator)` timing fields.
+const SPEEDUPS: [(&str, &str, &str); 4] = [
+    ("speedup_parallel_vs_serial", "serial_ns", "parallel_ns"),
+    ("speedup_tiled_vs_flat", "flat_serial_ns", "tiled_serial_ns"),
+    ("speedup_parallel_vs_flat", "flat_serial_ns", "parallel_ns"),
+    ("speedup_delta_vs_rebuild", "rebuild_ns", "delta_append_ns"),
+];
+
+/// Codec throughput columns: `(column, byte-count field, timing field)`.
+const THROUGHPUTS: [(&str, &str, &str); 4] = [
+    ("json_encode_mb_s", "json_bytes", "json_encode_ns"),
+    ("json_decode_mb_s", "json_bytes", "json_decode_ns"),
+    ("col_encode_mb_s", "col_bytes", "col_encode_ns"),
+    ("col_decode_mb_s", "col_bytes", "col_decode_ns"),
+];
+
+/// Passes over the smoke grid; each timing keeps its best pass. A core of
+/// a shared virtual machine can stay slow for seconds, longer than one
+/// figure's sampling span, so the passes sample every figure again seconds
+/// later.
+const SMOKE_PASSES: usize = 3;
+
+/// Folds another pass over the same grid into `entries`: every timing field
+/// (`ns` or `*_ns`) keeps the smaller value; other fields keep the first
+/// pass's value.
+fn keep_best_timings(entries: &mut [Entry], pass: Vec<Entry>) {
+    for (entry, other) in entries.iter_mut().zip(pass) {
+        assert_eq!(
+            (entry.kernel, entry.n, entry.rankings),
+            (other.kernel, other.n, other.rankings),
+            "passes run the same grid"
+        );
+        for ((key, value), (_, other_value)) in entry.fields.iter_mut().zip(other.fields) {
+            if key == "ns" || key.ends_with("_ns") {
+                let best = value
+                    .parse::<u64>()
+                    .ok()
+                    .zip(other_value.parse::<u64>().ok())
+                    .map(|(a, b)| a.min(b));
+                if let Some(best) = best {
+                    *value = best.to_string();
+                }
+            }
+        }
     }
 }
 
@@ -139,7 +219,6 @@ fn main() {
 
     let threads = available_threads();
     let parallel = Parallelism::new(threads);
-    let mut entries = Vec::new();
 
     // (n, |R|) grid points per kernel; the smoke grid keeps CI runs in
     // seconds, and `time_best` batches its microsecond kernels into samples
@@ -147,10 +226,10 @@ fn main() {
     // stable for the --compare gate. The smoke grid carries one large-n
     // Schulze point (n = 1000, iters capped by `capped_iters`) so the
     // regression gate exercises the tiled-kernel regime, and the full grid
-    // extends to the CSRankings-scale points n ∈ {1000, 2000, 5000}. The one-component Schulze points are the
-    // consensus's worst case (no decomposition to exploit). The wire-codec
-    // grid sweeps ranking count (the axis the two encodings diverge on) at a
-    // fixed candidate pool.
+    // extends to the CSRankings-scale points n ∈ {1000, 2000, 5000}. The
+    // one-component Schulze points are the consensus's worst case (no
+    // decomposition to exploit). The wire-codec grid sweeps ranking count
+    // (the axis the two encodings diverge on) at a fixed candidate pool.
     let (
         matrix_grid,
         schulze_grid,
@@ -194,34 +273,44 @@ fn main() {
         iters = override_iters.max(1);
     }
 
-    for &(n, r) in &matrix_grid {
-        eprintln!("matrix-build n={n} |R|={r} ...");
-        entries.push(bench_matrix_build(n, r, &parallel, capped_iters(n, iters)));
+    let run_grid = || {
+        let mut entries = Vec::new();
+        for &(n, r) in &matrix_grid {
+            eprintln!("matrix-build n={n} |R|={r} ...");
+            entries.push(bench_matrix_build(n, r, &parallel, capped_iters(n, iters)));
+        }
+        for &(n, r) in &schulze_grid {
+            eprintln!("schulze n={n} |R|={r} ...");
+            entries.push(bench_schulze(n, r, &parallel, iters));
+        }
+        for &(n, r) in &one_component_grid {
+            eprintln!("schulze one-component n={n} |R|={r} ...");
+            entries.push(bench_schulze_one_component(n, r, capped_iters(n, iters)));
+        }
+        for &(n, r) in &kemeny_grid {
+            eprintln!("fair-kemeny n={n} |R|={r} ...");
+            entries.push(bench_fair_kemeny(n, r, &parallel, iters.min(2), smoke));
+        }
+        for &(n, r) in &correction_grid {
+            eprintln!("make-mr-fair n={n} |R|={r} ...");
+            entries.push(bench_make_mr_fair(n, r, iters));
+        }
+        for &(n, r) in &codec_grid {
+            eprintln!("wire-codec n={n} |R|={r} ...");
+            entries.push(bench_wire_codec(n, r, iters));
+        }
+        for &(n, r) in &delta_grid {
+            eprintln!("delta-update n={n} |R|={r} ...");
+            entries.push(bench_delta_update(n, r, iters));
+        }
+        entries
+    };
+    let passes = if smoke { SMOKE_PASSES } else { 1 };
+    let mut entries = run_grid();
+    for _ in 1..passes {
+        keep_best_timings(&mut entries, run_grid());
     }
-    for &(n, r) in &schulze_grid {
-        eprintln!("schulze n={n} |R|={r} ...");
-        entries.push(bench_schulze(n, r, &parallel, iters));
-    }
-    for &(n, r) in &one_component_grid {
-        eprintln!("schulze one-component n={n} |R|={r} ...");
-        entries.push(bench_schulze_one_component(n, r, capped_iters(n, iters)));
-    }
-    for &(n, r) in &kemeny_grid {
-        eprintln!("fair-kemeny n={n} |R|={r} ...");
-        entries.push(bench_fair_kemeny(n, r, &parallel, iters.min(2), smoke));
-    }
-    for &(n, r) in &correction_grid {
-        eprintln!("make-mr-fair n={n} |R|={r} ...");
-        entries.push(bench_make_mr_fair(n, r, iters));
-    }
-    for &(n, r) in &codec_grid {
-        eprintln!("wire-codec n={n} |R|={r} ...");
-        entries.push(bench_wire_codec(n, r, iters));
-    }
-    for &(n, r) in &delta_grid {
-        eprintln!("delta-update n={n} |R|={r} ...");
-        entries.push(bench_delta_update(n, r, iters));
-    }
+    entries.iter_mut().for_each(Entry::derive_ratios);
 
     let body = render_json(threads, iters, smoke, timestamp.as_deref(), &entries);
     if let Err(error) = std::fs::write(&out, &body) {
@@ -527,10 +616,6 @@ fn bench_matrix_build(n: usize, r: usize, parallel: &Parallelism, iters: usize) 
             ("serial_ns".into(), serial_ns.to_string()),
             ("parallel_ns".into(), parallel_ns.to_string()),
             ("threads".into(), parallel.max_threads().to_string()),
-            (
-                "speedup_parallel_vs_serial".into(),
-                format!("{:.3}", ratio(serial_ns, parallel_ns)),
-            ),
         ],
     }
 }
@@ -573,10 +658,6 @@ fn bench_schulze(n: usize, r: usize, parallel: &Parallelism, consensus_iters: us
         ("consensus_ns".into(), consensus_ns.to_string()),
         ("components".into(), majority_components(&flat).to_string()),
         ("tile_size".into(), tile_size.to_string()),
-        (
-            "speedup_tiled_vs_flat".into(),
-            format!("{:.3}", ratio(flat_ns, tiled_ns)),
-        ),
     ];
     if n >= FW_TILE_MIN_N {
         let (parallel_ns, tiled_par) = time_best(iters, || {
@@ -586,10 +667,6 @@ fn bench_schulze(n: usize, r: usize, parallel: &Parallelism, consensus_iters: us
         fields.extend([
             ("parallel_ns".into(), parallel_ns.to_string()),
             ("threads".into(), parallel.max_threads().to_string()),
-            (
-                "speedup_parallel_vs_flat".into(),
-                format!("{:.3}", ratio(flat_ns, parallel_ns)),
-            ),
         ]);
     }
     Entry {
@@ -639,10 +716,6 @@ fn bench_schulze_one_component(n: usize, r: usize, iters: usize) -> Entry {
             ("consensus_ns".into(), consensus_ns.to_string()),
             ("full_matrix_ns".into(), full_matrix_ns.to_string()),
             ("components".into(), majority_components(&paths).to_string()),
-            (
-                "overhead_vs_full_matrix".into(),
-                format!("{:.3}", ratio(consensus_ns, full_matrix_ns) - 1.0),
-            ),
         ],
     }
 }
@@ -693,10 +766,6 @@ fn bench_fair_kemeny(
             ("serial_ns".into(), serial_ns.to_string()),
             ("parallel_ns".into(), parallel_ns.to_string()),
             ("threads".into(), parallel.max_threads().to_string()),
-            (
-                "speedup_parallel_vs_serial".into(),
-                format!("{:.3}", ratio(serial_ns, parallel_ns)),
-            ),
             ("nodes_explored".into(), serial.nodes_explored.to_string()),
             ("optimal".into(), serial.optimal.to_string()),
         ],
@@ -753,7 +822,6 @@ fn bench_wire_codec(n: usize, r: usize, iters: usize) -> Entry {
         "codec twins must decode to the same dataset"
     );
 
-    let mb_s = |bytes: usize, ns: u64| format!("{:.1}", bytes as f64 / ns.max(1) as f64 * 1e3);
     Entry {
         kernel: "wire_codec",
         n,
@@ -772,22 +840,6 @@ fn bench_wire_codec(n: usize, r: usize, iters: usize) -> Entry {
             ("json_decode_ns".into(), json_decode_ns.to_string()),
             ("col_encode_ns".into(), col_encode_ns.to_string()),
             ("col_decode_ns".into(), col_decode_ns.to_string()),
-            (
-                "json_encode_mb_s".into(),
-                mb_s(json_text.len(), json_encode_ns),
-            ),
-            (
-                "json_decode_mb_s".into(),
-                mb_s(json_text.len(), json_decode_ns),
-            ),
-            (
-                "col_encode_mb_s".into(),
-                mb_s(col_bytes.len(), col_encode_ns),
-            ),
-            (
-                "col_decode_mb_s".into(),
-                mb_s(col_bytes.len(), col_decode_ns),
-            ),
         ],
     }
 }
@@ -821,10 +873,6 @@ fn bench_delta_update(n: usize, r: usize, iters: usize) -> Entry {
         fields: vec![
             ("delta_append_ns".into(), delta_ns.to_string()),
             ("rebuild_ns".into(), rebuild_ns.to_string()),
-            (
-                "speedup_delta_vs_rebuild".into(),
-                format!("{:.3}", ratio(rebuild_ns, delta_ns)),
-            ),
         ],
     }
 }
