@@ -63,7 +63,7 @@
 use std::cmp::Ordering;
 use std::sync::{Barrier, Mutex};
 
-use mani_ranking::parallel::record_fw_blocked_solve;
+use mani_ranking::parallel::{record_fw_blocked_solve, tile_edge};
 use mani_ranking::{
     shard_ranges, CandidateId, Parallelism, PrecedenceMatrix, Ranking, RankingProfile, Result,
 };
@@ -255,11 +255,12 @@ fn consensus_by_components(
 }
 
 /// Closes the `n × n` direct-edge buffer `p` into strongest path strengths:
-/// flat serial below [`FW_TILE_MIN_N`] candidates, tiled on up to `threads`
-/// threads from there.
+/// flat serial below [`FW_TILE_MIN_N`] candidates, where one tile would cover
+/// the whole matrix, tiled on up to `threads` threads from there.
 fn close_paths(p: &mut [u32], n: usize, threads: usize) {
-    if n >= FW_TILE_MIN_N {
-        close_tiled(p, n, FW_TILE, threads);
+    let tile = tile_edge(n, FW_TILE_MIN_N, FW_TILE);
+    if tile < n {
+        close_tiled(p, n, tile, threads);
     } else {
         floyd_warshall_serial(p, n);
         zero_diagonal(p, n);

@@ -50,6 +50,7 @@ use mani_core::{make_mr_fair, FairKemeny, MfcrMethod};
 use mani_datagen::MallowsModel;
 use mani_engine::EngineDataset;
 use mani_fairness::FairnessThresholds;
+use mani_ranking::parallel::tile_edge;
 use mani_ranking::{available_threads, Parallelism, PrecedenceMatrix, Ranking};
 use mani_service::{
     dataset_to_value, decode_dataset, encode_dataset, parse_body, parse_dataset, render,
@@ -651,7 +652,7 @@ fn bench_schulze(n: usize, r: usize, parallel: &Parallelism, consensus_iters: us
         flat.ranking(),
         "consensus must rank as the full-matrix beat counts do"
     );
-    let tile_size = if n >= FW_TILE_MIN_N { FW_TILE } else { n };
+    let tile_size = tile_edge(n, FW_TILE_MIN_N, FW_TILE);
     let mut fields = vec![
         ("flat_serial_ns".into(), flat_ns.to_string()),
         ("tiled_serial_ns".into(), tiled_ns.to_string()),

@@ -157,6 +157,19 @@ pub fn shard_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     ranges
 }
 
+/// Tile edge of a blocked kernel over an `n`-wide problem whose tiled
+/// schedule starts at `min_n` candidates: below that gate one tile covers the
+/// whole problem (the kernel runs untiled), from it on `tile`, never wider
+/// than the problem and never zero. Each kernel passes its own gate and tile
+/// constants.
+pub fn tile_edge(n: usize, min_n: usize, tile: usize) -> usize {
+    if n < min_n {
+        n.max(1)
+    } else {
+        tile.clamp(1, n.max(1))
+    }
+}
+
 /// Runs every part and returns the outputs **in part order**, fanning the
 /// parts out across up to `threads` scoped threads.
 ///
@@ -216,6 +229,23 @@ mod tests {
         assert_eq!(Parallelism::new(0).max_threads(), 1);
         assert!(available_threads() >= 1);
         assert!(Parallelism::auto().max_threads() >= 1);
+    }
+
+    #[test]
+    fn auto_tile_policy_keeps_small_problems_untiled() {
+        // The tiled Floyd–Warshall's gate and tile: 512 candidates, 64 wide.
+        let (min_n, tile) = (512, 64);
+        // Below the gate the tile covers the whole matrix (untiled); at and
+        // above it the kernel's tile engages.
+        assert_eq!(tile_edge(min_n - 1, min_n, tile), min_n - 1);
+        assert_eq!(tile_edge(min_n, min_n, tile), tile);
+        assert_eq!(tile_edge(5000, min_n, tile), tile);
+        // Degenerate sizes stay sane.
+        assert_eq!(tile_edge(0, min_n, tile), 1);
+        assert_eq!(tile_edge(1, min_n, tile), 1);
+        // A tile never exceeds the problem and is never zero.
+        assert_eq!(tile_edge(10, 0, tile), 10);
+        assert_eq!(tile_edge(10, 0, 0), 1);
     }
 
     #[test]

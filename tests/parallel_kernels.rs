@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use mani_aggregation::schulze::{FW_TILE, FW_TILE_MIN_N};
 use mani_aggregation::SchulzeAggregator;
 use mani_core::{FairKemeny, MethodKind, MfcrContext, MfcrMethod};
 use mani_datagen::{binary_population, FairnessTarget, MallowsModel, ModalRankingBuilder};
@@ -72,12 +73,37 @@ proptest! {
     }
 }
 
+proptest! {
+    // Each case closes two matrices of 512+ candidates, ~134M relaxations
+    // apiece, so a handful of cases already takes seconds in a debug build.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+    /// Above its size gate the dispatcher runs the tiled kernel: for sizes
+    /// across one tile period (a full or partial last tile row), random
+    /// profiles and every thread count it closes the flat kernel's strengths.
+    #[test]
+    fn prop_tiled_fw_bit_identical(
+        extra in 0usize..FW_TILE,
+        m in 1usize..8,
+        threads in 1usize..9,
+        seed in proptest::prelude::any::<u64>()
+    ) {
+        let n = FW_TILE_MIN_N + extra;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rankings: Vec<Ranking> = (0..m).map(|_| Ranking::random(n, &mut rng)).collect();
+        let matrix = RankingProfile::new(rankings).unwrap().precedence_matrix();
+        let aggregator = SchulzeAggregator::new();
+        let flat = aggregator.strongest_paths_flat(&matrix);
+        let tiled = aggregator.strongest_paths_matrix(&matrix, &Parallelism::new(threads));
+        prop_assert_eq!(&tiled, &flat, "n = {}, threads = {}", n, threads);
+    }
+}
+
 /// The tiled Floyd–Warshall on a weighted profile above its size gate:
 /// every thread count closes the same strengths as the flat kernel, and the
 /// consensus ranks as the full closure does.
 #[test]
 fn tiled_fw_matches_flat_above_the_tile_gate() {
-    let n = mani_aggregation::schulze::FW_TILE_MIN_N + 8;
+    let n = FW_TILE_MIN_N + 8;
     let mut rng = StdRng::seed_from_u64(0x7117ED);
     let rankings: Vec<Ranking> = (0..9).map(|_| Ranking::random(n, &mut rng)).collect();
     let weights: Vec<u32> = (0..9u32).map(|w| 2 * (w % 5) + 1).collect();
