@@ -8,7 +8,7 @@
 //! Construction is guarded by a per-key [`OnceLock`], so concurrent workers
 //! asking for the same dataset block on a single build instead of duplicating
 //! it; [`CacheStats::builds`] therefore counts exactly one build per distinct
-//! dataset.
+//! dataset, and every other lookup counts as a hit.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,7 +56,10 @@ pub struct SharedArtifacts {
 pub struct CacheStats {
     /// Total `get_or_build` calls.
     pub lookups: u64,
-    /// Calls that found fully-built artifacts.
+    /// Calls that did not run a build themselves: they found the artifacts
+    /// built, or waited for another caller's build of the same dataset. So
+    /// `hits + builds == lookups` (a fingerprint-collision rebuild counts as
+    /// a build, not a hit).
     pub hits: u64,
     /// Number of times artifacts were actually constructed (one per distinct
     /// dataset, however many threads raced on it).
@@ -70,8 +73,8 @@ pub struct CacheStats {
     /// Rankings folded *out of* warm matrices by delta derivation.
     pub delta_retracts: u64,
     /// Delta derivations that could not reuse a warm parent matrix (parent
-    /// evicted, fingerprint mismatch, or an inapplicable retract) and fell
-    /// back to a full rebuild.
+    /// never built, fingerprint mismatch, or an inapplicable retract) and
+    /// fell back to a full rebuild.
     pub delta_rebuild_fallbacks: u64,
     /// Number of cached datasets.
     pub entries: usize,
@@ -116,8 +119,8 @@ impl PrecedenceCache {
     }
 
     /// Returns the dataset's shared artifacts, building them at most once per
-    /// distinct dataset. The boolean is `true` when the artifacts were already
-    /// built (a cache hit).
+    /// distinct dataset. The boolean is `true` (a cache hit) unless this call
+    /// ran the build; a call that waited on a concurrent build is a hit.
     pub fn get_or_build(&self, dataset: &EngineDataset) -> (SharedArtifacts, bool) {
         self.get_or_build_with(dataset, &Parallelism::serial())
     }
@@ -137,11 +140,14 @@ impl PrecedenceCache {
             let mut entries = self.entries.lock().expect("cache lock poisoned");
             entries.entry(key).or_default().clone()
         };
-        let hit = cell.get().is_some();
-        let entry = cell.get_or_init(|| CacheEntry {
-            db: Arc::clone(dataset.db()),
-            profile: Arc::clone(dataset.profile()),
-            artifacts: self.build_artifacts(dataset, parallelism),
+        let mut built = false;
+        let entry = cell.get_or_init(|| {
+            built = true;
+            CacheEntry {
+                db: Arc::clone(dataset.db()),
+                profile: Arc::clone(dataset.profile()),
+                artifacts: self.build_artifacts(dataset, parallelism),
+            }
         });
         // A 64-bit fingerprint can (astronomically rarely) collide; serving
         // another dataset's matrix would corrupt every downstream result, so
@@ -149,10 +155,10 @@ impl PrecedenceCache {
         if !entry.matches(dataset) {
             return (self.build_artifacts(dataset, parallelism), false);
         }
-        if hit {
+        if !built {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        (entry.artifacts.clone(), hit)
+        (entry.artifacts.clone(), !built)
     }
 
     /// Derives and caches `child`'s artifacts from `parent`'s warm entry by
@@ -468,5 +474,32 @@ mod tests {
             assert!(Arc::ptr_eq(&pair[0].precedence, &pair[1].precedence));
             assert!(Arc::ptr_eq(&pair[0].groups, &pair[1].groups));
         }
+    }
+
+    #[test]
+    fn racing_lookups_count_every_non_builder_as_a_hit() {
+        const THREADS: usize = 8;
+        let cache = Arc::new(PrecedenceCache::new());
+        let ds = Arc::new(dataset(60, 40, "cold"));
+        let start = Arc::new(std::sync::Barrier::new(THREADS));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let (cache, ds, start) = (cache.clone(), ds.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    cache.get_or_build(&ds).1
+                })
+            })
+            .collect();
+        let hit_flags: Vec<bool> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let stats = cache.stats();
+        assert_eq!(stats.builds, 1, "racing threads must share one build");
+        assert_eq!(stats.lookups, THREADS as u64);
+        assert_eq!(stats.hits + stats.builds, stats.lookups);
+        assert_eq!(
+            hit_flags.iter().filter(|hit| !**hit).count(),
+            1,
+            "only the builder reports a miss: {hit_flags:?}"
+        );
     }
 }

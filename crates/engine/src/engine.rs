@@ -1,11 +1,14 @@
 //! The consensus engine: fans requests out across a worker pool, shares
-//! per-dataset precedence matrices through the [`PrecedenceCache`], and joins
-//! results back in deterministic request order.
+//! per-dataset precedence matrices through the [`PrecedenceCache`], and
+//! collects each request's method results back in method order.
 //!
-//! Two submission styles share one execution path:
+//! Every submission runs as a job: one pool task per `(request, method)`
+//! pair, gathered by a per-job collector into a [`JobHandle`]. The submission
+//! styles differ only in admission and in who waits:
 //!
 //! * **Blocking** — [`ConsensusEngine::submit`] / [`ConsensusEngine::submit_batch`]
-//!   join the batch and return completed responses.
+//!   spawn the jobs and wait on their handles. They are never rejected, but
+//!   their jobs count in [`EngineStats::in_flight`] while they run.
 //! * **Non-blocking** — [`ConsensusEngine::submit_async`] /
 //!   [`ConsensusEngine::submit_batch_async`] return a [`JobHandle`] immediately.
 //!   Async submissions pass through a bounded queue
@@ -13,6 +16,9 @@
 //!   the request with [`EngineError::Overloaded`] instead of growing without
 //!   bound, which is the backpressure signal the HTTP front-end turns into
 //!   `429 Too Many Requests`.
+//!
+//! Either way a panicking method becomes an error result for its slot, and
+//! every job records a phase trace.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -41,10 +47,11 @@ pub struct EngineConfig {
     pub threads: usize,
     /// Node budget applied to exact methods when a request does not set one.
     pub default_budget: Option<u64>,
-    /// Maximum number of async jobs submitted but not yet completed before
+    /// Maximum number of jobs submitted but not yet completed before
     /// [`ConsensusEngine::submit_async`] starts rejecting with
     /// [`EngineError::Overloaded`]; `0` means [`DEFAULT_QUEUE_DEPTH`].
-    /// Blocking submissions are not queued and do not count against the depth.
+    /// Blocking submissions are never rejected, but their running jobs count
+    /// toward the depth that async submissions see.
     pub queue_depth: usize,
     /// Kernel-level threads *within* one method solve (sharded matrix builds,
     /// tiled Schulze, subtree-parallel branch and bound); `0` means one per
@@ -88,29 +95,22 @@ impl EngineConfig {
     }
 }
 
-/// Submission-queue counters for one engine (see [`ConsensusEngine::stats`]).
+/// Submission-queue and kernel-timing counters for one engine (see
+/// [`ConsensusEngine::stats`]). Job counters cover blocking and async
+/// submissions alike; matrix-build time and delta derivations live in
+/// [`crate::CacheStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
     /// Configured bound on concurrently in-flight async jobs.
     pub queue_depth: usize,
-    /// Async jobs submitted but not yet completed.
+    /// Jobs submitted but not yet completed, blocking ones included.
     pub in_flight: usize,
-    /// Async jobs accepted since the engine was created.
+    /// Jobs accepted since the engine was created.
     pub submitted: u64,
-    /// Async jobs completed since the engine was created.
+    /// Jobs completed since the engine was created.
     pub completed: u64,
     /// Async jobs rejected with [`EngineError::Overloaded`].
     pub rejected: u64,
-    /// Wall-clock nanoseconds spent building precedence matrices and group
-    /// indexes (cache misses only — replays cost nothing here).
-    pub matrix_build_ns: u64,
-    /// Rankings folded into warm precedence matrices by delta derivation
-    /// (dataset edits that skipped the full rebuild).
-    pub delta_appends: u64,
-    /// Rankings folded out of warm precedence matrices by delta derivation.
-    pub delta_retracts: u64,
-    /// Dataset-edit derivations that fell back to a full matrix rebuild.
-    pub delta_rebuild_fallbacks: u64,
     /// Wall-clock nanoseconds spent inside method solves, summed across all
     /// workers (CPU-side view of where engine time goes).
     pub solve_ns: u64,
@@ -142,7 +142,7 @@ pub struct EngineStats {
 
 /// Counters shared between the engine and its in-flight job collectors.
 #[derive(Debug, Default)]
-struct AsyncCounters {
+struct JobCounters {
     in_flight: AtomicUsize,
     submitted: AtomicU64,
     completed: AtomicU64,
@@ -157,7 +157,7 @@ struct KernelCounters {
     nodes_expanded: AtomicU64,
 }
 
-impl AsyncCounters {
+impl JobCounters {
     /// Marks one job finished: bumps `completed`, releases its queue slot.
     fn finish_one(&self) {
         self.completed.fetch_add(1, Ordering::Relaxed);
@@ -180,7 +180,7 @@ pub struct ConsensusEngine {
     queue_depth: usize,
     kernel: Parallelism,
     next_job_id: AtomicU64,
-    counters: Arc<AsyncCounters>,
+    counters: Arc<JobCounters>,
     kernel_counters: Arc<KernelCounters>,
     batch_counters: Arc<BatchCounters>,
 }
@@ -217,7 +217,7 @@ impl ConsensusEngine {
             queue_depth,
             kernel,
             next_job_id: AtomicU64::new(1),
-            counters: Arc::new(AsyncCounters::default()),
+            counters: Arc::new(JobCounters::default()),
             kernel_counters: Arc::new(KernelCounters::default()),
             batch_counters: Arc::new(BatchCounters::default()),
         }
@@ -247,17 +247,12 @@ impl ConsensusEngine {
     pub fn stats(&self) -> EngineStats {
         let pool = self.pool.stats();
         let kernels = mani_ranking::kernel_counter_snapshot();
-        let cache = self.cache.stats();
         EngineStats {
             queue_depth: self.queue_depth,
             in_flight: self.counters.in_flight.load(Ordering::Acquire),
             submitted: self.counters.submitted.load(Ordering::Relaxed),
             completed: self.counters.completed.load(Ordering::Relaxed),
             rejected: self.counters.rejected.load(Ordering::Relaxed),
-            matrix_build_ns: cache.build_ns,
-            delta_appends: cache.delta_appends,
-            delta_retracts: cache.delta_retracts,
-            delta_rebuild_fallbacks: cache.delta_rebuild_fallbacks,
             solve_ns: self.kernel_counters.solve_ns.load(Ordering::Relaxed),
             nodes_expanded: self.kernel_counters.nodes_expanded.load(Ordering::Relaxed),
             batches_opened: self.batch_counters.opened.load(Ordering::Relaxed),
@@ -273,83 +268,30 @@ impl ConsensusEngine {
     }
 
     /// Runs one request (a batch of size one), blocking until it completes.
-    pub fn submit(&self, request: ConsensusRequest) -> ConsensusResponse {
+    pub fn submit(&self, request: ConsensusRequest) -> Arc<ConsensusResponse> {
         self.submit_batch(vec![request])
-            .into_iter()
-            .next()
+            .pop()
             .expect("batch of one yields one response")
     }
 
     /// Runs a batch of requests across the worker pool and returns one
     /// response per request, in request order, with per-method results in each
     /// request's method order. Blocks until the whole batch completes.
-    pub fn submit_batch(&self, requests: Vec<ConsensusRequest>) -> Vec<ConsensusResponse> {
-        // Phase 1: warm the cache — one build task per distinct dataset,
-        // shared between the pool and this thread via `run_parts`. Method
-        // tasks then always hit.
-        let mut seen = std::collections::HashSet::new();
-        let warm_tasks: Vec<_> = requests
-            .iter()
-            .filter(|r| seen.insert(r.dataset.fingerprint()))
-            .map(|r| {
-                let cache = Arc::clone(&self.cache);
-                let dataset = Arc::clone(&r.dataset);
-                let kernel = self.kernel;
-                move || {
-                    cache.get_or_build_with(&dataset, &kernel);
-                }
-            })
-            .collect();
-        self.pool.run_parts(warm_tasks);
-
-        // Phase 2: fan out one task per (request, method) pair.
-        let mut shapes = Vec::with_capacity(requests.len());
-        let mut tasks: Vec<Box<dyn FnOnce() -> Result<MethodResult, EngineError> + Send>> =
-            Vec::new();
-        for request in requests {
-            let validation = request.validate();
-            shapes.push((
-                request.dataset.name().to_string(),
-                request.methods.len(),
-                validation.err(),
-            ));
-            if shapes.last().expect("just pushed").2.is_some() {
-                continue;
-            }
-            let budget = request.budget.or(self.config.default_budget);
-            for kind in &request.methods {
-                let kind = *kind;
-                let dataset = Arc::clone(&request.dataset);
-                let thresholds = request.thresholds.clone();
-                let cache = Arc::clone(&self.cache);
-                let kernel = self.kernel;
-                let kernel_counters = Arc::clone(&self.kernel_counters);
-                tasks.push(Box::new(move || {
-                    solve_one(
-                        &cache,
-                        &dataset,
-                        thresholds,
-                        kind,
-                        budget,
-                        kernel,
-                        &kernel_counters,
-                        None,
-                    )
-                }));
-            }
-        }
-        let mut results = self.pool.run_batch(tasks).into_iter();
-
-        // Phase 3: deterministic join back into per-request responses.
-        shapes
+    ///
+    /// Each request runs as a job, exactly as through
+    /// [`ConsensusEngine::submit_batch_async`], except that admission never
+    /// rejects: the caller waits for its own work. The jobs still take ids
+    /// and count in [`EngineStats::in_flight`], [`EngineStats::submitted`] and
+    /// [`EngineStats::completed`] while they run.
+    pub fn submit_batch(&self, requests: Vec<ConsensusRequest>) -> Vec<Arc<ConsensusResponse>> {
+        self.counters
+            .in_flight
+            .fetch_add(requests.len(), Ordering::AcqRel);
+        let handles: Vec<JobHandle> = requests
             .into_iter()
-            .map(|(dataset, method_count, validation_error)| {
-                if let Some(error) = validation_error {
-                    return error_response(dataset, method_count, error);
-                }
-                assemble_response(dataset, results.by_ref().take(method_count).collect())
-            })
-            .collect()
+            .map(|request| self.spawn_job(request))
+            .collect();
+        handles.iter().map(JobHandle::wait).collect()
     }
 
     /// Submits one request without blocking and returns a [`JobHandle`] that
@@ -429,8 +371,7 @@ impl ConsensusEngine {
         self.counters.submitted.fetch_add(1, Ordering::Relaxed);
 
         if let Err(error) = request.validate() {
-            // Invalid requests complete immediately (same response shape as the
-            // blocking path) without occupying a worker.
+            // Invalid requests complete immediately without occupying a worker.
             self.counters.finish_one();
             state.complete(error_response(
                 request.dataset.name().to_string(),
@@ -470,7 +411,7 @@ impl ConsensusEngine {
                         budget,
                         kernel,
                         &kernel_counters,
-                        Some(&trace),
+                        &trace,
                     )
                 }))
                 .unwrap_or_else(|_| {
@@ -495,7 +436,7 @@ struct JobCollector {
     slots: Mutex<Vec<Option<Result<MethodResult, EngineError>>>>,
     remaining: AtomicUsize,
     state: Arc<JobState>,
-    counters: Arc<AsyncCounters>,
+    counters: Arc<JobCounters>,
 }
 
 impl JobCollector {
@@ -520,9 +461,10 @@ impl JobCollector {
 }
 
 /// Runs one method over one dataset against the shared cache — the single
-/// execution path behind both blocking and async submission. When `trace` is
-/// set (async jobs), the cache probe is recorded as `cache_lookup` (hit) or
-/// `matrix_build` (miss) and the method solve as `solve`.
+/// execution path behind every submission style. The cache probe is traced
+/// as `matrix_build` when this task built the artifacts and as `cache_lookup`
+/// otherwise (including any wait on another task's build); the method solve
+/// is traced as `solve`.
 #[allow(clippy::too_many_arguments)] // internal seam: every site is in this file
 fn solve_one(
     cache: &PrecedenceCache,
@@ -532,18 +474,16 @@ fn solve_one(
     budget: Option<u64>,
     kernel: Parallelism,
     kernel_counters: &KernelCounters,
-    trace: Option<&TraceTimeline>,
+    trace: &TraceTimeline,
 ) -> Result<MethodResult, EngineError> {
     let lookup_started = Instant::now();
     let (artifacts, cache_hit) = cache.get_or_build_with(dataset, &kernel);
-    if let Some(trace) = trace {
-        let phase = if cache_hit {
-            "cache_lookup"
-        } else {
-            "matrix_build"
-        };
-        trace.record(phase, lookup_started, lookup_started.elapsed());
-    }
+    let phase = if cache_hit {
+        "cache_lookup"
+    } else {
+        "matrix_build"
+    };
+    trace.record(phase, lookup_started, lookup_started.elapsed());
     let ctx = MfcrContext::new(
         dataset.db(),
         &artifacts.groups,
@@ -559,9 +499,7 @@ fn solve_one(
     let started = Instant::now();
     let outcome = method.solve(&ctx);
     let duration = started.elapsed();
-    if let Some(trace) = trace {
-        trace.record("solve", started, duration);
-    }
+    trace.record("solve", started, duration);
     let outcome = outcome?;
     kernel_counters
         .solve_ns
@@ -686,11 +624,15 @@ mod tests {
         }
         let stats = engine.cache().stats();
         assert_eq!(stats.builds, 2, "two distinct datasets, two builds");
-        // Every method task hit the warmed cache.
-        assert!(responses
+        // Exactly one method task per distinct dataset ran the build; every
+        // other task, including those that waited on it, hit.
+        let misses = responses
             .iter()
-            .flat_map(ConsensusResponse::successes)
-            .all(|r| r.cache_hit));
+            .flat_map(|response| response.successes())
+            .filter(|r| !r.cache_hit)
+            .count();
+        assert_eq!(misses, 2, "one miss per distinct dataset");
+        assert_eq!(stats.hits + stats.builds, stats.lookups);
     }
 
     #[test]
@@ -787,8 +729,11 @@ mod tests {
             FairnessThresholds::uniform(0.3),
         ));
         assert!(response.is_complete());
+        assert!(
+            engine.cache().stats().build_ns > 0,
+            "one matrix build must be timed"
+        );
         let stats = engine.stats();
-        assert!(stats.matrix_build_ns > 0, "one matrix build must be timed");
         assert!(stats.solve_ns > 0, "method solves must be timed");
         assert!(
             stats.nodes_expanded > 0,
@@ -906,7 +851,7 @@ mod tests {
             [MethodKind::FairBorda, MethodKind::FairCopeland],
             FairnessThresholds::uniform(0.2),
         ));
-        // Busy-guard drops may trail the batch join by an instant.
+        // Busy-guard drops may trail the job's completion by an instant.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             let stats = engine.stats();
@@ -935,5 +880,102 @@ mod tests {
             Err(EngineError::InvalidRequest(_))
         ));
         assert_eq!(engine.stats().in_flight, 0);
+    }
+
+    /// Occupies the engine's only worker until the returned sender fires (or
+    /// is dropped), so jobs submitted meanwhile stay queued behind it.
+    fn park_the_only_worker(engine: &ConsensusEngine) -> std::sync::mpsc::Sender<()> {
+        assert_eq!(engine.threads(), 1);
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        engine.pool.execute(Box::new(move || {
+            let _ = parked.recv();
+        }));
+        release
+    }
+
+    #[test]
+    fn wait_timeout_expires_on_slow_jobs_and_status_progresses() {
+        let engine = ConsensusEngine::with_config(config(1));
+        let release = park_the_only_worker(&engine);
+        let handle = engine
+            .submit_async(ConsensusRequest::new(
+                dataset(10, 11),
+                [MethodKind::FairSchulze],
+                FairnessThresholds::uniform(0.2),
+            ))
+            .expect("empty queue");
+        assert_eq!(handle.id().to_string(), "job-1");
+        // The worker is parked, so the job cannot start inside the timeout.
+        assert!(handle.wait_timeout(Duration::from_millis(1)).is_none());
+        assert_eq!(handle.status(), JobStatus::Queued);
+
+        release.send(()).expect("the parked worker is waiting");
+        let response = handle.wait();
+        assert!(response.is_complete());
+        assert_eq!(handle.status(), JobStatus::Done);
+        assert!(handle.wait_timeout(Duration::from_millis(1)).is_some());
+        // try_poll keeps returning the same shared response.
+        let a = handle.try_poll().unwrap();
+        let b = handle.try_poll().unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn completions_stream_in_as_completed_order() {
+        let engine = ConsensusEngine::with_config(config(1));
+        let release = park_the_only_worker(&engine);
+        let valid = ConsensusRequest::new(
+            dataset(10, 12),
+            [MethodKind::FairBorda],
+            FairnessThresholds::uniform(0.2),
+        );
+        let invalid = ConsensusRequest::new(dataset(8, 13), [], FairnessThresholds::uniform(0.2));
+        let mut batch = engine
+            .submit_batch_streaming(vec![valid, invalid])
+            .expect("queue is empty");
+        assert_eq!(batch.len(), 2);
+
+        // The invalid request (index 1) completes at submission, while the
+        // valid one (index 0) is still queued behind the parked worker.
+        let first = batch.wait_next().expect("two jobs were submitted");
+        assert_eq!(first.index, 1, "the completed request must stream first");
+        assert!(matches!(
+            first.response.results[0],
+            Err(EngineError::InvalidRequest(_))
+        ));
+        assert_eq!(batch.handles()[0].status(), JobStatus::Queued);
+
+        release.send(()).expect("the parked worker is waiting");
+        let second = batch.wait_next().expect("the valid job completes too");
+        assert_eq!(second.index, 0);
+        assert!(second.response.is_complete());
+        assert!(batch.is_drained());
+        assert!(batch.wait_next().is_none());
+    }
+
+    #[test]
+    fn blocking_batch_over_queue_depth_runs_and_counts_as_jobs() {
+        let engine = ConsensusEngine::with_config(EngineConfig {
+            threads: 2,
+            queue_depth: 2,
+            ..EngineConfig::default()
+        });
+        let requests: Vec<ConsensusRequest> = (0..5)
+            .map(|i| {
+                ConsensusRequest::new(
+                    dataset(8, 30 + i),
+                    [MethodKind::FairBorda, MethodKind::FairCopeland],
+                    FairnessThresholds::uniform(0.2),
+                )
+            })
+            .collect();
+        let responses = engine.submit_batch(requests);
+        assert_eq!(responses.len(), 5);
+        assert!(responses.iter().all(|r| r.is_complete()));
+        let stats = engine.stats();
+        assert_eq!(stats.submitted, 5, "blocking requests are jobs");
+        assert_eq!(stats.completed, 5);
+        assert_eq!(stats.in_flight, 0, "every slot released");
+        assert_eq!(stats.rejected, 0, "blocking admission never rejects");
     }
 }

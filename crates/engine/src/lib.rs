@@ -8,8 +8,10 @@
 //!   dataset, a list of [`mani_core::MethodKind`]s, fairness thresholds Δ, and
 //!   an optional exact-solver node budget in; evaluated
 //!   [`mani_core::MfcrOutcome`]s with per-method timings out.
-//! * [`ConsensusEngine`] — fans batches out across a [`WorkerPool`] of `std`
-//!   threads and joins results in deterministic request order.
+//! * [`ConsensusEngine`] — runs every request as a job, one task per method
+//!   on a [`WorkerPool`] of `std` threads; the blocking
+//!   [`ConsensusEngine::submit_batch`] waits on the jobs and returns their
+//!   responses in request order.
 //! * [`JobHandle`] — non-blocking submission: [`ConsensusEngine::submit_async`]
 //!   returns a handle backed by a bounded queue ([`EngineConfig::queue_depth`])
 //!   that can be polled, waited on, or registered by [`JobId`]; a full queue

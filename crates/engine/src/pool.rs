@@ -2,16 +2,13 @@
 //!
 //! The engine deliberately avoids external executor crates: jobs are boxed
 //! closures pushed down an [`mpsc`] channel that every worker drains through a
-//! shared receiver. [`WorkerPool::run_batch`] layers deterministic result
-//! collection on top — tasks are indexed at submission and results re-ordered
-//! on arrival, so callers observe request order no matter which worker
-//! finished first. [`WorkerPool::run_parts`] is the lightweight scoped
-//! variant for splitting *one* computation: the calling thread co-executes,
-//! so it makes progress even when every worker is busy (or when called from a
-//! worker itself).
+//! shared receiver. The pool only executes fire-and-forget jobs
+//! ([`WorkerPool::execute`]); collecting results is the caller's business —
+//! the engine's job collectors gather each request's method results and
+//! publish them through a [`crate::JobHandle`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -72,11 +69,6 @@ impl WorkerPool {
         }
     }
 
-    /// A pool sized to the machine: one worker per available core.
-    pub fn with_default_size() -> Self {
-        Self::new(default_threads())
-    }
-
     /// Number of worker threads.
     pub fn num_threads(&self) -> usize {
         self.workers.len()
@@ -117,140 +109,6 @@ impl WorkerPool {
             executed: self.counters.executed.load(Ordering::Relaxed),
         }
     }
-
-    /// Runs every task on the pool and returns their outputs **in submission
-    /// order**, blocking until all have finished.
-    ///
-    /// # Panics
-    /// Panics if any task panicked (the panic is reported, not swallowed).
-    pub fn run_batch<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let count = tasks.len();
-        let (result_tx, result_rx) = mpsc::channel::<(usize, T)>();
-        for (index, task) in tasks.into_iter().enumerate() {
-            let result_tx = result_tx.clone();
-            self.execute(Box::new(move || {
-                let output = task();
-                // The receiver only disappears if `run_batch`'s caller panicked
-                // while collecting; nothing useful to do with the result then.
-                let _ = result_tx.send((index, output));
-            }));
-        }
-        drop(result_tx);
-
-        let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-        for (index, output) in result_rx {
-            slots[index] = Some(output);
-        }
-        let missing = slots.iter().filter(|s| s.is_none()).count();
-        assert!(
-            missing == 0,
-            "{missing} of {count} pool tasks panicked before producing a result"
-        );
-        slots
-            .into_iter()
-            .map(|s| s.expect("checked above"))
-            .collect()
-    }
-
-    /// Runs the parts of one divisible computation, sharing them between the
-    /// pool and the **calling thread**, and returns the outputs in part order.
-    ///
-    /// Unlike [`WorkerPool::run_batch`], the caller claims and executes every
-    /// part the pool has not yet started, so:
-    ///
-    /// * a busy pool degrades to inline execution instead of queueing delay;
-    /// * a worker thread may call `run_parts` itself without deadlocking (the
-    ///   nested call's parts are drained by that worker inline).
-    ///
-    /// This is the engine-level shard/merge primitive; kernels that need to
-    /// borrow request-local data use `mani_ranking::run_parts` (scoped
-    /// threads) instead.
-    ///
-    /// # Panics
-    /// Panics if any part panicked (the panic is reported, not swallowed).
-    pub fn run_parts<T, F>(&self, parts: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        struct Slot<F> {
-            claimed: AtomicBool,
-            part: Mutex<Option<F>>,
-        }
-        fn claim<F>(slot: &Slot<F>) -> Option<F> {
-            if slot.claimed.swap(true, Ordering::AcqRel) {
-                return None;
-            }
-            Some(
-                slot.part
-                    .lock()
-                    .expect("part slot lock poisoned")
-                    .take()
-                    .expect("a freshly claimed part is present"),
-            )
-        }
-
-        let count = parts.len();
-        if count == 0 {
-            return Vec::new();
-        }
-        let slots: Arc<Vec<Slot<F>>> = Arc::new(
-            parts
-                .into_iter()
-                .map(|part| Slot {
-                    claimed: AtomicBool::new(false),
-                    part: Mutex::new(Some(part)),
-                })
-                .collect(),
-        );
-        let (result_tx, result_rx) = mpsc::channel::<(usize, T)>();
-        for index in 0..count {
-            let slots = Arc::clone(&slots);
-            let result_tx = result_tx.clone();
-            self.execute(Box::new(move || {
-                if let Some(part) = claim(&slots[index]) {
-                    let _ = result_tx.send((index, part()));
-                }
-            }));
-        }
-
-        // Claim from the back while workers drain the queue from the front:
-        // by the time the caller reaches a part, it either runs it inline or
-        // a worker is already executing it (never merely queued).
-        let mut outputs: Vec<Option<T>> = (0..count).map(|_| None).collect();
-        let mut worker_claimed = count;
-        for index in (0..count).rev() {
-            if let Some(part) = claim(&slots[index]) {
-                outputs[index] = Some(part());
-                worker_claimed -= 1;
-            }
-        }
-        drop(result_tx);
-        // After the sweep every part is claimed, so exactly `worker_claimed`
-        // results arrive from the pool. Receiving by count — never by channel
-        // close — matters for liveness: queued no-op wrappers for
-        // caller-claimed parts still hold senders, and when the caller *is*
-        // the pool's only worker (nested call) they would never drop. The
-        // iterator still terminates early if a worker part panics (its wrapper
-        // sends nothing and all senders eventually drop), surfacing the panic
-        // through the missing-result check below.
-        for (index, output) in result_rx.iter().take(worker_claimed) {
-            outputs[index] = Some(output);
-        }
-        let missing = outputs.iter().filter(|o| o.is_none()).count();
-        assert!(
-            missing == 0,
-            "{missing} of {count} pool parts panicked before producing a result"
-        );
-        outputs
-            .into_iter()
-            .map(|o| o.expect("checked above"))
-            .collect()
-    }
 }
 
 impl Drop for WorkerPool {
@@ -271,8 +129,7 @@ fn worker_loop(receiver: &Arc<Mutex<Receiver<Job>>>) {
         };
         match job {
             // A panicking job must not kill the worker: remaining queued jobs
-            // still need a thread. The panic surfaces in `run_batch` as a
-            // missing result.
+            // still need a thread.
             Ok(job) => {
                 let _ = catch_unwind(AssertUnwindSafe(job));
             }
@@ -291,71 +148,60 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
 
-    #[test]
-    fn batch_results_arrive_in_submission_order() {
-        let pool = WorkerPool::new(4);
-        let tasks: Vec<_> = (0..32usize)
-            .map(|i| {
-                move || {
-                    // Stagger so completion order differs from submission order.
-                    std::thread::sleep(std::time::Duration::from_millis((32 - i as u64) % 7));
-                    i * 10
-                }
-            })
-            .collect();
-        let results = pool.run_batch(tasks);
-        assert_eq!(results, (0..32).map(|i| i * 10).collect::<Vec<_>>());
+    /// Enqueues `jobs` jobs that each send their index down a channel, and
+    /// returns the receiver.
+    fn send_indexes(pool: &WorkerPool, jobs: usize) -> Receiver<usize> {
+        let (tx, rx) = mpsc::channel();
+        for index in 0..jobs {
+            let tx = tx.clone();
+            pool.execute(Box::new(move || {
+                tx.send(index).expect("test receiver alive")
+            }));
+        }
+        rx
+    }
+
+    /// Polls until the pool reports `executed` finished jobs and an idle
+    /// state: the busy guard drops just after a job's last statement, so it
+    /// may trail a completion message by an instant.
+    fn wait_for_idle(pool: &WorkerPool, executed: u64) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let stats = pool.stats();
+            if stats.executed == executed && stats.busy == 0 && stats.queued == 0 {
+                return;
+            }
+            assert!(Instant::now() < deadline, "stats stuck: {stats:?}");
+            std::thread::yield_now();
+        }
     }
 
     #[test]
     fn all_workers_participate() {
         let pool = WorkerPool::new(4);
         assert_eq!(pool.num_threads(), 4);
-        let counter = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<_> = (0..64)
-            .map(|_| {
-                let counter = counter.clone();
-                move || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                }
-            })
-            .collect();
-        pool.run_batch(tasks);
-        assert_eq!(counter.load(Ordering::Relaxed), 64);
+        let mut seen: Vec<usize> = send_indexes(&pool, 64).iter().take(64).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..64).collect::<Vec<_>>(), "every job ran once");
     }
 
     #[test]
     fn zero_threads_clamps_to_one() {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.num_threads(), 1);
-        let results = pool.run_batch(vec![|| 7usize]);
-        assert_eq!(results, vec![7]);
-    }
-
-    #[test]
-    #[should_panic(expected = "pool tasks panicked")]
-    fn panicking_task_is_reported_not_hung() {
-        let pool = WorkerPool::new(2);
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![
-            Box::new(|| 1),
-            Box::new(|| panic!("task exploded")),
-            Box::new(|| 3),
-        ];
-        pool.run_batch(tasks);
+        let rx = send_indexes(&pool, 1);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(0));
     }
 
     #[test]
     fn pool_survives_a_panicking_job() {
         let pool = WorkerPool::new(1);
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_batch(vec![Box::new(|| panic!("boom")) as Box<dyn FnOnce() + Send>])
-        }));
-        assert!(outcome.is_err());
+        pool.execute(Box::new(|| panic!("boom")));
         // The single worker must still be alive to run this.
-        let results = pool.run_batch(vec![|| 42usize]);
-        assert_eq!(results, vec![42]);
+        let rx = send_indexes(&pool, 1);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(0));
     }
 
     #[test]
@@ -366,97 +212,15 @@ mod tests {
     #[test]
     fn stats_count_executed_jobs_and_drain_to_idle() {
         let pool = WorkerPool::new(2);
-        let results = pool.run_batch((0..8usize).map(|i| move || i).collect::<Vec<_>>());
-        assert_eq!(results.len(), 8);
-        // run_batch returns once results arrive; the final busy-guard drop may
-        // trail by an instant, so poll briefly.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            let stats = pool.stats();
-            if stats.executed == 8 && stats.busy == 0 && stats.queued == 0 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "stats stuck: {stats:?}"
-            );
-            std::thread::yield_now();
-        }
+        let rx = send_indexes(&pool, 8);
+        assert_eq!(rx.iter().take(8).count(), 8);
+        wait_for_idle(&pool, 8);
     }
 
     #[test]
     fn stats_balance_after_a_panicking_job() {
         let pool = WorkerPool::new(1);
-        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_batch(vec![Box::new(|| panic!("boom")) as Box<dyn FnOnce() + Send>])
-        }));
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            let stats = pool.stats();
-            if stats.executed == 1 && stats.busy == 0 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "stats stuck: {stats:?}"
-            );
-            std::thread::yield_now();
-        }
-    }
-
-    #[test]
-    fn run_parts_preserves_order_and_runs_everything_once() {
-        let pool = WorkerPool::new(3);
-        let counter = Arc::new(AtomicUsize::new(0));
-        let parts: Vec<_> = (0..24usize)
-            .map(|i| {
-                let counter = counter.clone();
-                move || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    i * 2
-                }
-            })
-            .collect();
-        let results = pool.run_parts(parts);
-        assert_eq!(results, (0..24).map(|i| i * 2).collect::<Vec<_>>());
-        assert_eq!(
-            counter.load(Ordering::Relaxed),
-            24,
-            "each part ran exactly once"
-        );
-    }
-
-    #[test]
-    fn nested_run_parts_from_a_worker_does_not_deadlock() {
-        // A single-worker pool: the worker itself calls run_parts, so every
-        // nested part must be drained inline by that worker.
-        let pool = Arc::new(WorkerPool::new(1));
-        let inner_pool = Arc::clone(&pool);
-        let results = pool.run_parts(vec![move || {
-            let inner: Vec<usize> = inner_pool.run_parts((0..8usize).map(|i| move || i).collect());
-            inner.iter().sum::<usize>()
-        }]);
-        assert_eq!(results, vec![28]);
-    }
-
-    #[test]
-    fn run_parts_handles_empty_input() {
-        let pool = WorkerPool::new(2);
-        let parts: Vec<fn() -> u32> = Vec::new();
-        assert!(pool.run_parts(parts).is_empty());
-    }
-
-    // No expected message: the panic surfaces directly when the caller claimed
-    // the part inline, and as the missing-result report when a worker did.
-    #[test]
-    #[should_panic]
-    fn run_parts_reports_panicking_parts() {
-        let pool = WorkerPool::new(2);
-        let parts: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![
-            Box::new(|| 1),
-            Box::new(|| panic!("part exploded")),
-            Box::new(|| 3),
-        ];
-        pool.run_parts(parts);
+        pool.execute(Box::new(|| panic!("boom")));
+        wait_for_idle(&pool, 1);
     }
 }

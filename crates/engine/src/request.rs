@@ -77,7 +77,9 @@ pub struct MethodResult {
     pub outcome: MfcrOutcome,
     /// Wall-clock time spent inside the method's `solve`.
     pub duration: Duration,
-    /// Whether the precedence matrix came out of the shared cache.
+    /// Whether the precedence matrix came out of the shared cache: `false`
+    /// only for the one task that built it. A task that waited on another
+    /// task's build is a hit.
     pub cache_hit: bool,
 }
 

@@ -174,7 +174,7 @@ impl AppState {
             ))),
             Routed::Found(Route::Stats) => Ok(Handled::Response(HttpResponse::json(
                 200,
-                render(&self.service.stats(&self.connections.snapshot().into())),
+                render(&self.service.stats(&self.connections.snapshot())),
             ))),
             Routed::Found(Route::Version) => Ok(Handled::Response(HttpResponse::json(
                 200,
@@ -186,7 +186,7 @@ impl AppState {
                 extra_headers: Vec::new(),
                 body: self
                     .service
-                    .metrics_exposition(&BUILD_INFO, &self.connections.snapshot().into()),
+                    .metrics_exposition(&BUILD_INFO, &self.connections.snapshot()),
             })),
         };
         let response = match outcome {

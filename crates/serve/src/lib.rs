@@ -96,7 +96,7 @@ pub mod server;
 pub use codec::{BodyCodec, JSON_CONTENT_TYPE, NDJSON_CONTENT_TYPE};
 pub use handlers::{api_error_status, AppState, ConsensusStream, Handled};
 pub use http::{ChunkedBody, ChunkedResponse, HttpError, HttpRequest, HttpResponse};
-pub use metrics::{ServeCounters, ServeCountersSnapshot};
+pub use metrics::ServeCounters;
 pub use router::{route, Route, Routed};
 pub use server::{Server, ServerConfig, ServerHandle};
 

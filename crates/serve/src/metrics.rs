@@ -4,7 +4,7 @@
 //! operation-level concern every transport shares); what remains here is the
 //! one piece of telemetry only this HTTP server can observe: the connection
 //! pool. [`ServeCounters`] tracks accepted connections, `503`-rejected ones,
-//! requests served, and keep-alive reuses, and bridges into the service
+//! requests served, and keep-alive reuses, and snapshots them as the service
 //! core's transport-neutral [`TransportStats`] for `/v1/stats` and
 //! `/metrics` rendering.
 
@@ -21,37 +21,6 @@ pub struct ServeCounters {
     keepalive_reuses: AtomicU64,
     max_connections: AtomicU64,
     conn_threads: AtomicU64,
-}
-
-/// Point-in-time copy of [`ServeCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeCountersSnapshot {
-    /// Connections handed to the worker pool.
-    pub accepted: u64,
-    /// Connections answered `503` at the accept path (pool saturated or
-    /// worker spawn failure).
-    pub rejected_busy: u64,
-    /// HTTP exchanges served (all endpoints, all connections).
-    pub requests: u64,
-    /// Exchanges served on an already-used connection (keep-alive hits).
-    pub keepalive_reuses: u64,
-    /// Configured connection bound (0 until a server configures it).
-    pub max_connections: u64,
-    /// Configured worker count (0 until a server configures it).
-    pub conn_threads: u64,
-}
-
-impl From<ServeCountersSnapshot> for TransportStats {
-    fn from(snapshot: ServeCountersSnapshot) -> Self {
-        TransportStats {
-            max_connections: snapshot.max_connections,
-            conn_threads: snapshot.conn_threads,
-            accepted: snapshot.accepted,
-            rejected_busy: snapshot.rejected_busy,
-            requests: snapshot.requests,
-            keepalive_reuses: snapshot.keepalive_reuses,
-        }
-    }
 }
 
 impl ServeCounters {
@@ -86,15 +55,15 @@ impl ServeCounters {
         }
     }
 
-    /// Current counter values.
-    pub fn snapshot(&self) -> ServeCountersSnapshot {
-        ServeCountersSnapshot {
+    /// Current counter values, in the service core's transport-neutral form.
+    pub fn snapshot(&self) -> TransportStats {
+        TransportStats {
+            max_connections: self.max_connections.load(Ordering::Relaxed),
+            conn_threads: self.conn_threads.load(Ordering::Relaxed),
             accepted: self.accepted.load(Ordering::Relaxed),
             rejected_busy: self.rejected_busy.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
             keepalive_reuses: self.keepalive_reuses.load(Ordering::Relaxed),
-            max_connections: self.max_connections.load(Ordering::Relaxed),
-            conn_threads: self.conn_threads.load(Ordering::Relaxed),
         }
     }
 }
@@ -106,32 +75,22 @@ mod tests {
     #[test]
     fn serve_counters_accumulate() {
         let counters = ServeCounters::new();
+        assert_eq!(counters.snapshot(), TransportStats::default());
         counters.configure(256, 8);
         counters.record_accepted();
         counters.record_request(false);
         counters.record_request(true);
         counters.record_rejected_busy();
-        let snap = counters.snapshot();
-        assert_eq!(snap.accepted, 1);
-        assert_eq!(snap.requests, 2);
-        assert_eq!(snap.keepalive_reuses, 1);
-        assert_eq!(snap.rejected_busy, 1);
-        assert_eq!(snap.max_connections, 256);
-        assert_eq!(snap.conn_threads, 8);
-    }
-
-    #[test]
-    fn snapshots_bridge_into_transport_stats() {
-        let counters = ServeCounters::new();
-        counters.configure(64, 4);
-        counters.record_accepted();
-        counters.record_request(false);
-        let stats: TransportStats = counters.snapshot().into();
-        assert_eq!(stats.max_connections, 64);
-        assert_eq!(stats.conn_threads, 4);
-        assert_eq!(stats.accepted, 1);
-        assert_eq!(stats.requests, 1);
-        assert_eq!(stats.rejected_busy, 0);
-        assert_eq!(stats.keepalive_reuses, 0);
+        assert_eq!(
+            counters.snapshot(),
+            TransportStats {
+                max_connections: 256,
+                conn_threads: 8,
+                accepted: 1,
+                rejected_busy: 1,
+                requests: 2,
+                keepalive_reuses: 1,
+            }
+        );
     }
 }

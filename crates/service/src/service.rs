@@ -1203,7 +1203,7 @@ impl Service {
             (
                 "kernels",
                 obj(vec![
-                    ("matrix_build_ns", Value::UInt(engine.matrix_build_ns)),
+                    ("matrix_build_ns", Value::UInt(precedence.build_ns)),
                     ("solve_ns", Value::UInt(engine.solve_ns)),
                     ("nodes_expanded", Value::UInt(engine.nodes_expanded)),
                     ("fw_blocked_solves", Value::UInt(engine.fw_blocked_solves)),
@@ -1417,7 +1417,7 @@ impl Service {
         w.sample(
             "mani_engine_matrix_build_seconds_total",
             &[],
-            engine.matrix_build_ns as f64 / 1e9,
+            precedence.build_ns as f64 / 1e9,
         );
         w.family(
             "mani_engine_solve_seconds_total",
@@ -1922,18 +1922,14 @@ mod tests {
     fn every_engine_counter_appears_on_both_stats_surfaces() {
         let service = service();
         // Destructured field by field, so a field added to or removed from
-        // `EngineStats` fails to compile here until this table says where
-        // it renders on both surfaces.
+        // `EngineStats` or `CacheStats` fails to compile here until this
+        // table says where it renders on both surfaces.
         let mani_engine::EngineStats {
             queue_depth,
             in_flight,
             submitted,
             completed,
             rejected,
-            matrix_build_ns,
-            delta_appends,
-            delta_retracts,
-            delta_rebuild_fallbacks,
             solve_ns,
             nodes_expanded,
             batches_opened,
@@ -1946,6 +1942,16 @@ mod tests {
             fw_tiles_relaxed,
             ranking_shard_tasks,
         } = service.engine.stats();
+        let mani_engine::CacheStats {
+            lookups,
+            hits,
+            builds,
+            build_ns,
+            delta_appends,
+            delta_retracts,
+            delta_rebuild_fallbacks,
+            entries,
+        } = service.engine.cache().stats();
         let surfaces = [
             (
                 queue_depth as u64,
@@ -1980,7 +1986,7 @@ mod tests {
                 "mani_pool_tasks_executed_total",
             ),
             (
-                matrix_build_ns,
+                build_ns,
                 "kernels/matrix_build_ns",
                 "mani_engine_matrix_build_seconds_total",
             ),
@@ -2025,6 +2031,21 @@ mod tests {
                 "mani_engine_batch_results_yielded_total",
             ),
             (
+                lookups,
+                "precedence_cache/lookups",
+                "mani_precedence_cache_lookups_total",
+            ),
+            (
+                hits,
+                "precedence_cache/hits",
+                "mani_precedence_cache_hits_total",
+            ),
+            (
+                builds,
+                "precedence_cache/builds",
+                "mani_precedence_cache_builds_total",
+            ),
+            (
                 delta_appends,
                 "precedence_cache/delta_appends",
                 "mani_precedence_cache_delta_appends_total",
@@ -2038,6 +2059,11 @@ mod tests {
                 delta_rebuild_fallbacks,
                 "precedence_cache/delta_rebuild_fallbacks",
                 "mani_precedence_cache_delta_rebuilds_total",
+            ),
+            (
+                entries as u64,
+                "precedence_cache/entries",
+                "mani_precedence_cache_entries",
             ),
         ];
         // Rendered after the snapshot, so every counter reads at least the

@@ -123,7 +123,7 @@ fn batch_ordering_is_deterministic_across_thread_counts() {
                         format!("{}:{order:?}", r.method.name())
                     })
                     .collect();
-                (response.dataset, methods)
+                (response.dataset.clone(), methods)
             })
             .collect()
     };
