@@ -12,14 +12,12 @@
 //! satisfies them but represents the base rankings poorly. They exist to reproduce
 //! Figures 4–7.
 
-use mani_aggregation::{
-    kemeny_local_search, weighted_precedence_matrix, BordaAggregator, LocalSearchConfig,
-};
+use mani_aggregation::{kemeny_local_search, weighted_precedence_matrix, LocalSearchConfig};
 use mani_fairness::ParityScores;
 use mani_ranking::{Ranking, Result};
 use mani_solver::{KemenyProblem, SolverConfig};
 
-use crate::context::{solver_config_for_ctx, MfcrContext};
+use crate::context::{solver_config_for_ctx, BaseAggregator, MfcrContext};
 use crate::make_mr_fair::make_mr_fair;
 use crate::methods::MfcrMethod;
 use crate::report::MfcrOutcome;
@@ -70,7 +68,7 @@ impl MfcrMethod for ExactKemeny {
     fn solve(&self, ctx: &MfcrContext<'_>) -> Result<MfcrOutcome> {
         let matrix = ctx.precedence_matrix().into_owned();
         // Seed with a locally-optimal refinement of the Borda consensus.
-        let borda = BordaAggregator::new().consensus(ctx.profile);
+        let borda = ctx.base_consensus(BaseAggregator::Borda);
         let (incumbent, _) = kemeny_local_search(&matrix, &borda, LocalSearchConfig::default())?;
         let problem = KemenyProblem::unconstrained(matrix);
         let config = solver_config_for_ctx(&self.solver_config, ctx);
@@ -133,7 +131,7 @@ impl MfcrMethod for KemenyWeighted {
     fn solve(&self, ctx: &MfcrContext<'_>) -> Result<MfcrOutcome> {
         let weights = Self::weights(ctx);
         let matrix = weighted_precedence_matrix(ctx.profile, &weights)?;
-        let borda = BordaAggregator::new().consensus(ctx.profile);
+        let borda = ctx.base_consensus(BaseAggregator::Borda);
         let (incumbent, _) = kemeny_local_search(&matrix, &borda, LocalSearchConfig::default())?;
         let problem = KemenyProblem::unconstrained(matrix);
         let config = solver_config_for_ctx(&self.solver_config, ctx);

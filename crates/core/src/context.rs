@@ -1,17 +1,117 @@
-//! Shared input bundle for MFCR methods.
+//! Shared input bundle for MFCR methods, and the memo of the Δ-independent
+//! base consensus rankings they correct.
 
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
+use mani_aggregation::{BordaAggregator, CopelandAggregator, SchulzeAggregator};
 use mani_fairness::FairnessThresholds;
-use mani_ranking::{CandidateDb, GroupIndex, Parallelism, PrecedenceMatrix, RankingProfile};
+use mani_ranking::{
+    CandidateDb, GroupIndex, Parallelism, PrecedenceMatrix, Ranking, RankingProfile,
+};
+
+/// The fairness-unaware aggregator whose consensus a Fair method corrects
+/// (Section III-B): the first stage of Fair-Borda, Fair-Copeland and
+/// Fair-Schulze, and the seed of the Kemeny searches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BaseAggregator {
+    /// Borda count, from the profile.
+    Borda,
+    /// Copeland, from the precedence matrix.
+    Copeland,
+    /// Schulze, from the precedence matrix.
+    Schulze,
+}
+
+/// Lookup counters shared by every [`ConsensusMemo`] built with
+/// [`ConsensusMemo::with_counters`]: `hits + builds` equals the number of
+/// memoised [`MfcrContext::base_consensus`] calls.
+#[derive(Debug, Default)]
+pub struct MemoCounters {
+    hits: AtomicU64,
+    builds: AtomicU64,
+}
+
+impl MemoCounters {
+    /// Lookups that did not run the aggregator themselves: they found the
+    /// ranking memoised, or waited for another caller computing it.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Lookups that ran the aggregator (one per memo and aggregator).
+    pub fn builds(&self) -> u64 {
+        self.builds.load(Ordering::Relaxed)
+    }
+}
+
+/// One profile's base consensus rankings, computed at most once per
+/// aggregator and shared by every solve of that profile.
+///
+/// None of them depends on Δ, so a solve at a new Δ that finds its slot
+/// filled pays only Make-MR-Fair and evaluation. Attach a memo with
+/// [`MfcrContext::with_consensus_memo`]; it must only ever serve one profile,
+/// which is why the engine creates a fresh memo with every precedence matrix
+/// it builds or derives.
+#[derive(Debug, Default)]
+pub struct ConsensusMemo {
+    borda: OnceLock<Ranking>,
+    copeland: OnceLock<Ranking>,
+    schulze: OnceLock<Ranking>,
+    counters: Arc<MemoCounters>,
+}
+
+impl ConsensusMemo {
+    /// An empty memo that counts its lookups into `counters` (a
+    /// `ConsensusMemo::default()` counts into counters of its own).
+    pub fn with_counters(counters: Arc<MemoCounters>) -> Self {
+        Self {
+            counters,
+            ..Self::default()
+        }
+    }
+
+    fn slot(&self, aggregator: BaseAggregator) -> &OnceLock<Ranking> {
+        match aggregator {
+            BaseAggregator::Borda => &self.borda,
+            BaseAggregator::Copeland => &self.copeland,
+            BaseAggregator::Schulze => &self.schulze,
+        }
+    }
+
+    /// The ranking in `aggregator`'s slot, running `compute` if the slot is
+    /// empty. Concurrent callers on an empty slot run `compute` once; the
+    /// others wait for it and count as hits.
+    fn get_or_compute(
+        &self,
+        aggregator: BaseAggregator,
+        compute: impl FnOnce() -> Ranking,
+    ) -> &Ranking {
+        let mut built = false;
+        let ranking = self.slot(aggregator).get_or_init(|| {
+            built = true;
+            compute()
+        });
+        let counter = if built {
+            &self.counters.builds
+        } else {
+            &self.counters.hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        ranking
+    }
+}
 
 /// Everything an MFCR method needs: the candidate database, its group index, the base
 /// rankings, and the fairness thresholds Δ.
 ///
 /// Optionally the context can carry a *precomputed* precedence matrix for the profile
 /// (see [`MfcrContext::with_precedence`]); every pairwise method then reuses it instead
-/// of paying the `O(n² · |R|)` construction cost again. The batch engine in `mani-engine`
-/// uses this to compute each dataset's matrix exactly once per batch.
+/// of paying the `O(n² · |R|)` construction cost again. It can also carry a
+/// [`ConsensusMemo`] (see [`MfcrContext::with_consensus_memo`]) so the base consensus is
+/// aggregated once per profile rather than once per Δ. The batch engine in `mani-engine`
+/// keeps both per dataset.
 #[derive(Debug, Clone)]
 pub struct MfcrContext<'a> {
     /// Candidate database `X`.
@@ -24,6 +124,8 @@ pub struct MfcrContext<'a> {
     pub thresholds: FairnessThresholds,
     /// Precomputed precedence matrix for `profile`, if the caller already has one.
     precedence: Option<&'a PrecedenceMatrix>,
+    /// Memoised base consensus rankings for `profile`, if the caller keeps them.
+    memo: Option<&'a ConsensusMemo>,
     /// Kernel-parallelism budget for this solve (serial by default).
     parallelism: Parallelism,
 }
@@ -56,6 +158,7 @@ impl<'a> MfcrContext<'a> {
             profile,
             thresholds,
             precedence: None,
+            memo: None,
             parallelism: Parallelism::serial(),
         }
     }
@@ -109,6 +212,35 @@ impl<'a> MfcrContext<'a> {
     /// The attached precedence matrix, if any (used by tests and diagnostics).
     pub fn shared_precedence(&self) -> Option<&'a PrecedenceMatrix> {
         self.precedence
+    }
+
+    /// Attaches a memo of this profile's base consensus rankings. The caller
+    /// guarantees the memo has only ever served this profile: a memo from
+    /// another profile would hand every Fair method a foreign consensus.
+    pub fn with_consensus_memo(mut self, memo: &'a ConsensusMemo) -> Self {
+        self.memo = Some(memo);
+        self
+    }
+
+    /// The profile's consensus under `aggregator`, before any fairness
+    /// correction: borrowed from the attached memo (computing it there first
+    /// if its slot is empty), or freshly computed when no memo is attached.
+    /// Borda reads the profile; Copeland and Schulze read
+    /// [`MfcrContext::precedence_matrix`] under the context's kernel budget.
+    /// Every kernel is bit-identical at every thread count, so a memoised
+    /// ranking equals a fresh one.
+    pub fn base_consensus(&self, aggregator: BaseAggregator) -> Cow<'a, Ranking> {
+        let compute = || match aggregator {
+            BaseAggregator::Borda => BordaAggregator::new().consensus(self.profile),
+            BaseAggregator::Copeland => CopelandAggregator::new()
+                .consensus_from_matrix_with(&self.precedence_matrix(), &self.parallelism),
+            BaseAggregator::Schulze => SchulzeAggregator::new()
+                .consensus_from_matrix_with(&self.precedence_matrix(), &self.parallelism),
+        };
+        match self.memo {
+            Some(memo) => Cow::Borrowed(memo.get_or_compute(aggregator, compute)),
+            None => Cow::Owned(compute()),
+        }
     }
 
     /// Attribute names in schema order (used to label solver constraints).
@@ -174,6 +306,37 @@ mod tests {
         assert!(plain.shared_precedence().is_none());
         assert!(matches!(plain.precedence_matrix(), Cow::Owned(_)));
         assert_eq!(plain.precedence_matrix().as_ref(), &matrix);
+    }
+
+    const AGGREGATORS: [BaseAggregator; 3] = [
+        BaseAggregator::Borda,
+        BaseAggregator::Copeland,
+        BaseAggregator::Schulze,
+    ];
+
+    #[test]
+    fn memoised_base_consensus_is_computed_once_and_equals_a_fresh_one() {
+        let fixture = crate::test_support::TestFixture::low_fair(30, 9, 0.6, 5);
+        let matrix = fixture.profile.precedence_matrix();
+        let counters = Arc::new(MemoCounters::default());
+        let memo = ConsensusMemo::with_counters(Arc::clone(&counters));
+        for delta in [0.1, 0.2, 0.3] {
+            let plain = crate::test_support::low_fair_context(&fixture, delta);
+            let memoised = plain
+                .clone()
+                .with_precedence(&matrix)
+                .with_consensus_memo(&memo);
+            for aggregator in AGGREGATORS {
+                let fresh = plain.base_consensus(aggregator);
+                assert!(matches!(fresh, Cow::Owned(_)));
+                let cached = memoised.base_consensus(aggregator);
+                assert!(matches!(cached, Cow::Borrowed(_)));
+                assert_eq!(cached, fresh, "{aggregator:?}");
+            }
+        }
+        // Three aggregators built once each; the other two Δ hit.
+        assert_eq!(counters.builds(), 3);
+        assert_eq!(counters.hits(), 6);
     }
 
     #[test]

@@ -3,12 +3,10 @@
 //! Borda is the fastest Kemeny approximation, so Fair-Borda is the paper's recommended
 //! method for very large consensus problems (Tables II and III).
 
-use mani_aggregation::BordaAggregator;
 use mani_ranking::Result;
 
-use crate::context::MfcrContext;
-use crate::make_mr_fair::make_mr_fair;
-use crate::methods::MfcrMethod;
+use crate::context::{BaseAggregator, MfcrContext};
+use crate::methods::{correct_base_consensus, MfcrMethod};
 use crate::report::MfcrOutcome;
 
 /// The Fair-Borda MFCR method.
@@ -28,9 +26,7 @@ impl MfcrMethod for FairBorda {
     }
 
     fn solve(&self, ctx: &MfcrContext<'_>) -> Result<MfcrOutcome> {
-        let consensus = BordaAggregator::new().consensus(ctx.profile);
-        let correction = make_mr_fair(&consensus, ctx.groups, &ctx.thresholds);
-        MfcrOutcome::evaluate(self.name(), ctx, correction.ranking, correction.swaps, true)
+        correct_base_consensus(self.name(), BaseAggregator::Borda, ctx)
     }
 }
 

@@ -1,11 +1,9 @@
 //! Fair-Copeland (Section III-B): Copeland aggregation followed by Make-MR-Fair correction.
 
-use mani_aggregation::CopelandAggregator;
 use mani_ranking::Result;
 
-use crate::context::MfcrContext;
-use crate::make_mr_fair::make_mr_fair;
-use crate::methods::MfcrMethod;
+use crate::context::{BaseAggregator, MfcrContext};
+use crate::methods::{correct_base_consensus, MfcrMethod};
 use crate::report::MfcrOutcome;
 
 /// The Fair-Copeland MFCR method.
@@ -25,11 +23,7 @@ impl MfcrMethod for FairCopeland {
     }
 
     fn solve(&self, ctx: &MfcrContext<'_>) -> Result<MfcrOutcome> {
-        let matrix = ctx.precedence_matrix();
-        let consensus =
-            CopelandAggregator::new().consensus_from_matrix_with(&matrix, &ctx.parallelism());
-        let correction = make_mr_fair(&consensus, ctx.groups, &ctx.thresholds);
-        MfcrOutcome::evaluate(self.name(), ctx, correction.ranking, correction.swaps, true)
+        correct_base_consensus(self.name(), BaseAggregator::Copeland, ctx)
     }
 }
 

@@ -56,7 +56,7 @@ pub mod report;
 mod test_support;
 
 pub use baselines::{CorrectFairestPerm, ExactKemeny, KemenyWeighted, PickFairestPerm};
-pub use context::MfcrContext;
+pub use context::{BaseAggregator, ConsensusMemo, MemoCounters, MfcrContext};
 pub use fair_borda::FairBorda;
 pub use fair_copeland::FairCopeland;
 pub use fair_kemeny::FairKemeny;

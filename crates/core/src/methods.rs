@@ -4,11 +4,12 @@ use mani_ranking::Result;
 use serde::{Deserialize, Serialize};
 
 use crate::baselines::{CorrectFairestPerm, ExactKemeny, KemenyWeighted, PickFairestPerm};
-use crate::context::MfcrContext;
+use crate::context::{BaseAggregator, MfcrContext};
 use crate::fair_borda::FairBorda;
 use crate::fair_copeland::FairCopeland;
 use crate::fair_kemeny::FairKemeny;
 use crate::fair_schulze::FairSchulze;
+use crate::make_mr_fair::make_mr_fair;
 use crate::report::MfcrOutcome;
 
 /// A solution method for the MFCR problem (or one of the paper's baselines).
@@ -18,6 +19,19 @@ pub trait MfcrMethod {
 
     /// Produces a consensus ranking for the given context and evaluates it.
     fn solve(&self, ctx: &MfcrContext<'_>) -> Result<MfcrOutcome>;
+}
+
+/// The body of Fair-Borda, Fair-Copeland and Fair-Schulze (Section III-B):
+/// take the context's `aggregator` consensus, correct it with Make-MR-Fair
+/// (Algorithm 2) under the context's Δ, and evaluate the result.
+pub(crate) fn correct_base_consensus(
+    name: &'static str,
+    aggregator: BaseAggregator,
+    ctx: &MfcrContext<'_>,
+) -> Result<MfcrOutcome> {
+    let consensus = ctx.base_consensus(aggregator);
+    let correction = make_mr_fair(&consensus, ctx.groups, &ctx.thresholds);
+    MfcrOutcome::evaluate(name, ctx, correction.ranking, correction.swaps, true)
 }
 
 /// Identifier of every method evaluated in the paper, in the order used by its legends

@@ -9,12 +9,19 @@
 //! asking for the same dataset block on a single build instead of duplicating
 //! it; [`CacheStats::builds`] therefore counts exactly one build per distinct
 //! dataset, and every other lookup counts as a hit.
+//!
+//! Beside each matrix sits a [`ConsensusMemo`]: the dataset's Borda, Copeland
+//! and Schulze consensus rankings, each computed on first use. They do not
+//! depend on Δ, so a solve at a new Δ skips aggregation. Every build and
+//! derivation creates a fresh memo, so a memo only ever serves the one
+//! fingerprint its matrix belongs to.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use mani_core::{ConsensusMemo, MemoCounters};
 use mani_ranking::{GroupIndex, Parallelism, PrecedenceMatrix, Ranking};
 
 use crate::dataset::EngineDataset;
@@ -49,6 +56,8 @@ pub struct SharedArtifacts {
     pub groups: Arc<GroupIndex>,
     /// Precedence matrix of the dataset's profile.
     pub precedence: Arc<PrecedenceMatrix>,
+    /// The profile's base consensus rankings, filled as methods ask for them.
+    pub consensus: Arc<ConsensusMemo>,
 }
 
 /// Counters describing cache effectiveness.
@@ -76,6 +85,13 @@ pub struct CacheStats {
     /// never built, fingerprint mismatch, or an inapplicable retract) and
     /// fell back to a full rebuild.
     pub delta_rebuild_fallbacks: u64,
+    /// Base-consensus lookups answered from a dataset's memo, including
+    /// those that waited for another task computing the same ranking.
+    pub consensus_hits: u64,
+    /// Base-consensus lookups that ran the aggregator: at most one per
+    /// cached dataset and aggregator. `consensus_hits + consensus_builds` is
+    /// the number of base-consensus lookups.
+    pub consensus_builds: u64,
     /// Number of cached datasets.
     pub entries: usize,
 }
@@ -110,6 +126,7 @@ pub struct PrecedenceCache {
     delta_appends: AtomicU64,
     delta_retracts: AtomicU64,
     delta_rebuild_fallbacks: AtomicU64,
+    consensus: Arc<MemoCounters>,
 }
 
 impl PrecedenceCache {
@@ -216,6 +233,7 @@ impl PrecedenceCache {
                 Some(SharedArtifacts {
                     groups,
                     precedence: Arc::new(matrix),
+                    consensus: self.new_memo(),
                 })
             });
         let Some(artifacts) = derived else {
@@ -251,10 +269,17 @@ impl PrecedenceCache {
         let artifacts = SharedArtifacts {
             groups: Arc::new(GroupIndex::new(dataset.db())),
             precedence: Arc::new(dataset.profile().precedence_matrix_with(parallelism)),
+            consensus: self.new_memo(),
         };
         self.build_ns
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         artifacts
+    }
+
+    /// An empty memo for a freshly built or derived matrix, counting into
+    /// this cache's consensus counters.
+    fn new_memo(&self) -> Arc<ConsensusMemo> {
+        Arc::new(ConsensusMemo::with_counters(Arc::clone(&self.consensus)))
     }
 
     /// Current effectiveness counters.
@@ -267,6 +292,8 @@ impl PrecedenceCache {
             delta_appends: self.delta_appends.load(Ordering::Relaxed),
             delta_retracts: self.delta_retracts.load(Ordering::Relaxed),
             delta_rebuild_fallbacks: self.delta_rebuild_fallbacks.load(Ordering::Relaxed),
+            consensus_hits: self.consensus.hits(),
+            consensus_builds: self.consensus.builds(),
             entries: self.entries.lock().expect("cache lock poisoned").len(),
         }
     }
@@ -305,6 +332,7 @@ mod tests {
         assert!(hit_second, "second lookup must hit");
         assert!(Arc::ptr_eq(&first.precedence, &second.precedence));
         assert!(Arc::ptr_eq(&first.groups, &second.groups));
+        assert!(Arc::ptr_eq(&first.consensus, &second.consensus));
         let stats = cache.stats();
         assert_eq!(stats.lookups, 2);
         assert_eq!(stats.hits, 1);
@@ -366,10 +394,16 @@ mod tests {
         );
         let (parent_artifacts, _) = cache.get_or_build(&parent);
         assert!(Arc::ptr_eq(&derived.groups, &parent_artifacts.groups));
+        // The parent's base consensus rankings do not carry over.
+        assert!(!Arc::ptr_eq(
+            &derived.consensus,
+            &parent_artifacts.consensus
+        ));
         // The child entry is warm: the next lookup is a hit on the same Arcs.
         let (hit, was_hit) = cache.get_or_build(&child);
         assert!(was_hit);
         assert!(Arc::ptr_eq(&hit.precedence, &derived.precedence));
+        assert!(Arc::ptr_eq(&hit.consensus, &derived.consensus));
     }
 
     #[test]

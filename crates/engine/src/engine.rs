@@ -491,6 +491,7 @@ fn solve_one(
         thresholds,
     )
     .with_precedence(&artifacts.precedence)
+    .with_consensus_memo(&artifacts.consensus)
     .with_parallelism(kernel);
     let method = match budget {
         Some(nodes) => kind.instantiate_with_nodes(nodes),
@@ -918,6 +919,57 @@ mod tests {
         let a = handle.try_poll().unwrap();
         let b = handle.try_poll().unwrap();
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn queue_overflow_returns_overloaded_instead_of_blocking() {
+        // One worker, queue depth one: while the first job holds its slot,
+        // the very next submission must be rejected — not queued, not blocked.
+        let engine = ConsensusEngine::with_config(EngineConfig {
+            threads: 1,
+            queue_depth: 1,
+            ..EngineConfig::default()
+        });
+        let release = park_the_only_worker(&engine);
+        let first = engine
+            .submit_async(ConsensusRequest::new(
+                dataset(10, 7),
+                [MethodKind::FairSchulze],
+                FairnessThresholds::uniform(0.2),
+            ))
+            .expect("first job fills the queue");
+
+        let rejected = engine.submit_async(ConsensusRequest::new(
+            dataset(8, 8),
+            [MethodKind::FairBorda],
+            FairnessThresholds::uniform(0.2),
+        ));
+        match rejected {
+            Err(EngineError::Overloaded {
+                in_flight,
+                queue_depth,
+            }) => {
+                assert_eq!(in_flight, 1);
+                assert_eq!(queue_depth, 1);
+            }
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.rejected, 1);
+        assert_eq!(stats.in_flight, 1);
+
+        // Draining the queue restores capacity.
+        release.send(()).expect("the parked worker is waiting");
+        assert!(first.wait().is_complete());
+        assert_eq!(engine.stats().in_flight, 0);
+        let accepted = engine
+            .submit_async(ConsensusRequest::new(
+                dataset(8, 9),
+                [MethodKind::FairBorda],
+                FairnessThresholds::uniform(0.2),
+            ))
+            .expect("drained queue accepts again");
+        assert!(accepted.wait().is_complete());
     }
 
     #[test]

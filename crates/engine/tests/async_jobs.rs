@@ -1,12 +1,12 @@
 //! Integration tests for non-blocking submission: bit-identical equivalence
-//! with blocking submission, bounded-queue backpressure, and cache sharing
-//! across handles. The handle lifecycle is tested in `engine.rs`, which can
-//! park the engine's worker.
+//! with blocking submission, and cache sharing across handles. The handle
+//! lifecycle and bounded-queue backpressure are tested in `engine.rs`, which
+//! can park the engine's worker.
 
 use std::sync::Arc;
 
 use mani_core::MethodKind;
-use mani_engine::{ConsensusEngine, ConsensusRequest, EngineConfig, EngineDataset, EngineError};
+use mani_engine::{ConsensusEngine, ConsensusRequest, EngineConfig, EngineDataset};
 use mani_fairness::FairnessThresholds;
 use mani_ranking::{CandidateDbBuilder, Ranking, RankingProfile};
 use rand::rngs::StdRng;
@@ -73,58 +73,6 @@ fn async_handle_is_bit_identical_to_blocking_submit() {
         );
         assert_eq!(b.outcome.correction_swaps, a.outcome.correction_swaps);
     }
-}
-
-#[test]
-fn queue_overflow_returns_overloaded_instead_of_blocking() {
-    // One worker, queue depth one: while the first (heavyweight) job holds its
-    // slot, the very next submission must be rejected — not queued, not blocked.
-    let engine = ConsensusEngine::with_config(EngineConfig {
-        threads: 1,
-        queue_depth: 1,
-        ..EngineConfig::default()
-    });
-    // Large enough that its precedence build + O(n³) Schulze outlives the
-    // microseconds until the second submit below.
-    let heavy = dataset(150, 12, 7);
-    let first = engine
-        .submit_async(ConsensusRequest::new(
-            Arc::clone(&heavy),
-            [MethodKind::FairSchulze],
-            FairnessThresholds::uniform(0.2),
-        ))
-        .expect("first job fills the queue");
-
-    let rejected = engine.submit_async(ConsensusRequest::new(
-        dataset(8, 4, 8),
-        [MethodKind::FairBorda],
-        FairnessThresholds::uniform(0.2),
-    ));
-    match rejected {
-        Err(EngineError::Overloaded {
-            in_flight,
-            queue_depth,
-        }) => {
-            assert_eq!(in_flight, 1);
-            assert_eq!(queue_depth, 1);
-        }
-        other => panic!("expected Overloaded, got {other:?}"),
-    }
-    let stats = engine.stats();
-    assert_eq!(stats.rejected, 1);
-    assert_eq!(stats.in_flight, 1);
-
-    // Draining the queue restores capacity.
-    assert!(first.wait().is_complete());
-    assert_eq!(engine.stats().in_flight, 0);
-    let accepted = engine
-        .submit_async(ConsensusRequest::new(
-            dataset(8, 4, 9),
-            [MethodKind::FairBorda],
-            FairnessThresholds::uniform(0.2),
-        ))
-        .expect("drained queue accepts again");
-    assert!(accepted.wait().is_complete());
 }
 
 #[test]

@@ -296,6 +296,12 @@ impl PrecedenceMatrix {
 
     /// Total Kendall-tau cost of a consensus ranking against the base rankings,
     /// computed from the matrix in O(n²).
+    ///
+    /// The cost is `Σ row(a)[b]` over every pair the consensus places `a`
+    /// above `b`. It is summed row by row in matrix order, selecting the
+    /// cells whose candidate sits lower than `a`: both the row and the `u32`
+    /// positions are read contiguously, so the loop vectorises. Integer sums
+    /// are order-insensitive, so the total is exact.
     pub fn total_disagreements(&self, consensus: &Ranking) -> Result<u64> {
         if consensus.len() != self.n {
             return Err(RankingError::LengthMismatch {
@@ -303,13 +309,15 @@ impl PrecedenceMatrix {
                 right: self.n,
             });
         }
-        let order = consensus.as_slice();
+        let positions: Vec<u32> = consensus.positions().iter().map(|&p| p as u32).collect();
         let mut cost = 0u64;
-        for (i, &above) in order.iter().enumerate() {
-            let row = self.row(above);
-            for &below in &order[i + 1..] {
-                cost += row[below.index()] as u64;
-            }
+        // `chunks_exact` rejects a zero size; an n = 0 matrix has no rows.
+        for (row, &above) in self.counts.chunks_exact(self.n.max(1)).zip(&positions) {
+            cost += row
+                .iter()
+                .zip(&positions)
+                .map(|(&count, &below)| if below > above { count as u64 } else { 0 })
+                .sum::<u64>();
         }
         Ok(cost)
     }
@@ -358,7 +366,7 @@ mod tests {
     use crate::kendall::kendall_tau;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample_rankings() -> Vec<Ranking> {
         vec![
@@ -694,6 +702,27 @@ mod tests {
             let consensus = Ranking::random(n, &mut rng);
             let w = PrecedenceMatrix::from_rankings(&rankings).unwrap();
             let expected: u64 = rankings.iter().map(|r| kendall_tau(&consensus, r).unwrap()).sum();
+            prop_assert_eq!(w.total_disagreements(&consensus).unwrap(), expected);
+        }
+
+        #[test]
+        fn prop_weighted_total_disagreements_matches_weighted_kendall_sums(
+            n in 1usize..15,
+            m in 1usize..8,
+            seed in any::<u64>()
+        ) {
+            // Weights up to 2^28 over at most 7 rankings keep every cell
+            // inside u32 while row sums need the u64 accumulator.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let rankings: Vec<Ranking> = (0..m).map(|_| Ranking::random(n, &mut rng)).collect();
+            let weights: Vec<u32> = (0..m).map(|_| rng.gen_range(1..(1 << 28) + 1) as u32).collect();
+            let consensus = Ranking::random(n, &mut rng);
+            let w = PrecedenceMatrix::from_weighted_rankings(&rankings, &weights).unwrap();
+            let expected: u64 = rankings
+                .iter()
+                .zip(&weights)
+                .map(|(r, &weight)| kendall_tau(&consensus, r).unwrap() * weight as u64)
+                .sum();
             prop_assert_eq!(w.total_disagreements(&consensus).unwrap(), expected);
         }
     }

@@ -24,15 +24,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mani_aggregation::CopelandAggregator;
-use mani_core::{MethodKind, MfcrContext};
+use mani_core::{BaseAggregator, MethodKind, MfcrContext};
 use mani_engine::{
     BatchHandle, ConsensusEngine, ConsensusRequest, ConsensusResponse, EngineConfig, EngineDataset,
     EngineError, JobHandle, JobId, JobStatus, RankingDelta,
 };
 use mani_fairness::{FairnessAudit, FairnessThresholds};
 use mani_obs::{PromWriter, SlowEntry, SlowRing, Span, TraceTimeline};
-use mani_ranking::{CandidateDb, GroupIndex, Ranking, RankingProfile};
+use mani_ranking::{CandidateDb, Ranking, RankingProfile};
 use serde::{Serialize, Value};
 
 use crate::error::{ApiError, ApiErrorKind};
@@ -934,8 +933,12 @@ impl Service {
     /// The audit operation: a per-group FPR audit of a dataset — the
     /// Fair-Copeland consensus under `delta`, the unconstrained Copeland
     /// consensus, and optionally every base ranking. Runs inline on the
-    /// calling thread (audits are `O(n²)`; they do not occupy the consensus
-    /// queue).
+    /// calling thread, outside the consensus queue, on the engine's cached
+    /// artifacts: a dataset a consensus request already warmed costs
+    /// Make-MR-Fair plus the audits, and a cold one pays the `O(n² · |R|)`
+    /// matrix build here, once for every later request too. The
+    /// unconstrained consensus is the memoised Copeland ranking Fair-Copeland
+    /// corrected.
     pub fn audit(&self, body: &Value) -> Result<Value, ApiError> {
         let dataset = resolve_spec_dataset(body, Some(&self.datasets))?;
         let delta = match body.get("delta") {
@@ -944,24 +947,29 @@ impl Service {
         };
         let per_ranking = matches!(body.get("per_ranking"), Some(Value::Bool(true)));
 
-        let groups = GroupIndex::new(dataset.db());
+        let kernel = self.engine.kernel_parallelism();
+        let (artifacts, _) = self.engine.cache().get_or_build_with(&dataset, &kernel);
+        let groups = &*artifacts.groups;
         let ctx = MfcrContext::new(
             dataset.db(),
-            &groups,
+            groups,
             dataset.profile(),
             FairnessThresholds::uniform(delta),
-        );
+        )
+        .with_precedence(&artifacts.precedence)
+        .with_consensus_memo(&artifacts.consensus)
+        .with_parallelism(kernel);
         let outcome = MethodKind::FairCopeland
             .instantiate()
             .solve(&ctx)
             .map_err(|e| ApiError::internal(e.to_string()))?;
-        let fair = FairnessAudit::new("Fair-Copeland", &outcome.ranking, dataset.db(), &groups);
-        let unconstrained = CopelandAggregator::new().consensus(dataset.profile());
+        let fair = FairnessAudit::new("Fair-Copeland", &outcome.ranking, dataset.db(), groups);
+        let unconstrained = ctx.base_consensus(BaseAggregator::Copeland);
         let unfair = FairnessAudit::new(
             "Copeland (unconstrained)",
             &unconstrained,
             dataset.db(),
-            &groups,
+            groups,
         );
 
         let mut entries = vec![
@@ -983,7 +991,7 @@ impl Service {
                             format!("ranking-{index}"),
                             ranking,
                             dataset.db(),
-                            &groups,
+                            groups,
                         )
                         .serialize_value()
                     })
@@ -1234,6 +1242,8 @@ impl Service {
                         "delta_rebuild_fallbacks",
                         Value::UInt(precedence.delta_rebuild_fallbacks),
                     ),
+                    ("consensus_hits", Value::UInt(precedence.consensus_hits)),
+                    ("consensus_builds", Value::UInt(precedence.consensus_builds)),
                     ("entries", Value::UInt(precedence.entries as u64)),
                 ]),
             ),
@@ -1509,6 +1519,16 @@ impl Service {
             "mani_precedence_cache_delta_rebuilds_total",
             "Delta derivations that fell back to a full matrix rebuild.",
             precedence.delta_rebuild_fallbacks,
+        );
+        w.counter(
+            "mani_consensus_memo_hits_total",
+            "Base-consensus lookups answered from a cached dataset's memo.",
+            precedence.consensus_hits,
+        );
+        w.counter(
+            "mani_consensus_memo_builds_total",
+            "Base consensus rankings aggregated (Borda, Copeland or Schulze) into a memo.",
+            precedence.consensus_builds,
         );
         w.gauge(
             "mani_precedence_cache_entries",
@@ -1950,6 +1970,8 @@ mod tests {
             delta_appends,
             delta_retracts,
             delta_rebuild_fallbacks,
+            consensus_hits,
+            consensus_builds,
             entries,
         } = service.engine.cache().stats();
         let surfaces = [
@@ -2061,6 +2083,16 @@ mod tests {
                 "mani_precedence_cache_delta_rebuilds_total",
             ),
             (
+                consensus_hits,
+                "precedence_cache/consensus_hits",
+                "mani_consensus_memo_hits_total",
+            ),
+            (
+                consensus_builds,
+                "precedence_cache/consensus_builds",
+                "mani_consensus_memo_builds_total",
+            ),
+            (
                 entries as u64,
                 "precedence_cache/entries",
                 "mani_precedence_cache_entries",
@@ -2106,6 +2138,129 @@ mod tests {
         assert!(text.contains("\"consensus\""), "{text}");
         assert!(text.contains("\"unconstrained\""), "{text}");
         assert!(text.contains("ranking-0"), "{text}");
+    }
+
+    /// The audit document as `audit` computed it before it read the
+    /// engine's artifacts: its own group index and matrix, a plain
+    /// Fair-Copeland solve and a separate Copeland aggregation.
+    fn standalone_audit(dataset: &EngineDataset, delta: f64) -> Value {
+        let db = dataset.db();
+        let groups = mani_ranking::GroupIndex::new(db);
+        let ctx = MfcrContext::new(
+            db,
+            &groups,
+            dataset.profile(),
+            FairnessThresholds::uniform(delta),
+        );
+        let fair = MethodKind::FairCopeland.instantiate().solve(&ctx).unwrap();
+        let unconstrained =
+            mani_aggregation::CopelandAggregator::new().consensus(dataset.profile());
+        let rankings = dataset
+            .profile()
+            .rankings()
+            .iter()
+            .enumerate()
+            .map(|(index, ranking)| {
+                FairnessAudit::new(format!("ranking-{index}"), ranking, db, &groups)
+                    .serialize_value()
+            })
+            .collect();
+        obj(vec![
+            ("dataset", s(dataset.name())),
+            ("delta", Value::Float(delta)),
+            (
+                "consensus",
+                FairnessAudit::new("Fair-Copeland", &fair.ranking, db, &groups).serialize_value(),
+            ),
+            (
+                "unconstrained",
+                FairnessAudit::new("Copeland (unconstrained)", &unconstrained, db, &groups)
+                    .serialize_value(),
+            ),
+            ("rankings", Value::Array(rankings)),
+        ])
+    }
+
+    #[test]
+    fn audit_of_a_warm_dataset_reuses_its_artifacts_and_answers_as_before() {
+        let service = service();
+        let id = upload_demo(&service);
+        service
+            .consensus(&solve_by_id(&id), &RequestContext::new(None))
+            .unwrap();
+        let warm = service.engine().cache().stats();
+        assert_eq!(warm.builds, 1);
+        let dataset = service.datasets().resolve(&id).unwrap();
+        let audit = |delta: f64| {
+            let body = parse_body(&format!(
+                r#"{{"dataset": {{"id": "{id}"}}, "delta": {delta}, "per_ranking": true}}"#
+            ))
+            .unwrap();
+            render(&service.audit(&body).unwrap())
+        };
+
+        assert_eq!(audit(0.2), render(&standalone_audit(&dataset, 0.2)));
+        let first = service.engine().cache().stats();
+        assert_eq!(first.builds, warm.builds, "the warm matrix is reused");
+        assert_eq!(first.hits, warm.hits + 1);
+        // Fair-Copeland aggregates Copeland once; the unconstrained
+        // consensus is the same memoised ranking.
+        assert_eq!(first.consensus_builds, warm.consensus_builds + 1);
+        assert_eq!(first.consensus_hits, warm.consensus_hits + 1);
+
+        // Another Δ reads both from the memo.
+        assert_eq!(audit(0.3), render(&standalone_audit(&dataset, 0.3)));
+        let second = service.engine().cache().stats();
+        assert_eq!(second.builds, warm.builds);
+        assert_eq!(second.consensus_builds, first.consensus_builds);
+        assert_eq!(second.consensus_hits, first.consensus_hits + 2);
+    }
+
+    #[test]
+    fn fair_copeland_on_a_patched_version_matches_a_direct_solve_of_the_edit() {
+        let service = service();
+        let id = upload_demo(&service);
+        let fair_copeland = || {
+            let body = parse_body(&format!(
+                r#"{{"dataset": {{"id": "{id}"}}, "methods": ["Fair-Copeland"], "delta": 0.2, "wait": true}}"#
+            ))
+            .unwrap();
+            let ConsensusReply::Complete(reply) = service
+                .consensus(&body, &RequestContext::new(None))
+                .unwrap()
+            else {
+                panic!("waited solve must be complete");
+            };
+            reply.get("results").and_then(Value::as_array).unwrap()[0].clone()
+        };
+        // Version 1 fills its memo's Copeland slot.
+        let before = fair_copeland();
+
+        let patch =
+            parse_body(r#"{"ops": [{"op": "append", "ranking": ["d","c","b","a"], "weight": 5}]}"#)
+                .unwrap();
+        let patched = render(&service.dataset_patch(&id, &patch).unwrap());
+        assert!(patched.contains("\"derived\":true"), "{patched}");
+        let after = fair_copeland();
+
+        let edited = service.datasets().resolve(&id).unwrap();
+        let groups = mani_ranking::GroupIndex::new(edited.db());
+        let ctx = MfcrContext::new(
+            edited.db(),
+            &groups,
+            edited.profile(),
+            FairnessThresholds::uniform(0.2),
+        );
+        let direct = MethodKind::FairCopeland.instantiate().solve(&ctx).unwrap();
+        assert_eq!(
+            after.get("ranking"),
+            Some(&crate::spec::ranking_names(&direct.ranking, edited.db()))
+        );
+        assert_eq!(after.get("pd_loss"), Some(&Value::Float(direct.pd_loss)));
+        // The edit moves the consensus, so a memo carried over from version 1
+        // would have answered `before`'s ranking.
+        assert_ne!(after.get("ranking"), before.get("ranking"));
+        assert_eq!(service.engine().cache().stats().consensus_builds, 2);
     }
 
     #[test]
