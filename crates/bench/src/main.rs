@@ -24,8 +24,9 @@
 //! precedence-matrix construction, Schulze strongest paths, the Fair-Kemeny
 //! branch and bound, and the Make-MR-Fair correction — at a grid of `(n, |R|)`
 //! points, serial versus parallel where a parallel kernel runs at that size;
-//! plus the wire codecs and the `delta_update` row comparing an append-1
-//! precedence delta against a full rebuild. Parallel columns use the plain
+//! plus the wire codecs, the `delta_update` row comparing an append-1
+//! precedence delta against a full rebuild, and the `copeland_wins` scan
+//! over the matrix's triangle (full grid only). Parallel columns use the plain
 //! thread budget `Parallelism::new(threads)`, the configuration
 //! `mani serve --kernel-threads` reaches. Results are written as JSON so
 //! successive PRs have a trajectory to compare against; CI smoke-runs the
@@ -196,7 +197,8 @@ fn main() {
                     "usage: mani-bench --json [--out FILE] [--smoke] [--iters N]\n\
                      \x20                 [--timestamp STR] [--compare BASELINE [--max-slowdown F]]\n\
                      writes kernel throughput/latency for matrix-build, Schulze,\n\
-                     Fair-Kemeny, Make-MR-Fair and the wire codecs at (n, |R|) grid points\n\
+                     Fair-Kemeny, Make-MR-Fair, Copeland wins and the wire codecs at\n\
+                     (n, |R|) grid points\n\
                      to FILE (default BENCH_kernels.json).\n\
                      --compare diffs the fresh run against a committed baseline and exits\n\
                      non-zero when a Schulze kernel or consensus, matrix-build throughput,\n\
@@ -239,6 +241,7 @@ fn main() {
         correction_grid,
         codec_grid,
         delta_grid,
+        copeland_grid,
         mut iters,
     ) = if smoke {
         (
@@ -249,11 +252,20 @@ fn main() {
             vec![(1000, 50)],
             vec![(32, 200)],
             vec![(48, 64)],
+            vec![],
             3usize,
         )
     } else {
         (
-            vec![(160, 400), (240, 240), (1000, 200), (2000, 100)],
+            // (100, 200) is under the build's parallel gate, (300, 100) over.
+            vec![
+                (100, 200),
+                (300, 100),
+                (160, 400),
+                (240, 240),
+                (1000, 200),
+                (2000, 100),
+            ],
             vec![
                 (160, 40),
                 (256, 40),
@@ -267,6 +279,7 @@ fn main() {
             vec![(500, 50), (1000, 50), (2000, 50), (5000, 50)],
             vec![(50, 1000), (50, 10000)],
             vec![(160, 1000), (160, 10000)],
+            vec![(1000, 50), (2000, 50), (5000, 50)],
             3usize,
         )
     };
@@ -303,6 +316,10 @@ fn main() {
         for &(n, r) in &delta_grid {
             eprintln!("delta-update n={n} |R|={r} ...");
             entries.push(bench_delta_update(n, r, iters));
+        }
+        for &(n, r) in &copeland_grid {
+            eprintln!("copeland-wins n={n} |R|={r} ...");
+            entries.push(bench_copeland_wins(n, r, iters));
         }
         entries
     };
@@ -606,9 +623,9 @@ fn capped_iters(n: usize, iters: usize) -> usize {
 fn bench_matrix_build(n: usize, r: usize, parallel: &Parallelism, iters: usize) -> Entry {
     let fixture = BenchFixture::low_fair(n, r, 0.6, 0xA11CE);
     let (serial_ns, serial) = time_best(iters, || fixture.profile.precedence_matrix());
-    let (parallel_ns, sharded) =
+    let (parallel_ns, split) =
         time_best(iters, || fixture.profile.precedence_matrix_with(parallel));
-    assert_eq!(serial, sharded, "sharded build must be bit-identical");
+    assert_eq!(serial, split, "row-block build must be bit-identical");
     Entry {
         kernel: "matrix_build",
         n,
@@ -875,6 +892,20 @@ fn bench_delta_update(n: usize, r: usize, iters: usize) -> Entry {
             ("delta_append_ns".into(), delta_ns.to_string()),
             ("rebuild_ns".into(), rebuild_ns.to_string()),
         ],
+    }
+}
+
+/// Copeland wins read from the matrix's triangle rows: the O(n²) scan
+/// Fair-Copeland's aggregation and the exact search's branching order make.
+fn bench_copeland_wins(n: usize, r: usize, iters: usize) -> Entry {
+    let fixture = BenchFixture::low_fair(n, r, 0.6, 0xC09E);
+    let matrix = fixture.profile.precedence_matrix();
+    let (ns, _) = time_best(iters, || matrix.copeland_wins());
+    Entry {
+        kernel: "copeland_wins",
+        n,
+        rankings: r,
+        fields: vec![("ns".into(), ns.to_string())],
     }
 }
 

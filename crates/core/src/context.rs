@@ -203,7 +203,7 @@ impl<'a> MfcrContext<'a> {
     pub fn precedence_matrix(&self) -> Cow<'a, PrecedenceMatrix> {
         match self.precedence {
             Some(matrix) => Cow::Borrowed(matrix),
-            // The sharded build is bit-identical to the serial one, so the
+            // The row-block build is bit-identical to the serial one, so the
             // context's parallelism budget can be applied transparently here.
             None => Cow::Owned(self.profile.precedence_matrix_with(&self.parallelism)),
         }

@@ -94,6 +94,8 @@ pub struct CacheStats {
     pub consensus_builds: u64,
     /// Number of cached datasets.
     pub entries: usize,
+    /// Heap bytes of the precedence matrices of every cached dataset.
+    pub matrix_bytes: u64,
 }
 
 /// A cached build together with the exact inputs it was built from, so hash
@@ -143,7 +145,7 @@ impl PrecedenceCache {
     }
 
     /// [`PrecedenceCache::get_or_build`] with a kernel-parallelism budget:
-    /// misses build the precedence matrix with sharded parallel construction
+    /// misses build the precedence matrix with row-block parallel construction
     /// (bit-identical to the serial build, so mixed callers share entries
     /// safely).
     pub fn get_or_build_with(
@@ -284,6 +286,7 @@ impl PrecedenceCache {
 
     /// Current effectiveness counters.
     pub fn stats(&self) -> CacheStats {
+        let entries = self.entries.lock().expect("cache lock poisoned");
         CacheStats {
             lookups: self.lookups.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
@@ -294,11 +297,15 @@ impl PrecedenceCache {
             delta_rebuild_fallbacks: self.delta_rebuild_fallbacks.load(Ordering::Relaxed),
             consensus_hits: self.consensus.hits(),
             consensus_builds: self.consensus.builds(),
-            entries: self.entries.lock().expect("cache lock poisoned").len(),
+            entries: entries.len(),
+            matrix_bytes: (entries.values().filter_map(|cell| cell.get()))
+                .map(|entry| entry.artifacts.precedence.heap_bytes() as u64)
+                .sum(),
         }
     }
 
-    /// Drops every cached dataset (counters are preserved).
+    /// Drops every cached dataset (counters are preserved; `matrix_bytes`,
+    /// which counts what is cached, drops to zero).
     pub fn clear(&self) {
         self.entries.lock().expect("cache lock poisoned").clear();
     }
@@ -351,6 +358,7 @@ mod tests {
         assert_eq!(stats.entries, 2);
         cache.clear();
         assert_eq!(cache.stats().entries, 0);
+        assert_eq!(cache.stats().matrix_bytes, 0);
     }
 
     /// The dataset that results from appending `extra` to `parent`'s profile
@@ -384,6 +392,8 @@ mod tests {
         assert_eq!(stats.delta_appends, 1);
         assert_eq!(stats.delta_rebuild_fallbacks, 0);
         assert_eq!(stats.entries, 2);
+        // Two installed triangles of 6·5/2 four-byte cells.
+        assert_eq!(stats.matrix_bytes, 2 * 15 * 4);
         // Bit-identical to building the child's matrix from scratch, and the
         // group index is shared with the parent (same database).
         assert_eq!(

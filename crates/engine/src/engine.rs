@@ -53,13 +53,13 @@ pub struct EngineConfig {
     /// Blocking submissions are never rejected, but their running jobs count
     /// toward the depth that async submissions see.
     pub queue_depth: usize,
-    /// Kernel-level threads *within* one method solve (sharded matrix builds,
+    /// Kernel-level threads *within* one method solve (row-block matrix builds,
     /// tiled Schulze, subtree-parallel branch and bound); `0` means one per
     /// available core, `1` — the default — keeps kernels serial. Composes
     /// with `threads`: batch parallelism spreads requests, kernel parallelism
     /// accelerates each large request. Each kernel keeps its own size gate
-    /// and stays serial below it: the matrix build below
-    /// `max(n, |R|) = 48` or four rankings per thread, Floyd–Warshall below
+    /// and stays serial below it: the matrix build below 2^22 cell updates
+    /// (`n(n − 1)/2 · |R|`), Floyd–Warshall below
     /// 512 candidates per majority-graph component, and the exact search
     /// below 8 candidates.
     ///
@@ -136,7 +136,8 @@ pub struct EngineStats {
     /// Tile relaxations performed by blocked Floyd–Warshall solves,
     /// process-wide (`⌈n / tile⌉³` per solve).
     pub fw_tiles_relaxed: u64,
-    /// Ranking-shard tasks spawned by matrix build kernels, process-wide.
+    /// Row-block tasks spawned by parallel matrix builds, process-wide (the
+    /// name predates the row-block build).
     pub ranking_shard_tasks: u64,
 }
 

@@ -14,10 +14,9 @@
 //! threading overhead outweighs the win and the kernel stays serial.
 //!
 //! Every kernel built on these primitives is **bit-identical** to its serial
-//! counterpart: work is split so that either the per-shard results are summed
-//! with integer arithmetic (order-insensitive) or the partition itself does not
-//! change the arithmetic (tile-row-block Floyd–Warshall, index-ordered subtree
-//! merges).
+//! counterpart: work is split so that the partition itself does not change
+//! the arithmetic (row-block matrix builds, tile-row-block Floyd–Warshall,
+//! index-ordered subtree merges).
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,7 +86,7 @@ impl Parallelism {
 /// Process-wide kernel activity counters (monotone, relaxed atomics).
 ///
 /// Kernels record how work was partitioned — blocked Floyd–Warshall solves
-/// and the tiles they relaxed, and ranking shard tasks — so operators can see
+/// and the tiles they relaxed, and matrix-build row-block tasks — so operators can see
 /// which kernel shape production traffic actually exercises. The counters are
 /// process-global (kernels run on borrowed request-local buffers and carry no
 /// per-engine handle); `mani-engine` snapshots them into `EngineStats` and
@@ -103,7 +102,7 @@ pub struct KernelCounterSnapshot {
     pub fw_blocked_solves: u64,
     /// Tiles relaxed across all blocked Floyd–Warshall solves.
     pub fw_tiles_relaxed: u64,
-    /// Ranking shard tasks executed by matrix builds.
+    /// Row-block tasks executed by parallel matrix builds.
     pub ranking_shard_tasks: u64,
 }
 
@@ -123,8 +122,8 @@ pub fn record_fw_blocked_solve(tiles: u64) {
     FW_TILES_RELAXED.fetch_add(tiles, Ordering::Relaxed);
 }
 
-/// Records `tasks` ranking shard tasks (observability hook for kernel
-/// implementations).
+/// Records `tasks` matrix-build row-block tasks (observability hook for
+/// kernel implementations).
 pub fn record_ranking_shard_tasks(tasks: u64) {
     RANKING_SHARD_TASKS.fetch_add(tasks, Ordering::Relaxed);
 }

@@ -85,9 +85,9 @@ impl RankingProfile {
             .expect("profile construction guarantees a valid, non-empty ranking set")
     }
 
-    /// Computes the precedence matrix with sharded parallel construction —
+    /// Computes the precedence matrix with row-block parallel construction —
     /// bit-identical to [`RankingProfile::precedence_matrix`] for every
-    /// thread and shard count.
+    /// thread count.
     pub fn precedence_matrix_with(
         &self,
         parallelism: &crate::parallel::Parallelism,

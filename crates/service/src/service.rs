@@ -1245,6 +1245,7 @@ impl Service {
                     ("consensus_hits", Value::UInt(precedence.consensus_hits)),
                     ("consensus_builds", Value::UInt(precedence.consensus_builds)),
                     ("entries", Value::UInt(precedence.entries as u64)),
+                    ("matrix_bytes", Value::UInt(precedence.matrix_bytes)),
                 ]),
             ),
             (
@@ -1456,7 +1457,7 @@ impl Service {
         );
         w.counter(
             "mani_kernel_ranking_shard_tasks_total",
-            "Ranking shard tasks spawned by matrix build kernels, process-wide.",
+            "Row-block tasks spawned by parallel matrix builds, process-wide.",
             engine.ranking_shard_tasks,
         );
         w.counter(
@@ -1534,6 +1535,11 @@ impl Service {
             "mani_precedence_cache_entries",
             "Precedence-cache resident entries.",
             precedence.entries as f64,
+        );
+        w.gauge(
+            "mani_precedence_cache_matrix_bytes",
+            "Heap bytes of the precedence-cache resident matrices.",
+            precedence.matrix_bytes as f64,
         );
 
         w.gauge(
@@ -1973,6 +1979,7 @@ mod tests {
             consensus_hits,
             consensus_builds,
             entries,
+            matrix_bytes,
         } = service.engine.cache().stats();
         let surfaces = [
             (
@@ -2097,6 +2104,11 @@ mod tests {
                 "precedence_cache/entries",
                 "mani_precedence_cache_entries",
             ),
+            (
+                matrix_bytes,
+                "precedence_cache/matrix_bytes",
+                "mani_precedence_cache_matrix_bytes",
+            ),
         ];
         // Rendered after the snapshot, so every counter reads at least the
         // snapshot's value (process-wide kernel counters may move meanwhile).
@@ -2124,6 +2136,70 @@ mod tests {
                 "/metrics has no {metric} sample"
             );
         }
+    }
+
+    #[test]
+    fn matrix_bytes_gauge_counts_a_built_and_a_derived_triangle() {
+        let service = service();
+        let n = 300;
+        let candidates: Vec<String> = (0..n)
+            .map(|i| format!(r#"{{"name": "c{i}", "attributes": {{"G": "{}"}}}}"#, i % 2))
+            .collect();
+        let order = |ids: &mut dyn Iterator<Item = usize>| {
+            let names: Vec<String> = ids.map(|i| format!(r#""c{i}""#)).collect();
+            format!("[{}]", names.join(","))
+        };
+        let dataset = format!(
+            r#"{{"name": "wide", "candidates": [{}], "rankings": [{}, {}]}}"#,
+            candidates.join(","),
+            order(&mut (0..n)),
+            order(&mut (0..n).rev()),
+        );
+        let created = service
+            .dataset_create(&parse_body(&dataset).unwrap())
+            .unwrap();
+        let id = created
+            .get("id")
+            .and_then(Value::as_str)
+            .unwrap()
+            .to_string();
+        service
+            .consensus(&solve_by_id(&id), &RequestContext::new(None))
+            .unwrap();
+        let patch = format!(
+            r#"{{"ops": [{{"op": "append", "ranking": {}}}]}}"#,
+            order(&mut (0..n).map(|i| (i * 7) % n))
+        );
+        let patched = render(
+            &service
+                .dataset_patch(&id, &parse_body(&patch).unwrap())
+                .unwrap(),
+        );
+        assert!(patched.contains("\"derived\":true"), "{patched}");
+
+        // One build and one derivation: two triangles of 300·299/2 u32 cells.
+        let two_triangles = 2 * 300 * 299 / 2 * 4;
+        let stats = service.stats(&TransportStats::default());
+        assert_eq!(
+            stats
+                .get("precedence_cache")
+                .and_then(|p| p.get("matrix_bytes")),
+            Some(&Value::UInt(two_triangles))
+        );
+        let build = BuildInfo {
+            name: "mani-test",
+            version: "0.0.0",
+            git: None,
+            profile: "debug",
+            features: &[],
+        };
+        let exposition = service.metrics_exposition(&build, &TransportStats::default());
+        assert!(
+            exposition
+                .lines()
+                .any(|line| line == format!("mani_precedence_cache_matrix_bytes {two_triangles}")),
+            "{exposition}"
+        );
     }
 
     #[test]

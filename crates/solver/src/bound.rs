@@ -9,12 +9,17 @@
 
 use mani_ranking::{CandidateId, PrecedenceMatrix};
 
-/// Precomputed pairwise minima used by the incremental lower bound.
+/// Pairwise tables the search precomputes once per problem: the minima of
+/// the incremental lower bound, and a dense copy of the supports, whose rows
+/// the search reads as it places candidates.
 #[derive(Debug, Clone)]
 pub struct PairwiseMinima {
     n: usize,
-    /// `min(W[a][b], W[b][a])` stored row-major.
+    /// `min(W[a][b], W[b][a])` stored row-major (the table is symmetric).
     minima: Vec<u64>,
+    /// `W[b][a]` (the support for `a` above `b`) at `a * n + b`: placing `a`
+    /// takes it off the cost of placing each unplaced `b` next.
+    support: Vec<u64>,
     /// For each candidate, the sum of minima against every other candidate.
     row_sums: Vec<u64>,
     /// Sum of minima over all unordered pairs.
@@ -22,31 +27,29 @@ pub struct PairwiseMinima {
 }
 
 impl PairwiseMinima {
-    /// Computes pairwise minima for a precedence matrix. O(n²).
+    /// Computes the tables from the matrix's triangle rows. O(n²).
     pub fn new(matrix: &PrecedenceMatrix) -> Self {
         let n = matrix.num_candidates();
+        let weight = matrix.total_weight();
         let mut minima = vec![0u64; n * n];
+        let mut support = vec![0u64; n * n];
         let mut row_sums = vec![0u64; n];
         let mut total = 0u64;
         for a in 0..n {
-            for b in 0..n {
-                if a == b {
-                    continue;
-                }
-                let (ca, cb) = (CandidateId(a as u32), CandidateId(b as u32));
-                let m = matrix
-                    .disagreements_if_above(ca, cb)
-                    .min(matrix.disagreements_if_above(cb, ca)) as u64;
-                minima[a * n + b] = m;
+            for (b, &s) in (a + 1..n).zip(matrix.triangle_row(CandidateId(a as u32))) {
+                let (s, against) = (s as u64, (weight - s) as u64);
+                let m = s.min(against);
+                (support[a * n + b], support[b * n + a]) = (s, against);
+                (minima[a * n + b], minima[b * n + a]) = (m, m);
                 row_sums[a] += m;
-                if a < b {
-                    total += m;
-                }
+                row_sums[b] += m;
+                total += m;
             }
         }
         Self {
             n,
             minima,
+            support,
             row_sums,
             total,
         }
@@ -55,6 +58,17 @@ impl PairwiseMinima {
     /// `min(W[a][b], W[b][a])` for one pair.
     pub fn pair_min(&self, a: CandidateId, b: CandidateId) -> u64 {
         self.minima[a.index() * self.n + b.index()]
+    }
+
+    /// `pair_min(a, b)` for every `b`, indexed by `b`.
+    pub(crate) fn minima_row(&self, a: CandidateId) -> &[u64] {
+        &self.minima[a.index() * self.n..][..self.n]
+    }
+
+    /// `W[b][a]`, the support for `a` above `b`, for every `b`, indexed by
+    /// `b` (zero at `b = a`).
+    pub(crate) fn support_row(&self, a: CandidateId) -> &[u64] {
+        &self.support[a.index() * self.n..][..self.n]
     }
 
     /// Sum of minima of `a` against every other candidate.

@@ -372,21 +372,17 @@ struct SearchState {
 
 impl SearchState {
     fn new(problem: &KemenyProblem, minima: &PairwiseMinima, n: usize) -> Self {
-        let matrix = &problem.matrix;
+        // Placing a now costs Σ_b W[a][b], the supports of every b above a.
         let mut cost_to_unplaced = vec![0u64; n];
-        let mut min_to_unplaced = vec![0u64; n];
-        for a in 0..n {
-            let ca = CandidateId(a as u32);
-            min_to_unplaced[a] = minima.row_sum(ca);
-            let mut cost = 0u64;
-            for b in 0..n {
-                if a == b {
-                    continue;
-                }
-                cost += matrix.disagreements_if_above(ca, CandidateId(b as u32)) as u64;
+        for b in 0..n {
+            let support = minima.support_row(CandidateId(b as u32));
+            for (cost, &s) in cost_to_unplaced.iter_mut().zip(support) {
+                *cost += s;
             }
-            cost_to_unplaced[a] = cost;
         }
+        let min_to_unplaced = (0..n)
+            .map(|a| minima.row_sum(CandidateId(a as u32)))
+            .collect();
         let favored = problem
             .constraints
             .iter()
@@ -425,15 +421,13 @@ impl SearchState {
         self.prefix.push(c as u32);
         self.unplaced -= 1;
 
-        let n = self.placed.len();
         let cc = CandidateId(c as u32);
-        for other in 0..n {
-            if other == c || self.placed[other] {
-                continue;
+        let (support, mins) = (minima.support_row(cc), minima.minima_row(cc));
+        for (other, &placed) in self.placed.iter().enumerate() {
+            if !placed {
+                self.cost_to_unplaced[other] -= support[other];
+                self.min_to_unplaced[other] -= mins[other];
             }
-            let co = CandidateId(other as u32);
-            self.cost_to_unplaced[other] -= problem.matrix.disagreements_if_above(co, cc) as u64;
-            self.min_to_unplaced[other] -= minima.pair_min(co, cc);
         }
 
         let mut favored_deltas = Vec::with_capacity(problem.constraints.len());
@@ -468,15 +462,14 @@ impl SearchState {
         self.cost -= undo.inc_cost;
         self.remaining_bound += undo.inc_min;
 
-        let n = self.placed.len();
+        // `c` itself is unplaced again and adds its rows' zero diagonal.
         let cc = CandidateId(c as u32);
-        for other in 0..n {
-            if other == c || self.placed[other] {
-                continue;
+        let (support, mins) = (minima.support_row(cc), minima.minima_row(cc));
+        for (other, &placed) in self.placed.iter().enumerate() {
+            if !placed {
+                self.cost_to_unplaced[other] += support[other];
+                self.min_to_unplaced[other] += mins[other];
             }
-            let co = CandidateId(other as u32);
-            self.cost_to_unplaced[other] += problem.matrix.disagreements_if_above(co, cc) as u64;
-            self.min_to_unplaced[other] += minima.pair_min(co, cc);
         }
     }
 

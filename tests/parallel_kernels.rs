@@ -25,9 +25,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
     fn prop_sharded_matrix_equals_sequential(
-        n in 2usize..16,
-        // At least 48 rankings: the build's size gate is max(n, |R|) >= 48.
-        m in 48usize..96,
+        // Around the build's size gate of 2^22 cell updates
+        // (n(n - 1)/2 · |R|): most cases split the rows across threads.
+        n in 290usize..310,
+        m in 94usize..110,
         shards in 1usize..9,
         seed in proptest::prelude::any::<u64>()
     ) {
