@@ -232,7 +232,8 @@ fn main() {
     // extends to the CSRankings-scale points n ∈ {1000, 2000, 5000}. The
     // one-component Schulze points are the consensus's worst case (no
     // decomposition to exploit). The wire-codec grid sweeps ranking count
-    // (the axis the two encodings diverge on) at a fixed candidate pool.
+    // (the axis the two encodings diverge on) at a fixed candidate pool, then
+    // decodes two large pools, which read in time linear in the body.
     let (
         matrix_grid,
         schulze_grid,
@@ -277,7 +278,7 @@ fn main() {
             vec![(300, 51), (1000, 51), (2000, 51)],
             vec![(20, 12), (26, 12)],
             vec![(500, 50), (1000, 50), (2000, 50), (5000, 50)],
-            vec![(50, 1000), (50, 10000)],
+            vec![(50, 1000), (50, 10000), (1000, 50), (10000, 1)],
             vec![(160, 1000), (160, 10000)],
             vec![(1000, 50), (2000, 50), (5000, 50)],
             3usize,

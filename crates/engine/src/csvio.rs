@@ -30,6 +30,7 @@
 //! Quoting follows RFC-4180: cells containing commas or quotes are wrapped in
 //! double quotes, embedded quotes doubled.
 
+use std::collections::HashSet;
 use std::path::Path;
 
 use mani_ranking::{CandidateDb, CandidateDbBuilder, Ranking, RankingProfile};
@@ -59,6 +60,10 @@ pub fn parse_candidates(text: &str) -> Result<CandidateDb, EngineError> {
         .iter()
         .map(|attribute| declared_domain(text, attribute))
         .collect();
+    let mut seen: Vec<HashSet<String>> = domains
+        .iter()
+        .map(|domain| domain.iter().cloned().collect())
+        .collect();
     for item in lines {
         let (line, cells) = item;
         let cells = cells?;
@@ -74,7 +79,8 @@ pub fn parse_candidates(text: &str) -> Result<CandidateDb, EngineError> {
             ));
         }
         for (attr_index, value) in cells[1..].iter().enumerate() {
-            if !domains[attr_index].contains(value) {
+            if !seen[attr_index].contains(value) {
+                seen[attr_index].insert(value.clone());
                 domains[attr_index].push(value.clone());
             }
         }
@@ -112,6 +118,7 @@ pub fn parse_candidates(text: &str) -> Result<CandidateDb, EngineError> {
 
 /// Parses a ranking CSV document against a known candidate database.
 pub fn parse_rankings(text: &str, db: &CandidateDb) -> Result<RankingProfile, EngineError> {
+    let names = db.name_index();
     let mut rankings = Vec::new();
     for (line, cells) in numbered_records(text) {
         let cells = cells?;
@@ -127,10 +134,10 @@ pub fn parse_rankings(text: &str, db: &CandidateDb) -> Result<RankingProfile, En
         }
         let mut order = Vec::with_capacity(cells.len());
         for name in &cells {
-            let id = db
-                .candidate_by_name(name)
+            let id = names
+                .get(name.as_str())
                 .ok_or_else(|| EngineError::csv(line, format!("unknown candidate `{name}`")))?;
-            order.push(id);
+            order.push(*id);
         }
         let ranking =
             Ranking::from_order(order).map_err(|e| EngineError::csv(line, e.to_string()))?;
@@ -324,7 +331,7 @@ dani,Man,GroupA
         let attribute = db.schema().attribute(gender).unwrap();
         let values: Vec<&str> = attribute.values().collect();
         assert_eq!(values, vec!["Woman", "Man"]);
-        assert!(db.candidate_by_name("chen").is_some());
+        assert!(db.name_index().contains_key("chen"));
     }
 
     #[test]
@@ -338,10 +345,7 @@ dani,Man,GroupA
         assert_eq!(profile.len(), 2);
         assert_eq!(profile.num_candidates(), 4);
         let first = &profile.rankings()[0];
-        assert_eq!(
-            first.candidate_at(0),
-            db.candidate_by_name("alice").unwrap()
-        );
+        assert_eq!(first.candidate_at(0), db.name_index()["alice"]);
     }
 
     #[test]
@@ -368,7 +372,7 @@ dani,Man,GroupA
     fn quoting_round_trips() {
         let tricky = "name,Team\n\"last, first\",\"the \"\"A\"\" team\"\nplain,b-team\n";
         let db = parse_candidates(tricky).unwrap();
-        assert!(db.candidate_by_name("last, first").is_some());
+        assert!(db.name_index().contains_key("last, first"));
         let rendered = render_candidates(&db);
         let reparsed = parse_candidates(&rendered).unwrap();
         assert_eq!(db, reparsed);

@@ -11,11 +11,15 @@ use crate::error::EngineError;
 
 /// One consensus-ranking workload: candidates (with protected attributes) and
 /// the base rankings ranked over them.
+///
+/// The content is immutable once built, so its fingerprint is computed once,
+/// by the constructor, and every cache lookup reads the stored value.
 #[derive(Debug, Clone)]
 pub struct EngineDataset {
     name: String,
     db: Arc<CandidateDb>,
     profile: Arc<RankingProfile>,
+    fingerprint: u64,
 }
 
 impl EngineDataset {
@@ -42,10 +46,12 @@ impl EngineDataset {
                 profile.num_candidates()
             )));
         }
+        let fingerprint = content_fingerprint(&db, &profile);
         Ok(Self {
             name: name.into(),
             db,
             profile,
+            fingerprint,
         })
     }
 
@@ -77,34 +83,40 @@ impl EngineDataset {
     /// Stable content fingerprint of `(db, profile)`, used as the precedence
     /// cache key: two datasets with identical candidates (names, attribute
     /// schema, attribute values) and identical base rankings collide on
-    /// purpose, regardless of their display names.
+    /// purpose, regardless of their display names. Computed once, when the
+    /// dataset is built.
     pub fn fingerprint(&self) -> u64 {
-        let mut hasher = DefaultHasher::new();
-        // Schema: attribute names and value domains in order.
-        for (_, attribute) in self.db.schema().attributes() {
-            attribute.name().hash(&mut hasher);
-            for value in attribute.values() {
-                value.hash(&mut hasher);
-            }
-        }
-        // Candidates: names and value assignments in registration order.
-        for (_, candidate) in self.db.candidates() {
-            candidate.name().hash(&mut hasher);
-            for value in candidate.values() {
-                value.index().hash(&mut hasher);
-            }
-        }
-        // Profile: every ranking's order.
-        self.profile.num_candidates().hash(&mut hasher);
-        for ranking in self.profile.rankings() {
-            for candidate in ranking.iter() {
-                candidate.0.hash(&mut hasher);
-            }
-            // Separate rankings so concatenations cannot collide.
-            u32::MAX.hash(&mut hasher);
-        }
-        hasher.finish()
+        self.fingerprint
     }
+}
+
+/// Hashes a dataset's content: the schema, every candidate and every ranking.
+fn content_fingerprint(db: &CandidateDb, profile: &RankingProfile) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    // Schema: attribute names and value domains in order.
+    for (_, attribute) in db.schema().attributes() {
+        attribute.name().hash(&mut hasher);
+        for value in attribute.values() {
+            value.hash(&mut hasher);
+        }
+    }
+    // Candidates: names and value assignments in registration order.
+    for (_, candidate) in db.candidates() {
+        candidate.name().hash(&mut hasher);
+        for value in candidate.values() {
+            value.index().hash(&mut hasher);
+        }
+    }
+    // Profile: every ranking's order.
+    profile.num_candidates().hash(&mut hasher);
+    for ranking in profile.rankings() {
+        for candidate in ranking.iter() {
+            candidate.0.hash(&mut hasher);
+        }
+        // Separate rankings so concatenations cannot collide.
+        u32::MAX.hash(&mut hasher);
+    }
+    hasher.finish()
 }
 
 #[cfg(test)]

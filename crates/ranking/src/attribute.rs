@@ -6,10 +6,31 @@
 //! interned representation of that schema: attributes and values are small integer ids,
 //! and intersection values are mixed-radix codes over the per-attribute value ids.
 
+use std::collections::HashSet;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::RankingError;
 use crate::Result;
+
+/// Most intersectional groups a schema may define. Fairness metrics keep one
+/// dense counter per group, so the bound caps that table at 2^16 entries. As
+/// every attribute has at least two values, it also keeps every value id and
+/// attribute id within `u16` and allows at most 16 attributes.
+pub const MAX_INTERSECTION_GROUPS: usize = 1 << 16;
+
+/// The number of intersectional groups that domains of the given sizes
+/// define, or [`RankingError::TooManyGroups`] when it exceeds
+/// [`MAX_INTERSECTION_GROUPS`].
+pub(crate) fn intersection_groups(domain_sizes: impl IntoIterator<Item = usize>) -> Result<usize> {
+    let groups = domain_sizes
+        .into_iter()
+        .try_fold(1usize, |product, size| product.checked_mul(size));
+    match groups {
+        Some(groups) if groups <= MAX_INTERSECTION_GROUPS => Ok(groups),
+        _ => Err(RankingError::TooManyGroups { groups }),
+    }
+}
 
 /// Identifier of a protected attribute within an [`AttributeSchema`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -53,13 +74,12 @@ impl ProtectedAttribute {
         if values.len() < 2 {
             return Err(RankingError::DegenerateAttribute(name));
         }
-        for (i, v) in values.iter().enumerate() {
-            if values[..i].contains(v) {
-                return Err(RankingError::DuplicateValue {
-                    attribute: name,
-                    value: v.clone(),
-                });
-            }
+        let mut seen = HashSet::with_capacity(values.len());
+        if let Some(repeated) = values.iter().find(|v| !seen.insert(v.as_str())) {
+            return Err(RankingError::DuplicateValue {
+                attribute: name,
+                value: repeated.clone(),
+            });
         }
         Ok(Self { name, values })
     }
@@ -107,25 +127,29 @@ pub struct AttributeSchema {
 }
 
 impl AttributeSchema {
-    /// Builds a schema from a list of protected attributes.
+    /// Builds a schema from a list of protected attributes. Refuses a schema
+    /// whose intersection has more than [`MAX_INTERSECTION_GROUPS`] groups.
     pub fn new(attributes: Vec<ProtectedAttribute>) -> Result<Self> {
         if attributes.is_empty() {
             return Err(RankingError::EmptySchema);
         }
-        for (i, attr) in attributes.iter().enumerate() {
-            if attributes[..i].iter().any(|a| a.name() == attr.name()) {
-                return Err(RankingError::DuplicateAttribute(attr.name().to_string()));
-            }
+        let mut seen = HashSet::with_capacity(attributes.len());
+        if let Some(repeated) = attributes.iter().find(|a| !seen.insert(a.name())) {
+            return Err(RankingError::DuplicateAttribute(
+                repeated.name().to_string(),
+            ));
         }
+        let intersection_cardinality =
+            intersection_groups(attributes.iter().map(ProtectedAttribute::domain_size))?;
         let mut radix_weights = vec![0usize; attributes.len()];
         let mut weight = 1usize;
         for (i, attr) in attributes.iter().enumerate().rev() {
             radix_weights[i] = weight;
-            weight = weight.saturating_mul(attr.domain_size());
+            weight *= attr.domain_size();
         }
         Ok(Self {
             radix_weights,
-            intersection_cardinality: weight,
+            intersection_cardinality,
             attributes,
         })
     }
@@ -255,6 +279,62 @@ mod tests {
         ])
         .unwrap_err();
         assert!(matches!(err, RankingError::DuplicateAttribute(_)));
+    }
+
+    /// `k` binary attributes and one of `last` values.
+    fn attributes(k: usize, last: usize) -> Vec<ProtectedAttribute> {
+        let mut attributes: Vec<_> = (0..k)
+            .map(|i| ProtectedAttribute::new(format!("B{i}"), ["0", "1"]).unwrap())
+            .collect();
+        let values = (0..last).map(|v| v.to_string());
+        attributes.push(ProtectedAttribute::new("Last", values).unwrap());
+        attributes
+    }
+
+    #[test]
+    fn schema_accepts_exactly_the_group_bound() {
+        let s = AttributeSchema::new(attributes(4, MAX_INTERSECTION_GROUPS >> 4)).unwrap();
+        assert_eq!(s.intersection_cardinality(), MAX_INTERSECTION_GROUPS);
+        let one = AttributeSchema::new(attributes(0, MAX_INTERSECTION_GROUPS)).unwrap();
+        let last = ValueId((MAX_INTERSECTION_GROUPS - 1) as u16);
+        assert_eq!(
+            one.intersection_code(&[last]).unwrap(),
+            MAX_INTERSECTION_GROUPS - 1
+        );
+        let sixteen = AttributeSchema::new(attributes(15, 2)).unwrap();
+        assert_eq!(sixteen.num_attributes(), 16);
+    }
+
+    #[test]
+    fn schema_refuses_one_group_more_than_the_bound() {
+        // 2^16 + 1 values: one group past the bound.
+        let err = AttributeSchema::new(attributes(0, MAX_INTERSECTION_GROUPS + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            RankingError::TooManyGroups {
+                groups: Some(MAX_INTERSECTION_GROUPS + 1)
+            }
+        );
+        assert!(err.to_string().contains("65537"), "{err}");
+        // 17 binary attributes.
+        assert!(matches!(
+            AttributeSchema::new(attributes(16, 2)),
+            Err(RankingError::TooManyGroups { .. })
+        ));
+        // Three domains of 2,000 values: 8e9 groups, named in full.
+        let big: Vec<_> = ["A", "B", "C"]
+            .iter()
+            .map(|name| ProtectedAttribute::new(*name, (0..2000).map(|v| v.to_string())).unwrap())
+            .collect();
+        let err = AttributeSchema::new(big).unwrap_err();
+        assert!(err.to_string().contains("8000000000"), "{err}");
+    }
+
+    #[test]
+    fn group_count_overflow_is_refused() {
+        let err = intersection_groups([usize::MAX, 2]).unwrap_err();
+        assert_eq!(err, RankingError::TooManyGroups { groups: None });
+        assert!(err.to_string().contains("more than"), "{err}");
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! Candidate database: the set `X` of candidates with their protected attribute values.
 
+use std::collections::{HashMap, HashSet};
+
 use serde::{Deserialize, Serialize};
 
-use crate::attribute::{AttributeId, AttributeSchema, ProtectedAttribute, ValueId};
+use crate::attribute::{
+    intersection_groups, AttributeId, AttributeSchema, ProtectedAttribute, ValueId,
+};
 use crate::error::RankingError;
 use crate::Result;
 
@@ -61,6 +65,7 @@ impl Candidate {
 pub struct CandidateDbBuilder {
     attributes: Vec<ProtectedAttribute>,
     candidates: Vec<(String, Vec<Option<ValueId>>)>,
+    names: HashSet<String>,
 }
 
 impl CandidateDbBuilder {
@@ -70,6 +75,10 @@ impl CandidateDbBuilder {
     }
 
     /// Declares a protected attribute and its value domain; returns its id.
+    ///
+    /// Refuses an attribute that would take the intersection past
+    /// [`crate::MAX_INTERSECTION_GROUPS`] groups, so the builder never holds
+    /// more attributes or values than the schema's `u16` ids can name.
     pub fn add_attribute(
         &mut self,
         name: impl Into<String>,
@@ -79,6 +88,8 @@ impl CandidateDbBuilder {
         if self.attributes.iter().any(|a| a.name() == attr.name()) {
             return Err(RankingError::DuplicateAttribute(attr.name().to_string()));
         }
+        let sizes = self.attributes.iter().chain([&attr]);
+        intersection_groups(sizes.map(ProtectedAttribute::domain_size))?;
         self.attributes.push(attr);
         Ok(AttributeId((self.attributes.len() - 1) as u16))
     }
@@ -92,7 +103,7 @@ impl CandidateDbBuilder {
         assignments: impl IntoIterator<Item = (AttributeId, usize)>,
     ) -> Result<CandidateId> {
         let name = name.into();
-        if self.candidates.iter().any(|(n, _)| *n == name) {
+        if self.names.contains(&name) {
             return Err(RankingError::DuplicateCandidate(name));
         }
         let mut values: Vec<Option<ValueId>> = vec![None; self.attributes.len()];
@@ -108,6 +119,7 @@ impl CandidateDbBuilder {
             }
             values[attr.index()] = Some(ValueId(value_index as u16));
         }
+        self.names.insert(name.clone());
         self.candidates.push((name, values));
         Ok(CandidateId((self.candidates.len() - 1) as u32))
     }
@@ -211,12 +223,12 @@ impl CandidateDb {
             .map(|(i, c)| (CandidateId(i as u32), c))
     }
 
-    /// Looks up a candidate id by name (linear scan; intended for small examples/tests).
-    pub fn candidate_by_name(&self, name: &str) -> Option<CandidateId> {
-        self.candidates
-            .iter()
-            .position(|c| c.name() == name)
-            .map(|i| CandidateId(i as u32))
+    /// A name → id map over every candidate. Decoders build it once per
+    /// dataset or request and resolve each ranking entry in O(1).
+    pub fn name_index(&self) -> HashMap<&str, CandidateId> {
+        self.candidates()
+            .map(|(id, candidate)| (candidate.name(), id))
+            .collect()
     }
 
     /// Value of attribute `attribute` for candidate `id`.
@@ -318,10 +330,34 @@ mod tests {
     #[test]
     fn candidate_lookup_by_name() {
         let db = small_db();
-        let id = db.candidate_by_name("c3").unwrap();
+        let names = db.name_index();
+        assert_eq!(names.len(), 6);
+        let id = names["c3"];
         assert_eq!(id.0, 3);
-        assert!(db.candidate_by_name("nope").is_none());
+        assert!(!names.contains_key("nope"));
         assert_eq!(db.candidate(id).unwrap().name(), "c3");
+    }
+
+    #[test]
+    fn builder_refuses_attributes_past_the_group_bound() {
+        let mut b = CandidateDbBuilder::new();
+        let values = |k: usize| (0..k).map(|v| v.to_string()).collect::<Vec<_>>();
+        b.add_attribute("A", values(256)).unwrap();
+        b.add_attribute("B", values(256)).unwrap();
+        let err = b.add_attribute("C", values(2)).unwrap_err();
+        assert_eq!(
+            err,
+            RankingError::TooManyGroups {
+                groups: Some(1 << 17)
+            }
+        );
+        // The refused attribute was not declared: the builder still builds.
+        let a = AttributeId(0);
+        let bb = AttributeId(1);
+        b.add_candidate("x", [(a, 255), (bb, 255)]).unwrap();
+        let db = b.build().unwrap();
+        assert_eq!(db.schema().num_attributes(), 2);
+        assert_eq!(db.intersection_of(CandidateId(0)).unwrap(), (1 << 16) - 1);
     }
 
     #[test]

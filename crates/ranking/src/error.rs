@@ -68,6 +68,12 @@ pub enum RankingError {
         /// unweighted profiles) that exceeded the cell capacity.
         total_weight: u64,
     },
+    /// The attribute domains define more intersectional groups than
+    /// [`crate::attribute::MAX_INTERSECTION_GROUPS`].
+    TooManyGroups {
+        /// Product of the domain sizes (`None` when it overflows `usize`).
+        groups: Option<usize>,
+    },
     /// A ranking was retracted from a precedence matrix that does not contain
     /// it with at least the requested weight (a support cell or the total
     /// ranking count would underflow).
@@ -132,6 +138,15 @@ impl fmt::Display for RankingError {
                  ({}) of the precedence matrix",
                 u32::MAX
             ),
+            RankingError::TooManyGroups { groups } => {
+                let groups = groups.map_or(format!("more than {}", usize::MAX), |g| g.to_string());
+                write!(
+                    f,
+                    "the protected attributes define {groups} intersectional groups; \
+                     a schema supports at most {}",
+                    crate::attribute::MAX_INTERSECTION_GROUPS
+                )
+            }
             RankingError::RetractUnderflow { weight } => write!(
                 f,
                 "cannot retract a ranking with weight {weight}: the precedence matrix does \

@@ -46,7 +46,9 @@ pub mod precedence;
 pub mod profile;
 pub mod ranking;
 
-pub use attribute::{AttributeId, AttributeSchema, ProtectedAttribute, ValueId};
+pub use attribute::{
+    AttributeId, AttributeSchema, ProtectedAttribute, ValueId, MAX_INTERSECTION_GROUPS,
+};
 pub use candidate::{Candidate, CandidateDb, CandidateDbBuilder, CandidateId};
 pub use error::RankingError;
 pub use group::{GroupIndex, GroupKey, GroupMembership};

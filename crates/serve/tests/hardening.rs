@@ -12,10 +12,11 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use common::{
-    connection_header, consensus_body, demo_dataset, exchange, get_u64, read_chunk, read_head,
-    read_response, send_request, small_engine, spawn_server,
+    connection_header, consensus_body, demo_dataset, exchange, exchange_binary, get_u64,
+    read_chunk, read_head, read_response, send_request, small_engine, spawn_server,
 };
-use mani_serve::ServerConfig;
+use mani_serve::{ServerConfig, COLUMNAR_CONTENT_TYPE};
+use mani_service::COLUMNAR_MAGIC;
 use serde::Value;
 
 #[test]
@@ -531,6 +532,106 @@ fn deeply_nested_json_body_answers_400_and_the_server_keeps_serving() {
     let message = body.get("error").and_then(Value::as_str).unwrap_or("");
     assert!(message.contains("nesting deeper than 128"), "{body:?}");
     let (status, _) = exchange(addr, "GET", "/v1/methods", "");
+    assert_eq!(status, 200);
+    handle.stop();
+}
+
+/// Columnar bytes for a dataset of `attributes` (name, domain), candidates
+/// (name, one value index per attribute) and one ranking of candidate ids.
+/// The header fingerprint is zero: a refused schema fails before it is read.
+fn columnar_body(
+    attributes: &[(&str, Vec<String>)],
+    candidates: &[(&str, Vec<u32>)],
+    ranking: &[u32],
+) -> Vec<u8> {
+    fn put_str(out: &mut Vec<u8>, text: &str) {
+        out.extend_from_slice(&(text.len() as u32).to_le_bytes());
+        out.extend_from_slice(text.as_bytes());
+    }
+    let mut out = COLUMNAR_MAGIC.to_vec();
+    out.extend_from_slice(&0u32.to_le_bytes()); // flags
+    out.extend_from_slice(&0u64.to_le_bytes()); // fingerprint
+    put_str(&mut out, "wide-domains");
+    out.extend_from_slice(&(attributes.len() as u32).to_le_bytes());
+    for (name, values) in attributes {
+        put_str(&mut out, name);
+        out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+        for value in values {
+            put_str(&mut out, value);
+        }
+    }
+    out.extend_from_slice(&(candidates.len() as u32).to_le_bytes());
+    for (name, _) in candidates {
+        put_str(&mut out, name);
+    }
+    for column in 0..attributes.len() {
+        for (_, values) in candidates {
+            out.extend_from_slice(&values[column].to_le_bytes());
+        }
+    }
+    out.extend_from_slice(&1u32.to_le_bytes()); // one ranking
+    out.extend_from_slice(&(ranking.len() as u64).to_le_bytes());
+    out.extend_from_slice(&0u64.to_le_bytes());
+    out.extend_from_slice(&(ranking.len() as u64).to_le_bytes());
+    for id in ranking {
+        out.extend_from_slice(&id.to_le_bytes());
+    }
+    out
+}
+
+#[test]
+fn attribute_domains_past_the_group_bound_answer_400_through_both_codecs() {
+    let handle = spawn_server(ServerConfig {
+        engine: small_engine(1),
+        ..ServerConfig::default()
+    });
+    let addr = handle.addr();
+    // Two candidates, three attributes of 2,000 declared values each: 8e9
+    // intersectional groups. Unbounded, the first solve would allocate one
+    // counter per group (64 GB) and abort the process.
+    let domain: Vec<String> = (0..2000).map(|v| format!("v{v}")).collect();
+    let quoted: Vec<String> = domain.iter().map(|v| format!("\"{v}\"")).collect();
+    let quoted = quoted.join(",");
+    let body = format!(
+        r#"{{"dataset": {{"name": "wide-domains",
+            "candidates": [
+                {{"name": "a", "attributes": {{"A": "v0", "B": "v0", "C": "v0"}}}},
+                {{"name": "b", "attributes": {{"A": "v1", "B": "v1", "C": "v1"}}}}
+            ],
+            "rankings": [["a", "b"]],
+            "domains": {{"A": [{quoted}], "B": [{quoted}], "C": [{quoted}]}}}},
+            "methods": ["Fair-Borda"], "wait": true}}"#
+    );
+    assert!(body.len() > 40_000, "{} bytes", body.len());
+    let (status, reply) = exchange(addr, "POST", "/v1/consensus", &body);
+    assert_eq!(status, 400, "{reply:?}");
+    let message = reply.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(message.contains("intersectional groups"), "{reply:?}");
+
+    let attributes: Vec<(&str, Vec<String>)> = ["A", "B", "C"]
+        .into_iter()
+        .map(|name| (name, domain.clone()))
+        .collect();
+    let candidates = [("a", vec![0, 0, 0]), ("b", vec![1, 1, 1])];
+    let columnar = columnar_body(&attributes, &candidates, &[0, 1]);
+    let (status, reply) = exchange_binary(
+        addr,
+        "POST",
+        "/v1/consensus?methods=Fair-Borda&wait=true",
+        COLUMNAR_CONTENT_TYPE,
+        &columnar,
+    );
+    assert_eq!(status, 400, "{reply:?}");
+    let message = reply.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(message.contains("intersectional groups"), "{reply:?}");
+
+    // The server keeps serving.
+    let (status, _) = exchange(
+        addr,
+        "POST",
+        "/v1/consensus",
+        &consensus_body("after", r#""Fair-Borda""#, 0.2, true),
+    );
     assert_eq!(status, 200);
     handle.stop();
 }

@@ -153,19 +153,29 @@ impl DatasetRegistry {
         ))
     }
 
-    /// Appends `dataset` as the next version of `id`, returning the new
-    /// current version. Older versions beyond [`MAX_RETAINED_VERSIONS`] are
-    /// evicted oldest-first.
+    /// Appends `dataset`, an edit of version `parent`, as the next version
+    /// of `id`, returning the new current version. Refuses with a
+    /// [`crate::ApiErrorKind::Conflict`], changing nothing, when `parent` is
+    /// no longer the current version: another edit was installed since, and
+    /// appending would drop it. Older versions beyond
+    /// [`MAX_RETAINED_VERSIONS`] are evicted oldest-first.
     pub fn update(
         &self,
         id: &str,
+        parent: u64,
         dataset: Arc<EngineDataset>,
     ) -> Result<RegisteredDataset, ApiError> {
         let mut inner = self.inner.lock().expect("dataset registry lock poisoned");
         let chain = inner
             .get_mut(id)
             .ok_or_else(|| Self::unknown_id_error(id))?;
-        let version = chain.current().0 + 1;
+        let current = chain.current().0;
+        if current != parent {
+            return Err(ApiError::conflict(format!(
+                "dataset `{id}` is at version {current}, not the edited version {parent}"
+            )));
+        }
+        let version = current + 1;
         chain.versions.push_back((version, Arc::clone(&dataset)));
         while chain.versions.len() > MAX_RETAINED_VERSIONS {
             chain.versions.pop_front();
@@ -352,7 +362,7 @@ mod tests {
         let base = dataset("a", 4);
         let (registered, _) = registry.register(Arc::clone(&base)).unwrap();
         let id = registered.id.clone();
-        let v2 = registry.update(&id, edited(&base, 1)).unwrap();
+        let v2 = registry.update(&id, 1, edited(&base, 1)).unwrap();
         assert_eq!(v2.id, id);
         assert_eq!(v2.version, 2);
         assert_ne!(v2.fingerprint_hex(), registered.fingerprint_hex());
@@ -379,8 +389,33 @@ mod tests {
         // One id, however many versions.
         assert_eq!(registry.len(), 1);
         // Updating an unknown id fails with not-found.
-        let err = registry.update("ds-nope", edited(&base, 2)).unwrap_err();
+        let err = registry.update("ds-nope", 1, edited(&base, 2)).unwrap_err();
         assert_eq!(err.kind, ApiErrorKind::NotFound);
+    }
+
+    #[test]
+    fn a_stale_parent_version_is_refused_and_changes_nothing() {
+        let registry = DatasetRegistry::new(4);
+        let base = dataset("a", 4);
+        let (registered, _) = registry.register(Arc::clone(&base)).unwrap();
+        let id = registered.id;
+        let v2 = registry.update(&id, 1, edited(&base, 1)).unwrap();
+        // A second edit of version 1 lost the race to `v2`.
+        let err = registry.update(&id, 1, edited(&base, 2)).unwrap_err();
+        assert_eq!(err.kind, ApiErrorKind::Conflict);
+        assert!(err.message.contains("version 2"), "{}", err.message);
+        let current = registry.current(&id).unwrap();
+        assert_eq!(current.version, 2);
+        assert_eq!(current.fingerprint_hex(), v2.fingerprint_hex());
+        assert!(registry.resolve_version(&id, 3).is_err());
+        // A version that never existed is stale too.
+        let err = registry.update(&id, 7, edited(&base, 2)).unwrap_err();
+        assert_eq!(err.kind, ApiErrorKind::Conflict);
+        // The edit of the current version goes in.
+        assert_eq!(
+            registry.update(&id, 2, edited(&base, 2)).unwrap().version,
+            3
+        );
     }
 
     #[test]
@@ -391,7 +426,9 @@ mod tests {
         let id = registered.id;
         // Push enough edits to rotate version 1 out of the retained window.
         for extra in 1..=MAX_RETAINED_VERSIONS {
-            registry.update(&id, edited(&base, extra)).unwrap();
+            registry
+                .update(&id, extra as u64, edited(&base, extra))
+                .unwrap();
         }
         let current = registry.current(&id).unwrap().version;
         assert_eq!(current, (MAX_RETAINED_VERSIONS + 1) as u64);
@@ -411,7 +448,9 @@ mod tests {
         let registry = DatasetRegistry::new(4);
         let base = dataset("a", 4);
         let (registered, _) = registry.register(Arc::clone(&base)).unwrap();
-        registry.update(&registered.id, edited(&base, 3)).unwrap();
+        registry
+            .update(&registered.id, 1, edited(&base, 3))
+            .unwrap();
         let pinned = registry.resolve_version(&registered.id, 1).unwrap();
         assert_eq!(pinned.dataset.num_rankings(), 2);
         assert_eq!(pinned.fingerprint_hex(), registered.fingerprint_hex());

@@ -31,7 +31,7 @@ use mani_engine::{
 };
 use mani_fairness::{FairnessAudit, FairnessThresholds};
 use mani_obs::{PromWriter, SlowEntry, SlowRing, Span, TraceTimeline};
-use mani_ranking::{CandidateDb, Ranking, RankingProfile};
+use mani_ranking::{CandidateId, Ranking, RankingProfile};
 use serde::{Serialize, Value};
 
 use crate::error::{ApiError, ApiErrorKind};
@@ -1043,32 +1043,46 @@ impl Service {
     /// edited version's precedence matrix is derived from the parent's by
     /// folding the deltas in — `O(edits · n²)` instead of a full
     /// `O(n² · |R|)` rebuild whenever the parent's matrix is warm.
+    ///
+    /// Concurrent edits of one id apply one after another: when another edit
+    /// installed a version first, the ops are applied again to that version.
+    /// Ops name candidates of the id's database, which no edit changes, so
+    /// they are parsed once.
     pub fn dataset_patch(&self, id: &str, body: &Value) -> Result<Value, ApiError> {
-        let parent = self.datasets.resolve_current(id)?;
+        let mut parent = self.datasets.resolve_current(id)?;
         let ops = body
             .get("ops")
             .and_then(Value::as_array)
             .filter(|ops| !ops.is_empty())
             .ok_or_else(|| ApiError::invalid("a patch needs a non-empty `ops` array"))?;
+        let names = parent.dataset.db().name_index();
         let deltas = ops
             .iter()
             .enumerate()
-            .map(|(index, op)| parse_edit_op(index, op, parent.dataset.db()))
+            .map(|(index, op)| parse_edit_op(index, op, &names))
             .collect::<Result<Vec<_>, _>>()?;
-        let child = apply_ranking_deltas(&parent.dataset, &deltas)?;
-        let (_, derived) = self.engine.cache().derive_with(
-            &parent.dataset,
-            &child,
-            &deltas,
-            &self.engine.kernel_parallelism(),
-        );
+        let (updated, derived) = loop {
+            let child = apply_ranking_deltas(&parent.dataset, &deltas)?;
+            let (_, derived) = self.engine.cache().derive_with(
+                &parent.dataset,
+                &child,
+                &deltas,
+                &self.engine.kernel_parallelism(),
+            );
+            match self.datasets.update(id, parent.version, child) {
+                Ok(updated) => break (updated, derived),
+                Err(moved) if moved.kind == ApiErrorKind::Conflict => {
+                    parent = self.datasets.resolve_current(id)?;
+                }
+                Err(error) => return Err(error),
+            }
+        };
         let (appends, retracts) = deltas
             .iter()
             .fold((0u64, 0u64), |(a, r), delta| match delta {
                 RankingDelta::Append { weight, .. } => (a + u64::from(*weight), r),
                 RankingDelta::Retract { weight, .. } => (a, r + u64::from(*weight)),
             });
-        let updated = self.datasets.update(id, child)?;
         Ok(dataset_value(
             &updated,
             vec![
@@ -1103,14 +1117,15 @@ impl Service {
             .and_then(Value::as_array)
             .filter(|edits| !edits.is_empty())
             .ok_or_else(|| ApiError::invalid("a session needs a non-empty `edits` array"))?;
+        let names = spec.dataset.db().name_index();
         let mut steps = Vec::with_capacity(edits.len());
         let mut parent = Arc::clone(&spec.dataset);
         for (index, edit) in edits.iter().enumerate() {
             let deltas = match edit {
-                Value::Object(_) => vec![parse_edit_op(index, edit, spec.dataset.db())?],
+                Value::Object(_) => vec![parse_edit_op(index, edit, &names)?],
                 Value::Array(ops) if !ops.is_empty() => ops
                     .iter()
-                    .map(|op| parse_edit_op(index, op, spec.dataset.db()))
+                    .map(|op| parse_edit_op(index, op, &names))
                     .collect::<Result<Vec<_>, _>>()?,
                 _ => {
                     return Err(ApiError::invalid(format!(
@@ -1644,10 +1659,15 @@ fn dataset_value(registered: &RegisteredDataset, extra: Vec<(&str, Value)>) -> V
 }
 
 /// Parses one edit op — `{"op": "append"|"retract", "ranking": [names],
-/// "weight"?: W}` — into a ranking delta against `db`. The ranking must be a
-/// full order over the dataset's candidates; `weight` (default 1) counts how
-/// many copies the op adds or removes.
-fn parse_edit_op(index: usize, op: &Value, db: &CandidateDb) -> Result<RankingDelta, ApiError> {
+/// "weight"?: W}` — into a ranking delta, resolving names through the
+/// dataset's [`mani_ranking::CandidateDb::name_index`]. The ranking must be
+/// a full order over the dataset's candidates; `weight` (default 1) counts
+/// how many copies the op adds or removes.
+fn parse_edit_op(
+    index: usize,
+    op: &Value,
+    names: &HashMap<&str, CandidateId>,
+) -> Result<RankingDelta, ApiError> {
     let kind = op.get("op").and_then(Value::as_str).ok_or_else(|| {
         ApiError::invalid(format!("op {index} needs an `op` of `append` or `retract`"))
     })?;
@@ -1661,27 +1681,27 @@ fn parse_edit_op(index: usize, op: &Value, db: &CandidateDb) -> Result<RankingDe
             )));
         }
     };
-    let names = op.get("ranking").and_then(Value::as_array).ok_or_else(|| {
+    let entries = op.get("ranking").and_then(Value::as_array).ok_or_else(|| {
         ApiError::invalid(format!(
             "op {index} needs a `ranking` array of candidate names"
         ))
     })?;
-    if names.len() != db.len() {
+    if entries.len() != names.len() {
         return Err(ApiError::invalid(format!(
             "op {index} ranking must order all {} candidates (got {})",
-            db.len(),
-            names.len()
+            names.len(),
+            entries.len()
         )));
     }
-    let mut order = Vec::with_capacity(names.len());
-    for raw in names {
+    let mut order = Vec::with_capacity(entries.len());
+    for raw in entries {
         let candidate = raw.as_str().ok_or_else(|| {
             ApiError::invalid(format!("op {index} ranking entries must be strings"))
         })?;
-        let id = db.candidate_by_name(candidate).ok_or_else(|| {
+        let id = names.get(candidate).ok_or_else(|| {
             ApiError::invalid(format!("op {index} names unknown candidate `{candidate}`"))
         })?;
-        order.push(id);
+        order.push(*id);
     }
     let ranking =
         Ranking::from_order(order).map_err(|e| ApiError::invalid(format!("op {index}: {e}")))?;
@@ -2383,6 +2403,45 @@ mod tests {
             r#"{{"dataset": {{"id": "{id}"}}, "methods": ["Fair-Borda"], "delta": 0.2, "wait": true}}"#
         ))
         .unwrap()
+    }
+
+    #[test]
+    fn concurrent_patches_of_one_id_apply_one_after_another() {
+        const PATCHES: usize = 200;
+        let service = service();
+        let id = upload_demo(&service);
+        let orders = [["b", "a", "d", "c"], ["c", "d", "a", "b"]];
+        let start = std::sync::Barrier::new(orders.len());
+        std::thread::scope(|scope| {
+            for order in &orders {
+                let (service, id, start) = (&service, &id, &start);
+                scope.spawn(move || {
+                    let patch = parse_body(&format!(
+                        r#"{{"ops": [{{"op": "append", "ranking": ["{}","{}","{}","{}"]}}]}}"#,
+                        order[0], order[1], order[2], order[3]
+                    ))
+                    .unwrap();
+                    start.wait();
+                    for _ in 0..PATCHES {
+                        service.dataset_patch(id, &patch).unwrap();
+                    }
+                });
+            }
+        });
+        let current = service.datasets().current(&id).unwrap();
+        assert_eq!(current.version, 1 + (orders.len() * PATCHES) as u64);
+        let profile = current.dataset.profile();
+        assert_eq!(
+            profile.len(),
+            3 + orders.len() * PATCHES,
+            "an edit was lost"
+        );
+        let names = current.dataset.db().name_index();
+        for order in &orders {
+            let ranking = Ranking::from_order(order.iter().map(|n| names[n]).collect()).unwrap();
+            let copies = profile.rankings().iter().filter(|r| **r == ranking).count();
+            assert_eq!(copies, PATCHES, "{order:?}");
+        }
     }
 
     #[test]

@@ -31,12 +31,13 @@
 //! dataset back into this JSON shape (used by the wire-codec bench and the
 //! differential columnar-vs-JSON tests).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use mani_core::MethodKind;
 use mani_engine::{ConsensusRequest, EngineDataset, MethodResult};
 use mani_fairness::FairnessThresholds;
-use mani_ranking::{CandidateDb, CandidateDbBuilder, Ranking, RankingProfile};
+use mani_ranking::{CandidateDb, CandidateDbBuilder, Ranking, RankingError, RankingProfile};
 use serde::{Serialize, Value};
 
 use crate::error::ApiError;
@@ -353,22 +354,31 @@ pub fn parse_dataset(value: &Value) -> Result<Arc<EngineDataset>, ApiError> {
     }
 
     // Pass 1: attribute order from the first candidate, then value domains in
-    // declared-then-first-appearance order.
+    // declared-then-first-appearance order. Attribute names and values resolve
+    // through hash maps, so the pass is linear in the body.
     let first = candidates[0]
         .get("attributes")
         .and_then(Value::as_object)
         .ok_or_else(|| ApiError::invalid("every candidate needs an `attributes` object"))?;
-    let attribute_names: Vec<String> = first.iter().map(|(k, _)| k.clone()).collect();
+    let attribute_names: Vec<&str> = first.iter().map(|(k, _)| k.as_str()).collect();
     if attribute_names.is_empty() {
         return Err(ApiError::invalid(
             "candidates need at least one protected attribute",
         ));
     }
-    let mut domains: Vec<Vec<String>> = attribute_names
+    let mut positions = HashMap::with_capacity(attribute_names.len());
+    for (index, attribute) in attribute_names.iter().enumerate() {
+        if positions.insert(*attribute, index).is_some() {
+            let repeated = RankingError::DuplicateAttribute(attribute.to_string());
+            return Err(ApiError::invalid(repeated.to_string()));
+        }
+    }
+    let declared = declared_domains(value)?;
+    let mut domains: Vec<Domain> = attribute_names
         .iter()
-        .map(|attribute| declared_domain(value, attribute))
+        .map(|attribute| Domain::declared(&declared, attribute))
         .collect::<Result<_, _>>()?;
-    let mut rows: Vec<(String, Vec<String>)> = Vec::with_capacity(candidates.len());
+    let mut rows: Vec<(&str, Vec<usize>)> = Vec::with_capacity(candidates.len());
     for candidate in candidates {
         let name = candidate
             .get("name")
@@ -378,48 +388,48 @@ pub fn parse_dataset(value: &Value) -> Result<Arc<EngineDataset>, ApiError> {
             .get("attributes")
             .and_then(Value::as_object)
             .ok_or_else(|| ApiError::invalid("every candidate needs an `attributes` object"))?;
+        // The first occurrence of a key wins, as `Value::get` would pick it.
+        let mut found: Vec<Option<&Value>> = vec![None; attribute_names.len()];
+        for (key, raw) in attributes {
+            if let Some(&index) = positions.get(key.as_str()) {
+                found[index].get_or_insert(raw);
+            }
+        }
         let mut assignment = Vec::with_capacity(attribute_names.len());
         for (index, attribute) in attribute_names.iter().enumerate() {
-            let raw = attributes
-                .iter()
-                .find(|(k, _)| k == attribute)
-                .map(|(_, v)| v)
-                .ok_or_else(|| {
-                    ApiError::invalid(format!(
-                        "candidate `{name}` is missing attribute `{attribute}`"
-                    ))
-                })?;
+            let raw = found[index].ok_or_else(|| {
+                ApiError::invalid(format!(
+                    "candidate `{name}` is missing attribute `{attribute}`"
+                ))
+            })?;
             let label = raw.as_str().ok_or_else(|| {
                 ApiError::invalid(format!(
                     "attribute `{attribute}` of `{name}` must be a string"
                 ))
             })?;
-            if !domains[index].iter().any(|v| v == label) {
-                domains[index].push(label.to_string());
-            }
-            assignment.push(label.to_string());
+            assignment.push(domains[index].index_of(label));
         }
-        rows.push((name.to_string(), assignment));
+        rows.push((name, assignment));
     }
 
     // Pass 2: build the database against the settled domains.
     let mut builder = CandidateDbBuilder::new();
     let mut attribute_ids = Vec::with_capacity(attribute_names.len());
     for (attribute, domain) in attribute_names.iter().zip(&domains) {
-        if domain.len() < 2 {
+        if domain.values.len() < 2 {
             return Err(ApiError::invalid(format!(
                 "attribute `{attribute}` has {} distinct value(s); protected attributes need at least 2",
-                domain.len()
+                domain.values.len()
             )));
         }
         let id = builder
-            .add_attribute(attribute.clone(), domain.iter().map(String::as_str))
+            .add_attribute(*attribute, domain.values.iter().copied())
             .map_err(|e| ApiError::invalid(e.to_string()))?;
         attribute_ids.push(id);
     }
     for (name, assignment) in rows {
         builder
-            .add_candidate_named(name, attribute_ids.iter().copied().zip(assignment))
+            .add_candidate(name, attribute_ids.iter().copied().zip(assignment))
             .map_err(|e| ApiError::invalid(e.to_string()))?;
     }
     let db = builder
@@ -434,6 +444,7 @@ pub fn parse_dataset(value: &Value) -> Result<Arc<EngineDataset>, ApiError> {
     if rankings.is_empty() {
         return Err(ApiError::invalid("`rankings` must not be empty"));
     }
+    let ids = db.name_index();
     let mut parsed = Vec::with_capacity(rankings.len());
     for (index, ranking) in rankings.iter().enumerate() {
         let names = ranking.as_array().ok_or_else(|| {
@@ -444,12 +455,12 @@ pub fn parse_dataset(value: &Value) -> Result<Arc<EngineDataset>, ApiError> {
             let candidate = raw.as_str().ok_or_else(|| {
                 ApiError::invalid(format!("ranking {index} entries must be strings"))
             })?;
-            let id = db.candidate_by_name(candidate).ok_or_else(|| {
+            let id = ids.get(candidate).ok_or_else(|| {
                 ApiError::invalid(format!(
                     "ranking {index} names unknown candidate `{candidate}`"
                 ))
             })?;
-            order.push(id);
+            order.push(*id);
         }
         parsed.push(
             Ranking::from_order(order)
@@ -463,28 +474,62 @@ pub fn parse_dataset(value: &Value) -> Result<Arc<EngineDataset>, ApiError> {
         .map_err(|e| ApiError::invalid(e.to_string()))
 }
 
-/// Values pinned for `attribute` by the optional `domains` object.
-fn declared_domain(dataset: &Value, attribute: &str) -> Result<Vec<String>, ApiError> {
+/// The optional `domains` object as attribute → declared value list (the
+/// first occurrence of a key wins).
+fn declared_domains(dataset: &Value) -> Result<HashMap<&str, &Value>, ApiError> {
     let Some(domains) = dataset.get("domains") else {
-        return Ok(Vec::new());
+        return Ok(HashMap::new());
     };
     let entries = domains
         .as_object()
         .ok_or_else(|| ApiError::invalid("`domains` must be an object"))?;
-    let Some(raw) = entries.iter().find(|(k, _)| k == attribute).map(|(_, v)| v) else {
-        return Ok(Vec::new());
-    };
-    let values = raw
-        .as_array()
-        .ok_or_else(|| ApiError::invalid(format!("`domains.{attribute}` must be an array")))?;
-    values
-        .iter()
-        .map(|v| {
-            v.as_str().map(str::to_string).ok_or_else(|| {
+    let mut declared = HashMap::with_capacity(entries.len());
+    for (attribute, values) in entries {
+        declared.entry(attribute.as_str()).or_insert(values);
+    }
+    Ok(declared)
+}
+
+/// One attribute's value domain while a dataset is parsed: its values in
+/// order and each value's index.
+struct Domain<'a> {
+    values: Vec<&'a str>,
+    index: HashMap<&'a str, usize>,
+}
+
+impl<'a> Domain<'a> {
+    /// The domain `domains` pins for `attribute` (empty when none is
+    /// declared). A repeated declared value is kept, so the schema refuses it.
+    fn declared(declared: &HashMap<&str, &'a Value>, attribute: &str) -> Result<Self, ApiError> {
+        let mut domain = Self {
+            values: Vec::new(),
+            index: HashMap::new(),
+        };
+        let Some(raw) = declared.get(attribute) else {
+            return Ok(domain);
+        };
+        let values = raw
+            .as_array()
+            .ok_or_else(|| ApiError::invalid(format!("`domains.{attribute}` must be an array")))?;
+        for value in values {
+            let value = value.as_str().ok_or_else(|| {
                 ApiError::invalid(format!("`domains.{attribute}` entries must be strings"))
-            })
-        })
-        .collect()
+            })?;
+            domain.index.entry(value).or_insert(domain.values.len());
+            domain.values.push(value);
+        }
+        Ok(domain)
+    }
+
+    /// The index of `value`, appending it when it is new.
+    fn index_of(&mut self, value: &'a str) -> usize {
+        let next = self.values.len();
+        let index = *self.index.entry(value).or_insert(next);
+        if index == next {
+            self.values.push(value);
+        }
+        index
+    }
 }
 
 /// Renders a dataset back into the JSON upload shape [`parse_dataset`]

@@ -153,6 +153,78 @@ proptest! {
     }
 }
 
+/// Decodes `bytes`, which must fail with an `ApiError` or yield a dataset
+/// whose fingerprint equals the header's and its rows'.
+fn decode_checked(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(dataset) = decode_dataset(bytes) {
+        let header = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
+        prop_assert_eq!(dataset.fingerprint(), header);
+        let fresh = EngineDataset::new(
+            "fresh",
+            (**dataset.db()).clone(),
+            (**dataset.profile()).clone(),
+        )
+        .unwrap();
+        prop_assert_eq!(dataset.fingerprint(), fresh.fingerprint());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The columnar half of the decoder property test: truncated and
+    /// single-byte-mutated bodies, weighted and unweighted, decode to a
+    /// dataset that matches its header or to an `ApiError` — never a panic.
+    #[test]
+    fn prop_truncated_and_mutated_columnar_bodies_never_panic(
+        n in 2usize..8,
+        m in 1usize..5,
+        weighted in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut columns = ColumnarDataset::from_dataset(&json_parsed(&random_dataset_json(n, m, seed)));
+        if weighted {
+            columns.weights = Some((0..m).map(|_| rng.gen_range(1..4) as u32).collect());
+        }
+        let body = columns.encode().expect("valid body");
+        decode_checked(&body)?;
+        prop_assert!(decode_dataset(&body).is_ok());
+        for _ in 0..8 {
+            decode_checked(&body[..rng.gen_range(0..body.len())])?;
+        }
+        for _ in 0..16 {
+            let mut mutated = body.clone();
+            let at = rng.gen_range(0..body.len());
+            mutated[at] = rng.gen::<u32>() as u8;
+            decode_checked(&mutated)?;
+        }
+    }
+}
+
+#[test]
+fn a_twenty_thousand_candidate_body_decodes_alike_through_both_codecs() {
+    let n = 20_000;
+    let candidates: Vec<String> = (0..n)
+        .map(|i| {
+            let group = ["x", "y", "z"][i % 3];
+            format!(r#"{{"name": "c{i}", "attributes": {{"G": "{group}"}}}}"#)
+        })
+        .collect();
+    let ranking: Vec<String> = (0..n).rev().map(|i| format!(r#""c{i}""#)).collect();
+    let doc = format!(
+        r#"{{"name": "wide", "candidates": [{}], "rankings": [[{}]]}}"#,
+        candidates.join(","),
+        ranking.join(",")
+    );
+    let from_json = json_parsed(&doc);
+    assert_eq!(from_json.num_candidates(), n);
+    let twin = decode_dataset(&encode_dataset(&from_json)).expect("columnar twin");
+    assert_eq!(twin.fingerprint(), from_json.fingerprint());
+    assert_eq!(canonical(&twin), canonical(&from_json));
+}
+
 #[test]
 fn single_candidate_dataset_is_rejected_by_both_codecs() {
     // One candidate cannot produce the two distinct protected-attribute
