@@ -18,14 +18,35 @@
 //! `ω(X) · (|P| + 1)` swaps; the cap is `min(ω(X) · (|P| + 1), 32n + 512)`, so a stalled
 //! pass hands over to the interleave fallback of [`make_mr_fair`] quickly.
 //!
-//! One swap costs O(#axes + n/64), not O(n). The pass keeps every constrained axis's
-//! integer FPR numerators (the counts [`favored_pair_counts`] returns and
-//! [`group_fprs`](mani_fairness::group_fprs) divides) and updates them in O(1) per axis and
-//! swap, so its FPRs are the same `f64` values a full recomputation gives. It finds each
-//! swap pair in per-group position bitsets instead of rescanning the ranking.
+//! The pass makes exactly the swaps of the loop above, but not one loop turn per swap:
+//!
+//! - **Counts.** Every constrained axis keeps its integer FPR numerators (the counts
+//!   [`favored_pair_counts`] returns) and its `f64` denominators `|g| · (n − |g|)`, and
+//!   reads the gap, `G_highest` and `G_lowest` off them in one allocation-free pass with
+//!   [`FprScores`](mani_fairness::FprScores)' expressions and tie rules, so every decision
+//!   sees the `f64` values a full recomputation gives. A swap at distance d moves d
+//!   favoured pairs from one group to the other. During a round only the corrected axis is
+//!   kept in step; the others are re-counted when the round reaches Δ, before anything
+//!   reads them again.
+//! - **Positions.** Swap partners come from per-group position bitsets. The round keeps
+//!   each group's bottom-most position, and after a swap the demoted candidate's new
+//!   position is the next `x_Gh` while the (`G_highest`, `G_lowest`) pair is unchanged and
+//!   that position is still above `G_lowest`'s bottom, so the backward scans run only when
+//!   the pair changes.
+//! - **Runs.** When the `G_lowest` members right below the demoted candidate are all
+//!   harmless to promote, the loop would swap the candidate past them one at a time, and
+//!   each step moves only the two groups' numerators, by −1 and +1. Whether the loop takes
+//!   the next step (gap above Δ, the same two extreme groups, the cap not reached) can then
+//!   only turn from yes to no, so a binary search finds how many steps it takes, and they
+//!   are applied at once. A run cut short would only hand its next step back to the loop.
+//!
+//! A loop turn costs O(#groups + n/64) word operations, plus O(log k) and one move of a
+//! candidate k positions down the ranking when it ends in a run of k swaps. Ranking,
+//! `swaps`, `satisfied` and `fallback_used` are bit-identical to the one-swap-per-turn pass,
+//! which a test-only reference keeps.
 
-use mani_fairness::{favored_pair_counts, FairnessThresholds, FprScores};
-use mani_ranking::{total_pairs, CandidateId, GroupIndex, GroupMembership, Ranking};
+use mani_fairness::{favored_pair_counts, FairnessThresholds};
+use mani_ranking::{mixed_pairs_for_group, total_pairs, GroupIndex, GroupMembership, Ranking};
 use serde::Serialize;
 
 #[cfg(test)]
@@ -107,11 +128,11 @@ fn greedy_correction(
         // oscillate when two axes are correlated (each axis' swap partially undoes the
         // other's); fully correcting an axis per round behaves like coordinate descent and
         // converges on every workload in the evaluation.
-        let membership = axes[axis].membership;
         let mut round = RoundIndex::new(&ranking, &axes, axis);
+        let counts = &mut axes[axis];
         loop {
-            let fprs = axes[axis].fprs();
-            if fprs.max_pairwise_gap() <= axes[axis].delta + EPS {
+            let extremes = counts.extremes();
+            if extremes.gap <= counts.delta + EPS {
                 break;
             }
             if swaps >= max_swaps {
@@ -119,22 +140,33 @@ fn greedy_correction(
             }
             // No parity-reducing swap exists along this axis; the correction cannot make
             // further progress.
-            let Some((high_pos, low_pos)) = round.swap_pair(&fprs) else {
+            let (Some(high), Some(low)) = (extremes.high, extremes.low) else {
                 break 'pass false;
             };
-            let demoted = ranking.candidate_at(high_pos);
-            let promoted = ranking.candidate_at(low_pos);
+            let Some((high_pos, low_pos)) = round.swap_pair(high, low) else {
+                break 'pass false;
+            };
             ranking.swap_positions(high_pos, low_pos);
-            for counts in &mut axes {
-                counts.apply_swap(demoted, promoted, (low_pos - high_pos) as u64);
-            }
-            round.apply_swap(
-                high_pos,
-                low_pos,
-                membership.group_of(demoted),
-                membership.group_of(promoted),
-            );
+            counts.move_pairs(high, low, (low_pos - high_pos) as u64);
+            round.apply_swap(high_pos, low_pos, high, low);
             swaps += 1;
+            // The demoted candidate now sits at low_pos. Each harmless low-group member right
+            // below it is its next partner, at distance 1, for as long as the loop keeps
+            // choosing this pair: take all those swaps in one turn.
+            let block = round.harmless_low_block(low_pos, low);
+            let steps = counts.steps_taken(high, low, block.min(max_swaps - swaps));
+            if steps > 0 {
+                ranking.move_position(low_pos, low_pos + steps as usize);
+                counts.move_pairs(high, low, steps);
+                round.apply_run(low_pos, steps as usize, high, low);
+                swaps += steps;
+            }
+        }
+        // The round reached Δ, and the next pick reads every axis.
+        for (i, other) in axes.iter_mut().enumerate() {
+            if i != axis {
+                other.favored = favored_pair_counts(&ranking, other.membership);
+            }
         }
     };
     CorrectionReport {
@@ -216,39 +248,145 @@ fn finest_constrained_partition(
     }
 }
 
-/// A constrained axis and its FPR numerators, kept in step with the ranking under
-/// correction.
+/// A constrained axis and its FPR numerators. The numerators of the axis a round corrects
+/// are kept in step with the ranking; the others are re-counted when the round ends.
 struct AxisCounts<'g> {
     membership: &'g GroupMembership,
     /// The axis's threshold Δ.
     delta: f64,
     /// `favored[g]`: over the members `x` of group `g`, the non-members ranked below `x`.
     favored: Vec<u64>,
+    /// `mixed[g]`: the FPR denominator `|g| · (n − |g|)` as an `f64`; 0 for a group with no
+    /// mixed pairs, whose FPR is undefined.
+    mixed: Vec<f64>,
 }
 
-impl AxisCounts<'_> {
-    fn fprs(&self) -> FprScores {
-        FprScores::from_favored(&self.favored, self.membership)
+/// An axis's ARP/IRP and its extreme groups: what `FprScores::max_pairwise_gap`, `argmax`
+/// and `argmin` return for the same numerators.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Extremes {
+    gap: f64,
+    /// The highest-FPR group, the first one on ties.
+    high: Option<usize>,
+    /// The lowest-FPR group, the first one on ties.
+    low: Option<usize>,
+}
+
+impl<'g> AxisCounts<'g> {
+    fn new(ranking: &Ranking, membership: &'g GroupMembership, delta: f64) -> Self {
+        let n = membership.num_candidates();
+        let mixed = (0..membership.num_groups())
+            .map(|g| mixed_pairs_for_group(membership.group_size(g), n) as f64)
+            .collect();
+        Self {
+            membership,
+            delta,
+            favored: favored_pair_counts(ranking, membership),
+            mixed,
+        }
     }
 
-    /// Updates the numerators after `demoted`, at position p, swapped places with
-    /// `promoted`, at position q = p + `distance`.
-    ///
-    /// With `demoted` ∈ A and `promoted` ∈ B, A ≠ B on this axis, favored[A] drops by
-    /// exactly q − p, favored[B] rises by q − p, and no other group changes. Each position
-    /// in p+1..=q costs A one pair: `demoted` is no longer above the non-A candidate
-    /// there (`promoted` included), and an A member there trades `promoted` (counted)
-    /// below it for `demoted` (not counted). Mirrored, each such position gains B one pair.
-    /// A member of a third group between p and q trades one non-member below it for
-    /// another, and a candidate above p or below q has both swapped candidates on the same
-    /// side before and after.
-    fn apply_swap(&mut self, demoted: CandidateId, promoted: CandidateId, distance: u64) {
-        let a = self.membership.group_of(demoted);
-        let b = self.membership.group_of(promoted);
-        if a != b {
-            self.favored[a] -= distance;
-            self.favored[b] += distance;
+    /// FPR of group `g` with `favored` favoured pairs, as `FprScores::from_favored`
+    /// computes it.
+    fn score(&self, g: usize, favored: u64) -> Option<f64> {
+        (self.mixed[g] > 0.0).then(|| favored as f64 / self.mixed[g])
+    }
+
+    /// The gap and extreme groups, in one pass over the groups.
+    fn extremes(&self) -> Extremes {
+        let (mut max, mut min) = (f64::NEG_INFINITY, f64::INFINITY);
+        let mut extremes = Extremes {
+            gap: 0.0,
+            high: None,
+            low: None,
+        };
+        let mut defined = 0usize;
+        for (g, &favored) in self.favored.iter().enumerate() {
+            let Some(score) = self.score(g, favored) else {
+                continue;
+            };
+            if score > max {
+                (max, extremes.high) = (score, Some(g));
+            }
+            if score < min {
+                (min, extremes.low) = (score, Some(g));
+            }
+            defined += 1;
         }
+        if defined >= 2 {
+            extremes.gap = max - min;
+        }
+        extremes
+    }
+
+    /// Moves `pairs` favoured pairs from group `high` to group `low`: the effect of swapping
+    /// a member of `high` at position p with a member of `low` at q = p + `pairs`, or of
+    /// `pairs` such swaps at distance 1.
+    ///
+    /// Swapping `x` ∈ A at p with `y` ∈ B at q, A ≠ B on this axis, lowers favored[A] by
+    /// exactly q − p, raises favored[B] by q − p, and changes no other group. Each position
+    /// in p+1..=q costs A one pair: `x` is no longer above the non-A candidate there (`y`
+    /// included), and an A member there trades `y` (counted) below it for `x` (not
+    /// counted). Mirrored, each such position gains B one pair. A member of a third group
+    /// between p and q trades one non-member below it for another, and a candidate above p
+    /// or below q has both swapped candidates on the same side before and after.
+    fn move_pairs(&mut self, high: usize, low: usize, pairs: u64) {
+        self.favored[high] -= pairs;
+        self.favored[low] += pairs;
+    }
+
+    /// How many of up to `block` further distance-1 swaps of one `high` member past `low`
+    /// members the loop takes: it takes the next one while the gap exceeds Δ and `high` and
+    /// `low` are still the extreme groups (`block` already stops at the swap cap).
+    ///
+    /// After t such swaps only two numerators have moved, to favored[high] − t and
+    /// favored[low] + t. `high`'s score can only fall and `low`'s only rise as t grows, so
+    /// each condition, once false, stays false: binary search the first t at which one
+    /// fails, against the other groups' scores.
+    fn steps_taken(&self, high: usize, low: usize, block: u64) -> u64 {
+        // `high` stays the first largest score while it beats every other group before it and
+        // reaches every one after it; `low` likewise from below.
+        let (mut before_high, mut after_high) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        let (mut before_low, mut after_low) = (f64::INFINITY, f64::INFINITY);
+        for (g, &favored) in self.favored.iter().enumerate() {
+            if g == high || g == low {
+                continue;
+            }
+            let Some(score) = self.score(g, favored) else {
+                continue;
+            };
+            if g < high {
+                before_high = before_high.max(score);
+            } else {
+                after_high = after_high.max(score);
+            }
+            if g < low {
+                before_low = before_low.min(score);
+            } else {
+                after_low = after_low.min(score);
+            }
+        }
+        let takes_step = |t: u64| {
+            let high_score = (self.favored[high] - t) as f64 / self.mixed[high];
+            let low_score = (self.favored[low] + t) as f64 / self.mixed[low];
+            high_score - low_score > self.delta + EPS
+                && low_score < high_score
+                && before_high < high_score
+                && after_high <= high_score
+                && low_score < before_low
+                && low_score <= after_low
+        };
+        // The loop takes step t + 1 for every t below the answer and no step after.
+        let (mut taken, mut limit) = (0, block);
+        while taken < limit {
+            let t = taken + (limit - taken) / 2;
+            if takes_step(t) {
+                taken = t + 1;
+            } else {
+                limit = t;
+            }
+        }
+        taken
     }
 }
 
@@ -267,11 +405,7 @@ fn constrained_axes<'g>(
         .map(|delta| (groups.intersection(), delta));
     attributes
         .chain(intersection)
-        .map(|(membership, delta)| AxisCounts {
-            membership,
-            delta,
-            favored: favored_pair_counts(ranking, membership),
-        })
+        .map(|(membership, delta)| AxisCounts::new(ranking, membership, delta))
         .collect()
 }
 
@@ -281,7 +415,7 @@ fn constrained_axes<'g>(
 fn most_violating_axis(axes: &[AxisCounts<'_>]) -> Option<usize> {
     let mut worst: Option<(usize, f64)> = None;
     for (i, axis) in axes.iter().enumerate() {
-        let score = axis.fprs().max_pairwise_gap();
+        let score = axis.extremes().gap;
         if score > axis.delta + EPS && worst.is_none_or(|(_, s)| score > s) {
             worst = Some((i, score));
         }
@@ -301,10 +435,15 @@ fn most_violating_axis(axes: &[AxisCounts<'_>]) -> Option<usize> {
 struct RoundIndex {
     /// Positions held by each group of the axis being corrected.
     groups: Vec<PositionSet>,
+    /// The bottom-most position of each group, `None` for an empty one.
+    bottoms: Vec<Option<usize>>,
     /// Positions whose candidate can move down without harming another axis.
     harmless_down: PositionSet,
     /// Positions whose candidate can move up without harming another axis.
     harmless_up: PositionSet,
+    /// `(high, low, p)` after a swap between members of groups `high` and `low` that left
+    /// the demoted candidate at position p.
+    carried: Option<(usize, usize, usize)>,
 }
 
 impl RoundIndex {
@@ -317,17 +456,21 @@ impl RoundIndex {
             .enumerate()
             .filter(|&(i, _)| i != correcting)
             .filter_map(|(_, axis)| {
-                let fprs = axis.fprs();
-                Some((axis.membership, fprs.argmax()?, fprs.argmin()?))
+                let extremes = axis.extremes();
+                Some((axis.membership, extremes.high?, extremes.low?))
             })
             .collect();
         let mut index = Self {
             groups: vec![PositionSet::new(n); membership.num_groups()],
+            bottoms: vec![None; membership.num_groups()],
             harmless_down: PositionSet::new(n),
             harmless_up: PositionSet::new(n),
+            carried: None,
         };
         for (pos, cand) in ranking.iter().enumerate() {
-            index.groups[membership.group_of(cand)].insert(pos);
+            let group = membership.group_of(cand);
+            index.groups[group].insert(pos);
+            index.bottoms[group] = Some(pos);
             if others.iter().all(|&(m, _, low)| m.group_of(cand) != low) {
                 index.harmless_down.insert(pos);
             }
@@ -338,36 +481,73 @@ impl RoundIndex {
         index
     }
 
-    /// Positions of the next swap pair `(x_Gh, x_Gl)` along the axis whose scores are
-    /// `fprs`, or `None` when no valid pair exists.
-    fn swap_pair(&self, fprs: &FprScores) -> Option<(usize, usize)> {
-        let (high, low) = (fprs.argmax()?, fprs.argmin()?);
+    /// Positions of the next swap pair `(x_Gh, x_Gl)` between the highest-FPR group `high`
+    /// and the lowest-FPR group `low`, or `None` when no valid pair exists.
+    fn swap_pair(&self, high: usize, low: usize) -> Option<(usize, usize)> {
         if high == low {
             return None;
         }
-        let (high_set, low_set) = (&self.groups[high], &self.groups[low]);
         // Bottom-most member of the low group; x_Gh must be above it to have a partner.
-        let bottom_low = low_set.last()?;
+        let bottom_low = self.bottoms[low]?;
         // x_Gh: lowest-ranked member of the high group above that position, preferring one
-        // whose demotion does not hurt another constrained axis.
-        let high_pos = high_set
-            .last_before(bottom_low, Some(&self.harmless_down))
-            .or_else(|| high_set.last_before(bottom_low, None))?;
+        // whose demotion does not hurt another constrained axis. After a swap of the same
+        // pair that is the demoted candidate again while it is above bottom_low: the last
+        // search passed over every high member between its old and new position, and the
+        // swap moved none in.
+        let high_pos = match self.carried {
+            Some((h, l, pos)) if (h, l) == (high, low) && pos < bottom_low => pos,
+            _ => {
+                let high_set = &self.groups[high];
+                high_set
+                    .last_before(bottom_low, Some(&self.harmless_down))
+                    .or_else(|| high_set.last_before(bottom_low, None))?
+            }
+        };
         // x_Gl: highest-ranked member of the low group below x_Gh, preferring one whose
         // promotion does not hurt another constrained axis.
+        let low_set = &self.groups[low];
         let low_pos = low_set
             .first_after(high_pos, Some(&self.harmless_up))
             .or_else(|| low_set.first_after(high_pos, None))?;
         Some((high_pos, low_pos))
     }
 
-    /// Follows the ranking's swap of positions `p` and `q`, which held members of groups
-    /// `group_p` and `group_q` of the axis being corrected.
-    fn apply_swap(&mut self, p: usize, q: usize, group_p: usize, group_q: usize) {
-        self.groups[group_p].swap(p, q);
-        self.groups[group_q].swap(p, q);
+    /// Follows the ranking's swap of positions p < q, which held members of groups `high`
+    /// and `low` of the axis being corrected.
+    fn apply_swap(&mut self, p: usize, q: usize, high: usize, low: usize) {
+        self.groups[high].swap(p, q);
+        self.groups[low].swap(p, q);
         self.harmless_down.swap(p, q);
         self.harmless_up.swap(p, q);
+        self.demoted_to(q, high, low);
+    }
+
+    /// Number of consecutive positions right below `pos` whose candidates belong to group
+    /// `low` and are harmless to promote.
+    fn harmless_low_block(&self, pos: usize, low: usize) -> u64 {
+        self.groups[low].run_from(pos + 1, &self.harmless_up) as u64
+    }
+
+    /// Follows the ranking's move of a `high` member from position p to p + k past `k`
+    /// members of group `low`, which are all harmless to promote.
+    fn apply_run(&mut self, p: usize, k: usize, high: usize, low: usize) {
+        let q = p + k;
+        // Every position strictly between the ends still holds a harmless low member.
+        self.groups[high].swap(p, q);
+        self.groups[low].swap(p, q);
+        self.harmless_up.swap(p, q);
+        self.harmless_down.move_down(p, q);
+        self.demoted_to(q, high, low);
+    }
+
+    /// Updates the bottoms and the carried position after a member of `high` took the
+    /// place of a member of `low` at position q.
+    fn demoted_to(&mut self, q: usize, high: usize, low: usize) {
+        self.bottoms[high] = self.bottoms[high].max(Some(q));
+        if self.bottoms[low] == Some(q) {
+            self.bottoms[low] = self.groups[low].last_before(q, None);
+        }
+        self.carried = Some((high, low, q));
     }
 }
 
@@ -400,14 +580,45 @@ impl PositionSet {
         }
     }
 
+    /// Follows `Ranking::move_position(from, to)` for `from < to`: position `to` takes the
+    /// membership of `from`, and every position in between that of the one below it.
+    fn move_down(&mut self, from: usize, to: usize) {
+        let moved = self.contains(from);
+        for w in from / 64..=to / 64 {
+            // The bits of from..to within word w.
+            let (start, end) = (from.max(64 * w) - 64 * w, to.min(64 * w + 64) - 64 * w);
+            if start == end {
+                continue;
+            }
+            let mask = u64::MAX >> (64 - (end - start)) << start;
+            let next = self.words.get(w + 1).copied().unwrap_or(0);
+            let shifted = self.words[w] >> 1 | next << 63;
+            self.words[w] = self.words[w] & !mask | shifted & mask;
+        }
+        if self.contains(to) != moved {
+            self.words[to / 64] ^= 1 << (to % 64);
+        }
+    }
+
     /// Word `w` of the set, intersected with `filter` when one is given.
     fn word(&self, w: usize, filter: Option<&PositionSet>) -> u64 {
         self.words[w] & filter.map_or(u64::MAX, |f| f.words[w])
     }
 
-    /// The highest position in the set.
-    fn last(&self) -> Option<usize> {
-        self.last_before(64 * self.words.len(), None)
+    /// The number of consecutive positions from `start` on that are in the set and in
+    /// `filter`.
+    fn run_from(&self, start: usize, filter: &PositionSet) -> usize {
+        let mut run = 0;
+        let (mut w, mut offset) = (start / 64, start % 64);
+        while w < self.words.len() {
+            let ones = (self.word(w, Some(filter)) >> offset).trailing_ones() as usize;
+            run += ones;
+            if ones < 64 - offset {
+                break;
+            }
+            (w, offset) = (w + 1, 0);
+        }
+        run
     }
 
     /// The highest position below `end` in the set (and in `filter`, when given).
@@ -448,10 +659,13 @@ impl PositionSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mani_fairness::{ManiRankCriteria, ParityScores};
+    use mani_aggregation::BordaAggregator;
+    use mani_datagen::{binary_population, FairnessTarget, MallowsModel, ModalRankingBuilder};
+    use mani_fairness::{FprScores, ManiRankCriteria, ParityScores};
     use mani_ranking::{kendall_tau, CandidateDb, CandidateDbBuilder};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
     fn db_two_attrs(n: usize) -> (CandidateDb, GroupIndex) {
@@ -665,5 +879,183 @@ mod tests {
             paths.iter().all(|&count| count > 0),
             "first pass satisfied / cap then fallback / unsatisfied / several rounds: {paths:?}"
         );
+    }
+
+    /// Candidates cell by cell of the intersection, the cells in a random order, then a few
+    /// random adjacent transpositions: the segregated shape in which the pass demotes one
+    /// candidate past long blocks of another group.
+    fn block_ordered(groups: &GroupIndex, rng: &mut StdRng) -> Ranking {
+        let cells = groups.intersection().membership();
+        let n = cells.len();
+        let mut cell_rank: Vec<usize> = (0..groups.intersection().num_groups()).collect();
+        cell_rank.shuffle(rng);
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        ids.shuffle(rng);
+        ids.sort_by_key(|&id| cell_rank[cells[id as usize]]);
+        for _ in 0..rng.gen_range(0..n / 10 + 1) {
+            let i = rng.gen_range(0..n - 1);
+            ids.swap(i, i + 1);
+        }
+        Ranking::from_ids(ids).unwrap()
+    }
+
+    /// The Borda consensus of a Mallows profile around a Low-Fair modal ranking (ARP 0.7,
+    /// IRP 1.0) over a binary Gender × Race population, as Fair-Borda corrects it.
+    fn low_fair_mallows(n: usize, rng: &mut StdRng) -> (GroupIndex, Ranking) {
+        let share = |rng: &mut StdRng| 0.2 + 0.6 * rng.gen::<f64>();
+        let db = binary_population(n, share(rng), share(rng), rng.gen());
+        let modal = ModalRankingBuilder::new(&db).build(&FairnessTarget::low_fair(2));
+        let profile = MallowsModel::new(modal, 0.3 + 1.2 * rng.gen::<f64>())
+            .sample_profile(1 + rng.gen_range(0..11), rng.gen());
+        (
+            GroupIndex::new(&db),
+            BordaAggregator::new().consensus(&profile),
+        )
+    }
+
+    /// A Δ just under an ARP the first attribute passes through when it has two non-empty
+    /// groups, of sizes a and n − a: its ARP is |2 · favored[0] − m| / m with m = a(n − a),
+    /// and a swap at distance 1 moves it by 2 / m. A pass must stop on reaching that ARP
+    /// (ARP ≤ Δ + EPS), not one swap later.
+    fn delta_under_a_reachable_gap(groups: &GroupIndex, rng: &mut StdRng) -> Option<f64> {
+        let (_, first) = groups.attributes().next()?;
+        let sizes: Vec<usize> = first
+            .non_empty_groups()
+            .map(|g| first.group_size(g))
+            .collect();
+        let [a, b] = sizes[..] else {
+            return None;
+        };
+        let mixed = a * b;
+        let arp = 2 * (1 + rng.gen_range(0..mixed / 5 + 1)) - mixed % 2;
+        Some(arp as f64 / mixed as f64 - EPS / 2.0)
+    }
+
+    /// The pass against the reference on the inputs its runs serve: block-ordered rankings
+    /// over skewed databases and Low-Fair Mallows consensus rankings, n up to 400, Δ from
+    /// 0.01 (the cap, then the fallback) to 0.4, some just under a reachable ARP, and every
+    /// threshold shape. Also checks that the cases ended runs in each of the four ways and
+    /// reached multi-round passes and the cap-then-fallback path.
+    #[test]
+    fn runs_match_reference_on_block_ordered_and_mallows_rankings() {
+        let mut rng = StdRng::seed_from_u64(0x0B10_C4ED);
+        let mut runs = reference::RunEnds::default();
+        let (mut multi_round, mut cap_then_fallback) = (0usize, 0usize);
+        for case in 0..240 {
+            let n = if case % 12 == 0 {
+                200 + rng.gen_range(0..201)
+            } else {
+                4 + rng.gen_range(0..117)
+            };
+            let (groups, ranking) = if case % 2 == 0 {
+                let groups = skewed_db(n, &mut rng);
+                let ranking = block_ordered(&groups, &mut rng);
+                (groups, ranking)
+            } else {
+                low_fair_mallows(n, &mut rng)
+            };
+            let delta = match rng.gen_range(0..5) {
+                0 => 0.01,
+                1 => delta_under_a_reachable_gap(&groups, &mut rng)
+                    .unwrap_or_else(|| 0.01 + 0.39 * rng.gen::<f64>()),
+                _ => 0.01 + 0.39 * rng.gen::<f64>(),
+            };
+            let thresholds = match rng.gen_range(0..4) {
+                0 => FairnessThresholds::uniform(delta),
+                1 => FairnessThresholds::attributes_only(delta),
+                2 => FairnessThresholds::intersection_only(delta),
+                _ => {
+                    let first = groups.attributes().next().expect("one attribute").0;
+                    FairnessThresholds::uniform(delta).with_attribute_delta(first, delta / 2.0)
+                }
+            };
+            let fast = make_mr_fair(&ranking, &groups, &thresholds);
+            let (slow, first_pass) = reference::make_mr_fair(&ranking, &groups, &thresholds);
+            let at = format!("case {case}: n = {n}, Δ = {delta}");
+            assert_eq!(fast.ranking, slow.ranking, "{at}");
+            assert_eq!(fast.swaps, slow.swaps, "{at}");
+            assert_eq!(fast.satisfied, slow.satisfied, "{at}");
+            assert_eq!(fast.fallback_used, slow.fallback_used, "{at}");
+            runs.delta += first_pass.runs.delta;
+            runs.pair += first_pass.runs.pair;
+            runs.cap += first_pass.runs.cap;
+            runs.block += first_pass.runs.block;
+            multi_round += usize::from(first_pass.rounds > 1);
+            cap_then_fallback += usize::from(first_pass.hit_cap && slow.fallback_used);
+        }
+        let paths = [
+            runs.delta,
+            runs.pair,
+            runs.cap,
+            runs.block,
+            multi_round,
+            cap_then_fallback,
+        ];
+        assert!(
+            paths.iter().all(|&count| count > 0),
+            "runs ended by Δ / pair change / cap / end of block, multi-round passes, \
+             cap then fallback: {paths:?}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The one-pass summary reads the gap and extreme groups `FprScores` reads from the
+        /// same numerators, with ties, empty groups and groups without mixed pairs.
+        #[test]
+        fn prop_extremes_match_fpr_scores(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (n, k) = (2 + rng.gen_range(0..24), 2 + rng.gen_range(0..5));
+            // Values from a prefix of the domain leave the rest empty; a prefix of one value
+            // puts every candidate in one group, which has no mixed pairs.
+            let used = 1 + rng.gen_range(0..k);
+            let mut b = CandidateDbBuilder::new();
+            let attr = b.add_attribute("A", (0..k).map(|v| format!("v{v}"))).unwrap();
+            for i in 0..n {
+                b.add_candidate(format!("c{i}"), [(attr, rng.gen_range(0..used))]).unwrap();
+            }
+            let groups = GroupIndex::new(&b.build().unwrap());
+            let mut counts = AxisCounts::new(&Ranking::identity(n), groups.intersection(), 0.1);
+            // Numerators that often tie: none, all or half of a group's mixed pairs.
+            for g in 0..k {
+                let mixed = mixed_pairs_for_group(groups.intersection().group_size(g), n);
+                counts.favored[g] = match rng.gen_range(0..4) {
+                    0 => 0,
+                    1 => mixed,
+                    2 => mixed / 2,
+                    _ => rng.gen::<u64>() % (mixed + 1),
+                };
+            }
+            let scores = FprScores::from_favored(&counts.favored, groups.intersection());
+            let extremes = counts.extremes();
+            prop_assert_eq!(extremes.gap.to_bits(), scores.max_pairwise_gap().to_bits());
+            prop_assert_eq!(extremes.high, scores.argmax());
+            prop_assert_eq!(extremes.low, scores.argmin());
+        }
+
+        /// `run_from` and `move_down` against one `bool` per position, across word edges.
+        #[test]
+        fn prop_position_set_runs_and_moves_match_a_bool_model(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = 1 + rng.gen_range(0..300);
+            let model: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.8)).collect();
+            let filter_model: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.9)).collect();
+            let set_of = |bits: &[bool]| {
+                let mut set = PositionSet::new(n);
+                bits.iter().enumerate().filter(|(_, &b)| b).for_each(|(pos, _)| set.insert(pos));
+                set
+            };
+            let (mut set, filter) = (set_of(&model), set_of(&filter_model));
+            let start = rng.gen_range(0..n + 1);
+            let run = (start..n).take_while(|&pos| model[pos] && filter_model[pos]).count();
+            prop_assert_eq!(set.run_from(start, &filter), run);
+
+            let from = rng.gen_range(0..n);
+            let to = from + rng.gen_range(0..n - from);
+            let mut moved = model.clone();
+            moved[from..=to].rotate_left(1);
+            set.move_down(from, to);
+            prop_assert!((0..n).all(|pos| set.contains(pos) == moved[pos]));
+        }
     }
 }

@@ -8,12 +8,62 @@ use mani_ranking::{GroupIndex, GroupMembership, Ranking};
 
 use super::{fair_interleave, swap_cap, CorrectionReport, EPS};
 
-/// How the reference's first greedy pass went, for the differential test's path coverage.
+/// How the reference's first greedy pass went, for the differential tests' path coverage.
+#[derive(Default)]
 pub(super) struct FirstPass {
     /// Correction rounds started (one per most-violating-axis pick).
     pub(super) rounds: usize,
     /// True when the pass stopped at the swap cap.
     pub(super) hit_cap: bool,
+    /// Runs of two or more distance-1 swaps that demote one candidate, by how they ended.
+    pub(super) runs: RunEnds,
+}
+
+/// Counts of runs by how they ended.
+#[derive(Debug, Default)]
+pub(super) struct RunEnds {
+    /// The round's axis reached Δ.
+    pub(super) delta: usize,
+    /// The highest- or lowest-FPR group changed, or no swap pair was left.
+    pub(super) pair: usize,
+    /// The pass reached its swap cap.
+    pub(super) cap: usize,
+    /// The same pair's next swap demoted another candidate or moved further than one
+    /// position: the block of harmless low-group members below the candidate ended.
+    pub(super) block: usize,
+}
+
+/// The swaps since the last one that did not continue a run.
+struct Run {
+    /// (highest-FPR group, lowest-FPR group) of the run's swaps.
+    pair: (usize, usize),
+    /// Where the demoted candidate ended up.
+    at: usize,
+    /// Distance-1 swaps of that candidate so far.
+    length: usize,
+}
+
+/// How a run ended; each names a [`RunEnds`] count.
+#[derive(Clone, Copy)]
+enum RunEnd {
+    Delta,
+    Pair,
+    Cap,
+    Block,
+}
+
+impl FirstPass {
+    /// Counts `run` under `ended` when it is a run of at least two swaps.
+    fn end_run(&mut self, run: Option<Run>, ended: RunEnd) {
+        if run.is_some_and(|run| run.length >= 2) {
+            *match ended {
+                RunEnd::Delta => &mut self.runs.delta,
+                RunEnd::Pair => &mut self.runs.pair,
+                RunEnd::Cap => &mut self.runs.cap,
+                RunEnd::Block => &mut self.runs.block,
+            } += 1;
+        }
+    }
 }
 
 /// Make-MR-Fair with the reference greedy pass; same control flow as the real one.
@@ -41,10 +91,7 @@ fn greedy_correction(
     let mut ranking = consensus.clone();
     let max_swaps = swap_cap(ranking.len(), groups);
     let mut swaps = 0u64;
-    let mut trace = FirstPass {
-        rounds: 0,
-        hit_cap: false,
-    };
+    let mut trace = FirstPass::default();
     let report = |ranking, swaps, satisfied| CorrectionReport {
         ranking,
         swaps,
@@ -61,16 +108,47 @@ fn greedy_correction(
         let delta = axis_delta(groups, thresholds, axis);
         let guard = CrossAxisGuard::new(&ranking, groups, thresholds, axis);
         let mut progressed = false;
-        while group_fprs(&ranking, membership).max_pairwise_gap() > delta + EPS {
+        let mut run: Option<Run> = None;
+        loop {
+            let fprs = group_fprs(&ranking, membership);
+            if fprs.max_pairwise_gap() <= delta + EPS {
+                trace.end_run(run, RunEnd::Delta);
+                break;
+            }
             if swaps >= max_swaps {
                 trace.hit_cap = true;
+                trace.end_run(run, RunEnd::Cap);
                 return (report(ranking, swaps, false), trace);
             }
-            if !swap_towards_parity(&mut ranking, membership, &guard) {
+            let pair = fprs.argmax().zip(fprs.argmin());
+            let same_pair = run.as_ref().is_some_and(|run| Some(run.pair) == pair);
+            let not_continued = if same_pair {
+                RunEnd::Block
+            } else {
+                RunEnd::Pair
+            };
+            let Some((high_pos, low_pos)) = swap_towards_parity(&mut ranking, membership, &guard)
+            else {
+                trace.end_run(run, not_continued);
                 return (report(ranking, swaps, false), trace);
-            }
+            };
             swaps += 1;
             progressed = true;
+            let adjacent = low_pos == high_pos + 1;
+            match &mut run {
+                Some(current) if same_pair && adjacent && current.at == high_pos => {
+                    current.at = low_pos;
+                    current.length += 1;
+                }
+                _ => {
+                    trace.end_run(run.take(), not_continued);
+                    run = Some(Run {
+                        pair: pair.expect("a swap has a pair"),
+                        at: low_pos,
+                        length: usize::from(adjacent),
+                    });
+                }
+            }
         }
         if !progressed {
             let satisfied = most_violating_axis(&ranking, groups, thresholds).is_none();
@@ -197,18 +275,19 @@ impl CrossAxisGuard {
     }
 }
 
-/// One Make-MR-Fair swap along an axis; returns false when no valid pair exists.
+/// One Make-MR-Fair swap along an axis; returns the swapped positions `(x_Gh, x_Gl)`, or
+/// `None` when no valid pair exists.
 fn swap_towards_parity(
     ranking: &mut Ranking,
     membership: &GroupMembership,
     guard: &CrossAxisGuard,
-) -> bool {
+) -> Option<(usize, usize)> {
     let fprs = group_fprs(ranking, membership);
     let (Some(high_group), Some(low_group)) = (fprs.argmax(), fprs.argmin()) else {
-        return false;
+        return None;
     };
     if high_group == low_group {
-        return false;
+        return None;
     }
     let mut bottom_low = None;
     for pos in (0..ranking.len()).rev() {
@@ -217,9 +296,7 @@ fn swap_towards_parity(
             break;
         }
     }
-    let Some(bottom_low) = bottom_low else {
-        return false;
-    };
+    let bottom_low = bottom_low?;
     let mut default_high = None;
     let mut preferred_high = None;
     for pos in (0..bottom_low).rev() {
@@ -235,9 +312,7 @@ fn swap_towards_parity(
             break;
         }
     }
-    let Some(high_pos) = preferred_high.or(default_high) else {
-        return false;
-    };
+    let high_pos = preferred_high.or(default_high)?;
     let mut default_low = None;
     let mut preferred_low = None;
     for pos in (high_pos + 1)..ranking.len() {
@@ -253,9 +328,7 @@ fn swap_towards_parity(
             break;
         }
     }
-    let Some(low_pos) = preferred_low.or(default_low) else {
-        return false;
-    };
+    let low_pos = preferred_low.or(default_low)?;
     ranking.swap_positions(high_pos, low_pos);
-    true
+    Some((high_pos, low_pos))
 }

@@ -2,6 +2,8 @@
 //! encode → decode round trip must reproduce exactly the dataset the JSON
 //! parser builds from the same rows — same fingerprint, same structure — and
 //! consensus over the columnar twin must be bit-identical to the JSON twin.
+//! Truncated and mutated bodies of both codecs decode to an error or to the
+//! dataset their bytes describe, never to a panic.
 
 use std::sync::Arc;
 
@@ -15,6 +17,7 @@ use mani_service::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::Value;
 
 /// A random JSON dataset document: `n` candidates over one group attribute,
 /// `m` random-permutation rankings.
@@ -199,6 +202,131 @@ proptest! {
             let at = rng.gen_range(0..body.len());
             mutated[at] = rng.gen::<u32>() as u8;
             decode_checked(&mutated)?;
+        }
+    }
+}
+
+/// Bytes a mutation writes half of the time: JSON punctuation, digits and
+/// the letters of its literals, so many mutants still parse as JSON and
+/// reach the dataset and edit rules.
+const JSON_BYTES: &[u8] = b"{}[]\":,0123456789-.eE truefalsn\\";
+
+/// Eight truncations and sixteen single-byte mutations of `body`, parsed as
+/// the JSON transport parses a body. Mutants that are not UTF-8 or not JSON
+/// stop there, with an error, and are left out.
+fn parsed_mutants(body: &str, rng: &mut StdRng) -> Vec<Value> {
+    let bytes = body.as_bytes();
+    let mut mutants: Vec<Vec<u8>> = (0..8)
+        .map(|_| bytes[..rng.gen_range(0..bytes.len())].to_vec())
+        .collect();
+    for _ in 0..16 {
+        let mut mutated = bytes.to_vec();
+        mutated[rng.gen_range(0..bytes.len())] = if rng.gen_bool(0.5) {
+            JSON_BYTES[rng.gen_range(0..JSON_BYTES.len())]
+        } else {
+            rng.gen::<u32>() as u8
+        };
+        mutants.push(mutated);
+    }
+    mutants
+        .iter()
+        .filter_map(|bytes| parse_body(std::str::from_utf8(bytes).ok()?).ok())
+        .collect()
+}
+
+/// A PATCH body for the dataset document `doc`: append its first ranking
+/// reversed, then retract its first ranking.
+fn patch_json(doc: &str) -> String {
+    let rankings = parse_body(doc).unwrap().get("rankings").cloned().unwrap();
+    let first = rankings.as_array().unwrap()[0].clone();
+    let mut reversed = first.as_array().unwrap().to_vec();
+    reversed.reverse();
+    format!(
+        r#"{{"ops": [{{"op": "append", "ranking": {}}}, {{"op": "retract", "ranking": {}, "weight": 1}}]}}"#,
+        render(&Value::Array(reversed)),
+        render(&first)
+    )
+}
+
+/// The rankings `parent` holds after the `ops` of a PATCH `body` the service
+/// accepted, applied the way the API documents: an append adds `weight`
+/// copies at the end, a retract removes the last `weight` copies.
+fn patched_rankings(parent: &EngineDataset, body: &Value) -> Vec<Value> {
+    let mut rankings = dataset_to_value(parent)
+        .get("rankings")
+        .and_then(Value::as_array)
+        .unwrap()
+        .to_vec();
+    for op in body.get("ops").and_then(Value::as_array).unwrap() {
+        let ranking = op.get("ranking").unwrap();
+        let weight = match op.get("weight") {
+            Some(Value::UInt(weight)) => *weight,
+            Some(Value::Int(weight)) => *weight as u64,
+            _ => 1,
+        };
+        for _ in 0..weight {
+            if op.get("op").and_then(Value::as_str) == Some("append") {
+                rankings.push(ranking.clone());
+            } else {
+                let last = rankings.iter().rposition(|r| r == ranking).unwrap();
+                rankings.remove(last);
+            }
+        }
+    }
+    rankings
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The JSON half of the decoder property test: truncated and
+    /// single-byte-mutated dataset uploads, bare or wrapped, and PATCH bodies
+    /// go through `Service`. Each answers an `ApiError`, or `Ok` with the
+    /// dataset a fresh `parse_dataset` of the same bytes builds (for a PATCH,
+    /// of the parent's rows with the body's ops applied) — never a panic.
+    #[test]
+    fn prop_truncated_and_mutated_json_uploads_and_patches_never_panic(
+        n in 2usize..8,
+        m in 1usize..5,
+        wrapped in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let service = Service::new(EngineConfig { threads: 1, ..EngineConfig::default() }, 16);
+        let doc = random_dataset_json(n, m, seed);
+        let upload = if wrapped { format!(r#"{{"dataset": {doc}}}"#) } else { doc.clone() };
+        for body in parsed_mutants(&upload, &mut rng) {
+            let Ok(created) = service.dataset_create(&body) else {
+                continue;
+            };
+            let fresh = parse_dataset(body.get("dataset").unwrap_or(&body)).expect("accepted");
+            let id = created.get("id").and_then(Value::as_str).unwrap();
+            let stored = service.datasets().resolve_current(id).unwrap().dataset;
+            prop_assert_eq!(stored.fingerprint(), fresh.fingerprint());
+            prop_assert_eq!(canonical(&stored), canonical(&fresh));
+            service.dataset_delete(id).unwrap();
+        }
+
+        let created = service.dataset_create(&parse_body(&doc).unwrap()).unwrap();
+        let id = created.get("id").and_then(Value::as_str).unwrap();
+        for body in parsed_mutants(&patch_json(&doc), &mut rng) {
+            let parent = service.datasets().resolve_current(id).unwrap();
+            if service.dataset_patch(id, &body).is_err() {
+                continue;
+            }
+            let mut expected = dataset_to_value(&parent.dataset);
+            if let Value::Object(entries) = &mut expected {
+                for (key, value) in entries.iter_mut() {
+                    if key == "rankings" {
+                        *value = Value::Array(patched_rankings(&parent.dataset, &body));
+                    }
+                }
+            }
+            let fresh = parse_dataset(&expected).expect("the patched rows are a dataset");
+            let current = service.datasets().resolve_current(id).unwrap();
+            prop_assert_eq!(current.version, parent.version + 1);
+            prop_assert_eq!(current.dataset.fingerprint(), fresh.fingerprint());
+            prop_assert_eq!(canonical(&current.dataset), canonical(&fresh));
         }
     }
 }
