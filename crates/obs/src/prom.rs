@@ -37,12 +37,6 @@ impl PromWriter {
         self.out.push('\n');
     }
 
-    /// Convenience: header plus single unlabeled sample for a counter.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) {
-        self.family(name, "counter", help);
-        self.sample(name, &[], value as f64);
-    }
-
     /// Convenience: header plus single unlabeled sample for a gauge.
     pub fn gauge(&mut self, name: &str, help: &str, value: f64) {
         self.family(name, "gauge", help);
@@ -130,7 +124,8 @@ mod tests {
     #[test]
     fn counters_and_gauges_render() {
         let mut writer = PromWriter::new();
-        writer.counter("mani_requests_total", "Requests served.", 42);
+        writer.family("mani_requests_total", "counter", "Requests served.");
+        writer.sample("mani_requests_total", &[], 42.0);
         writer.gauge("mani_uptime_seconds", "Uptime.", 1.5);
         let out = writer.finish();
         assert!(out.contains("# HELP mani_requests_total Requests served.\n"));

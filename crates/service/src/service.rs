@@ -26,8 +26,8 @@ use std::time::{Duration, Instant};
 
 use mani_core::{BaseAggregator, MethodKind, MfcrContext};
 use mani_engine::{
-    BatchHandle, ConsensusEngine, ConsensusRequest, ConsensusResponse, EngineConfig, EngineDataset,
-    EngineError, JobHandle, JobId, JobStatus, RankingDelta,
+    BatchHandle, CacheStats, ConsensusEngine, ConsensusRequest, ConsensusResponse, EngineConfig,
+    EngineDataset, EngineError, EngineStats, JobHandle, JobId, JobStatus, RankingDelta,
 };
 use mani_fairness::{FairnessAudit, FairnessThresholds};
 use mani_obs::{PromWriter, SlowEntry, SlowRing, Span, TraceTimeline};
@@ -37,7 +37,7 @@ use serde::{Serialize, Value};
 use crate::error::{ApiError, ApiErrorKind};
 use crate::metrics::{EndpointMetrics, TransportStats, LATENCY_BUCKET_BOUNDS_US};
 use crate::registry::{DatasetRegistry, RegisteredDataset};
-use crate::response_cache::ResponseCache;
+use crate::response_cache::{ResponseCache, ResponseCacheStats};
 use crate::spec::{
     attribute_names_json, method_result_json, parse_consensus_spec, parse_dataset,
     resolve_spec_dataset, ConsensusSpec,
@@ -383,17 +383,7 @@ impl WhatIfSession {
             };
             // An edit state already solved (here or by any other request with
             // identical content) replays from the response cache.
-            let mut hits = Vec::with_capacity(spec.methods.len());
-            let all_cached = spec.methods.iter().all(|method| {
-                match service.cache.get(&spec.cache_key(*method)) {
-                    Some(value) => {
-                        hits.push(value);
-                        true
-                    }
-                    None => false,
-                }
-            });
-            let payload = if all_cached {
+            let payload = if let Some(hits) = service.cached_results(&spec) {
                 cached += 1;
                 cached_response_json(spec.dataset.name(), &hits)
             } else {
@@ -462,8 +452,7 @@ fn session_line(index: usize, dataset: &EngineDataset, derived: bool, payload: V
 #[derive(Debug)]
 struct JobEntry {
     handle: JobHandle,
-    dataset: Arc<EngineDataset>,
-    cache_keys: Vec<String>,
+    spec: ConsensusSpec,
     cached: AtomicBool,
     /// Correlation id of the submitting request, surfaced by the job and
     /// trace operations so a poll can be matched with the original access
@@ -638,18 +627,7 @@ impl Service {
         let mut to_submit: Vec<ConsensusRequest> = Vec::new();
         let mut dispositions = Vec::with_capacity(specs.len());
         for spec in &specs {
-            let mut hits = Vec::with_capacity(spec.methods.len());
-            let all_cached = !spec.methods.is_empty()
-                && spec.methods.iter().all(|method| {
-                    match self.cache.get(&spec.cache_key(*method)) {
-                        Some(value) => {
-                            hits.push(value);
-                            true
-                        }
-                        None => false,
-                    }
-                });
-            if all_cached {
+            if let Some(hits) = self.cached_results(spec) {
                 dispositions.push(Disposition::Cached(hits));
             } else {
                 dispositions.push(Disposition::Submitted(to_submit.len()));
@@ -760,15 +738,48 @@ impl Service {
         stream.emit_lines(self, &mut |line| sink.emit_line(line))
     }
 
+    /// Every method outcome of `spec` from the response cache, or `None` when
+    /// one misses (the probe stops there) or the spec names no method.
+    fn cached_results(&self, spec: &ConsensusSpec) -> Option<Vec<Arc<Value>>> {
+        if spec.methods.is_empty() {
+            return None;
+        }
+        spec.methods
+            .iter()
+            .map(|method| self.cache.get(&spec.cache_key(*method)))
+            .collect()
+    }
+
     /// Renders a completed response for `spec`, inserting every successful
     /// method outcome into the response cache.
     fn rendered_response(&self, spec: &ConsensusSpec, response: &ConsensusResponse) -> Value {
+        obj(vec![
+            ("dataset", s(&response.dataset)),
+            ("status", s(JobStatus::Done.label())),
+            ("cached", Value::Bool(false)),
+            ("results", self.rendered_results(spec, response, true)),
+            (
+                "total_solve_time_ms",
+                Value::Float(response.total_solve_time.as_secs_f64() * 1e3),
+            ),
+        ])
+    }
+
+    /// The `results` array of a completed response for `spec`: each method
+    /// outcome marked `"cached": false`, or its error. With `insert`, every
+    /// successful outcome also goes into the response cache.
+    fn rendered_results(
+        &self,
+        spec: &ConsensusSpec,
+        response: &ConsensusResponse,
+        insert: bool,
+    ) -> Value {
         let mut results = Vec::with_capacity(response.results.len());
         for (index, result) in response.results.iter().enumerate() {
             results.push(match result {
                 Ok(result) => {
                     let value = method_result_json(result, spec.dataset.db());
-                    if let Some(method) = spec.methods.get(index) {
+                    if let Some(method) = spec.methods.get(index).filter(|_| insert) {
                         self.cache
                             .insert(spec.cache_key(*method), Arc::new(value.clone()));
                     }
@@ -777,28 +788,14 @@ impl Service {
                 Err(error) => obj(vec![("error", s(error.to_string()))]),
             });
         }
-        obj(vec![
-            ("dataset", s(&response.dataset)),
-            ("status", s(JobStatus::Done.label())),
-            ("cached", Value::Bool(false)),
-            ("results", Value::Array(results)),
-            (
-                "total_solve_time_ms",
-                Value::Float(response.total_solve_time.as_secs_f64() * 1e3),
-            ),
-        ])
+        Value::Array(results)
     }
 
     /// Tracks an async job for the jobs operation, pruning completed entries
     /// once the registry outgrows [`MAX_TRACKED_JOBS`].
     fn register_job(&self, spec: &ConsensusSpec, handle: JobHandle, request_id: &str) {
         let entry = JobEntry {
-            dataset: Arc::clone(&spec.dataset),
-            cache_keys: spec
-                .methods
-                .iter()
-                .map(|method| spec.cache_key(*method))
-                .collect(),
+            spec: spec.clone(),
             cached: AtomicBool::new(false),
             request_id: request_id.to_string(),
             handle,
@@ -827,15 +824,14 @@ impl Service {
     /// completed job (also populating the response cache exactly once).
     pub fn job(&self, raw_id: &str) -> Result<Value, ApiError> {
         let id = parse_job_id(raw_id)?;
-        let (handle, dataset, cache_keys, already_cached, request_id) = {
+        let (handle, spec, already_cached, request_id) = {
             let jobs = self.jobs.lock().expect("job registry lock poisoned");
             let entry = jobs
                 .get(&id)
                 .ok_or_else(|| ApiError::not_found(format!("no such job `job-{id}`")))?;
             (
                 entry.handle.clone(),
-                Arc::clone(&entry.dataset),
-                entry.cache_keys.clone(),
+                entry.spec.clone(),
                 entry.cached.swap(true, Ordering::AcqRel),
                 entry.request_id.clone(),
             )
@@ -854,32 +850,17 @@ impl Service {
             return Ok(obj(vec![
                 ("id", s(format!("job-{id}"))),
                 ("status", s(status.label())),
-                ("dataset", s(dataset.name())),
+                ("dataset", s(spec.dataset.name())),
                 ("request_id", s(&request_id)),
             ]));
         };
-
-        let mut results = Vec::with_capacity(response.results.len());
-        for (index, result) in response.results.iter().enumerate() {
-            results.push(match result {
-                Ok(result) => {
-                    let value = method_result_json(result, dataset.db());
-                    if !already_cached {
-                        if let Some(key) = cache_keys.get(index) {
-                            self.cache.insert(key.clone(), Arc::new(value.clone()));
-                        }
-                    }
-                    with_entry(value, "cached", Value::Bool(false))
-                }
-                Err(error) => obj(vec![("error", s(error.to_string()))]),
-            });
-        }
+        let results = self.rendered_results(&spec, &response, !already_cached);
         Ok(obj(vec![
             ("id", s(format!("job-{id}"))),
             ("status", s(JobStatus::Done.label())),
             ("dataset", s(&response.dataset)),
             ("request_id", s(&request_id)),
-            ("results", Value::Array(results)),
+            ("results", results),
             (
                 "total_solve_time_ms",
                 Value::Float(response.total_solve_time.as_secs_f64() * 1e3),
@@ -900,7 +881,7 @@ impl Service {
                 .ok_or_else(|| ApiError::not_found(format!("no such job `job-{id}`")))?;
             (
                 entry.handle.clone(),
-                Arc::clone(&entry.dataset),
+                Arc::clone(&entry.spec.dataset),
                 entry.request_id.clone(),
             )
         };
@@ -1167,165 +1148,78 @@ impl Service {
     /// `transport` carries whatever connection-level counters the embedding
     /// transport tracks (zeros for transports without a connection pool).
     pub fn stats(&self, transport: &TransportStats) -> Value {
-        let engine = self.engine.stats();
-        let precedence = self.engine.cache().stats();
-        let responses = self.cache.stats();
-        let jobs_tracked = self.jobs.lock().expect("job registry lock poisoned").len();
-        let latency = Value::Object(
-            self.metrics
-                .snapshots()
-                .into_iter()
-                .map(|(label, snap)| {
-                    (
-                        label.to_string(),
-                        obj(vec![
-                            ("count", Value::UInt(snap.count)),
-                            ("total_ms", Value::Float(snap.total_ns as f64 / 1e6)),
-                            (
-                                "le_us",
-                                Value::Array(
-                                    LATENCY_BUCKET_BOUNDS_US
-                                        .iter()
-                                        .map(|b| Value::UInt(*b))
-                                        .collect(),
-                                ),
+        // The registry lists each section's rows together.
+        let mut document: Vec<(String, Value)> = Vec::new();
+        for row in self.stat_rows(transport) {
+            let value = Value::UInt(row.value.json());
+            match (row.path.split_once('/'), document.last_mut()) {
+                (Some((section, key)), Some((name, Value::Object(fields)))) if name == section => {
+                    fields.push((key.to_string(), value));
+                }
+                (Some((section, key)), _) => {
+                    document.push((section.to_string(), obj(vec![(key, value)])))
+                }
+                (None, _) => document.push((row.path.to_string(), value)),
+            }
+        }
+        let latency = self
+            .metrics
+            .snapshots()
+            .into_iter()
+            .map(|(label, snap)| {
+                (
+                    label.to_string(),
+                    obj(vec![
+                        ("count", Value::UInt(snap.count)),
+                        ("total_ms", Value::Float(snap.total_ns as f64 / 1e6)),
+                        (
+                            "le_us",
+                            Value::Array(
+                                LATENCY_BUCKET_BOUNDS_US
+                                    .iter()
+                                    .map(|b| Value::UInt(*b))
+                                    .collect(),
                             ),
-                            (
-                                "buckets",
-                                Value::Array(
-                                    snap.buckets.iter().map(|c| Value::UInt(*c)).collect(),
-                                ),
-                            ),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        obj(vec![
-            (
-                "engine",
+                        ),
+                        (
+                            "buckets",
+                            Value::Array(snap.buckets.iter().map(|c| Value::UInt(*c)).collect()),
+                        ),
+                    ]),
+                )
+            })
+            .collect();
+        let slow_requests = self
+            .slow
+            .snapshot()
+            .into_iter()
+            .map(|entry| {
                 obj(vec![
-                    ("threads", Value::UInt(self.engine.threads() as u64)),
+                    ("request_id", s(&entry.request_id)),
+                    ("endpoint", s(entry.endpoint)),
+                    ("target", s(&entry.target)),
+                    ("status", Value::UInt(u64::from(entry.status))),
+                    ("duration_ms", Value::Float(entry.duration_ns as f64 / 1e6)),
                     (
-                        "kernel_threads",
-                        Value::UInt(self.engine.kernel_parallelism().max_threads() as u64),
+                        "phases",
+                        Value::Object(
+                            entry
+                                .phases
+                                .iter()
+                                .map(|(name, ns)| {
+                                    (name.to_string(), Value::Float(*ns as f64 / 1e6))
+                                })
+                                .collect(),
+                        ),
                     ),
-                    ("queue_depth", Value::UInt(engine.queue_depth as u64)),
-                    ("in_flight", Value::UInt(engine.in_flight as u64)),
-                    ("submitted", Value::UInt(engine.submitted)),
-                    ("completed", Value::UInt(engine.completed)),
-                    ("rejected", Value::UInt(engine.rejected)),
-                    ("pool_queued", Value::UInt(engine.pool_queued as u64)),
-                    ("pool_busy", Value::UInt(engine.pool_busy as u64)),
-                    (
-                        "pool_tasks_executed",
-                        Value::UInt(engine.pool_tasks_executed),
-                    ),
-                ]),
-            ),
-            (
-                "kernels",
-                obj(vec![
-                    ("matrix_build_ns", Value::UInt(precedence.build_ns)),
-                    ("solve_ns", Value::UInt(engine.solve_ns)),
-                    ("nodes_expanded", Value::UInt(engine.nodes_expanded)),
-                    ("fw_blocked_solves", Value::UInt(engine.fw_blocked_solves)),
-                    ("fw_tiles_relaxed", Value::UInt(engine.fw_tiles_relaxed)),
-                    (
-                        "ranking_shard_tasks",
-                        Value::UInt(engine.ranking_shard_tasks),
-                    ),
-                ]),
-            ),
-            (
-                "streaming",
-                obj(vec![
-                    ("batches_opened", Value::UInt(engine.batches_opened)),
-                    ("batches_drained", Value::UInt(engine.batches_drained)),
-                    ("results_yielded", Value::UInt(engine.batch_results_yielded)),
-                ]),
-            ),
-            (
-                "precedence_cache",
-                obj(vec![
-                    ("lookups", Value::UInt(precedence.lookups)),
-                    ("hits", Value::UInt(precedence.hits)),
-                    ("builds", Value::UInt(precedence.builds)),
-                    ("delta_appends", Value::UInt(precedence.delta_appends)),
-                    ("delta_retracts", Value::UInt(precedence.delta_retracts)),
-                    (
-                        "delta_rebuild_fallbacks",
-                        Value::UInt(precedence.delta_rebuild_fallbacks),
-                    ),
-                    ("consensus_hits", Value::UInt(precedence.consensus_hits)),
-                    ("consensus_builds", Value::UInt(precedence.consensus_builds)),
-                    ("entries", Value::UInt(precedence.entries as u64)),
-                    ("matrix_bytes", Value::UInt(precedence.matrix_bytes)),
-                ]),
-            ),
-            (
-                "response_cache",
-                obj(vec![
-                    ("capacity", Value::UInt(responses.capacity as u64)),
-                    ("entries", Value::UInt(responses.entries as u64)),
-                    ("hits", Value::UInt(responses.hits)),
-                    ("misses", Value::UInt(responses.misses)),
-                    ("insertions", Value::UInt(responses.insertions)),
-                    ("evictions", Value::UInt(responses.evictions)),
-                ]),
-            ),
-            (
-                "server",
-                obj(vec![
-                    ("max_connections", Value::UInt(transport.max_connections)),
-                    ("conn_threads", Value::UInt(transport.conn_threads)),
-                    ("connections_accepted", Value::UInt(transport.accepted)),
-                    ("connections_rejected", Value::UInt(transport.rejected_busy)),
-                    ("requests_served", Value::UInt(transport.requests)),
-                    ("keepalive_reuses", Value::UInt(transport.keepalive_reuses)),
-                ]),
-            ),
-            ("latency", latency),
-            (
-                "datasets_registered",
-                Value::UInt(self.datasets.len() as u64),
-            ),
-            ("jobs_tracked", Value::UInt(jobs_tracked as u64)),
-            (
-                "slow_requests",
-                Value::Array(
-                    self.slow
-                        .snapshot()
-                        .into_iter()
-                        .map(|entry| {
-                            obj(vec![
-                                ("request_id", s(&entry.request_id)),
-                                ("endpoint", s(entry.endpoint)),
-                                ("target", s(&entry.target)),
-                                ("status", Value::UInt(u64::from(entry.status))),
-                                ("duration_ms", Value::Float(entry.duration_ns as f64 / 1e6)),
-                                (
-                                    "phases",
-                                    Value::Object(
-                                        entry
-                                            .phases
-                                            .iter()
-                                            .map(|(name, ns)| {
-                                                (name.to_string(), Value::Float(*ns as f64 / 1e6))
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "uptime_seconds",
-                Value::Float(self.started.elapsed().as_secs_f64()),
-            ),
-        ])
+                ])
+            })
+            .collect();
+        document.push(("latency".into(), Value::Object(latency)));
+        document.push(("slow_requests".into(), Value::Array(slow_requests)));
+        let uptime = self.started.elapsed().as_secs_f64();
+        document.push(("uptime_seconds".into(), Value::Float(uptime)));
+        Value::Object(document)
     }
 
     /// The metrics operation: the whole counter surface in Prometheus text
@@ -1333,12 +1227,7 @@ impl Service {
     /// histograms, engine queue/job/kernel counters, worker-pool saturation,
     /// both cache layers, and the transport's connection counters.
     pub fn metrics_exposition(&self, build: &BuildInfo, transport: &TransportStats) -> String {
-        let engine = self.engine.stats();
-        let precedence = self.engine.cache().stats();
-        let responses = self.cache.stats();
-        let jobs_tracked = self.jobs.lock().expect("job registry lock poisoned").len();
         let snapshots = self.metrics.snapshots();
-
         let mut w = PromWriter::new();
         w.family("mani_build_info", "gauge", "Build identity (constant 1).");
         w.sample("mani_build_info", &[("version", build.version)], 1.0);
@@ -1379,228 +1268,371 @@ impl Service {
             );
         }
 
-        w.counter(
-            "mani_connections_accepted_total",
-            "Connections handed to the worker pool.",
-            transport.accepted,
-        );
-        w.counter(
-            "mani_connections_rejected_total",
-            "Connections turned away at the accept path.",
-            transport.rejected_busy,
-        );
-        w.counter(
-            "mani_requests_served_total",
-            "HTTP exchanges served across all connections.",
-            transport.requests,
-        );
-        w.counter(
-            "mani_keepalive_reuses_total",
-            "Exchanges served on an already-used keep-alive connection.",
-            transport.keepalive_reuses,
-        );
-        w.gauge(
-            "mani_connections_max",
-            "Configured concurrent-connection bound.",
-            transport.max_connections as f64,
-        );
-        w.gauge(
-            "mani_connection_threads",
-            "Configured connection worker threads.",
-            transport.conn_threads as f64,
-        );
-
-        w.gauge(
-            "mani_engine_queue_depth",
-            "Configured engine job-queue bound.",
-            engine.queue_depth as f64,
-        );
-        w.gauge(
-            "mani_engine_jobs_in_flight",
-            "Jobs admitted and not yet completed.",
-            engine.in_flight as f64,
-        );
-        w.counter(
-            "mani_engine_jobs_submitted_total",
-            "Jobs admitted to the engine queue.",
-            engine.submitted,
-        );
-        w.counter(
-            "mani_engine_jobs_completed_total",
-            "Jobs that finished solving.",
-            engine.completed,
-        );
-        w.counter(
-            "mani_engine_jobs_rejected_total",
-            "Jobs refused because the queue was full.",
-            engine.rejected,
-        );
-        w.family(
-            "mani_engine_matrix_build_seconds_total",
-            "counter",
-            "Cumulative time spent building precedence matrices.",
-        );
-        w.sample(
-            "mani_engine_matrix_build_seconds_total",
-            &[],
-            precedence.build_ns as f64 / 1e9,
-        );
-        w.family(
-            "mani_engine_solve_seconds_total",
-            "counter",
-            "Cumulative time spent inside method solvers.",
-        );
-        w.sample(
-            "mani_engine_solve_seconds_total",
-            &[],
-            engine.solve_ns as f64 / 1e9,
-        );
-        w.counter(
-            "mani_engine_nodes_expanded_total",
-            "Exact-solver search nodes expanded.",
-            engine.nodes_expanded,
-        );
-        w.counter(
-            "mani_kernel_fw_blocked_solves_total",
-            "Blocked (tiled) Floyd-Warshall solves, process-wide.",
-            engine.fw_blocked_solves,
-        );
-        w.counter(
-            "mani_kernel_fw_tiles_relaxed_total",
-            "Tiles relaxed by blocked Floyd-Warshall solves, process-wide.",
-            engine.fw_tiles_relaxed,
-        );
-        w.counter(
-            "mani_kernel_ranking_shard_tasks_total",
-            "Row-block tasks spawned by parallel matrix builds, process-wide.",
-            engine.ranking_shard_tasks,
-        );
-        w.counter(
-            "mani_engine_batches_opened_total",
-            "Streaming batches opened.",
-            engine.batches_opened,
-        );
-        w.counter(
-            "mani_engine_batches_drained_total",
-            "Streaming batches fully drained.",
-            engine.batches_drained,
-        );
-        w.counter(
-            "mani_engine_batch_results_yielded_total",
-            "Streaming results yielded in as-completed order.",
-            engine.batch_results_yielded,
-        );
-        w.gauge(
-            "mani_pool_queued",
-            "Engine worker-pool jobs waiting for a thread.",
-            engine.pool_queued as f64,
-        );
-        w.gauge(
-            "mani_pool_busy",
-            "Engine worker-pool threads currently running a job.",
-            engine.pool_busy as f64,
-        );
-        w.counter(
-            "mani_pool_tasks_executed_total",
-            "Engine worker-pool jobs executed to completion.",
-            engine.pool_tasks_executed,
-        );
-
-        w.counter(
-            "mani_precedence_cache_lookups_total",
-            "Precedence-cache lookups.",
-            precedence.lookups,
-        );
-        w.counter(
-            "mani_precedence_cache_hits_total",
-            "Precedence-cache hits (matrix reused).",
-            precedence.hits,
-        );
-        w.counter(
-            "mani_precedence_cache_builds_total",
-            "Precedence matrices built.",
-            precedence.builds,
-        );
-        w.counter(
-            "mani_precedence_cache_delta_appends_total",
-            "Ranking appends folded into delta-derived precedence matrices.",
-            precedence.delta_appends,
-        );
-        w.counter(
-            "mani_precedence_cache_delta_retracts_total",
-            "Ranking retracts folded into delta-derived precedence matrices.",
-            precedence.delta_retracts,
-        );
-        w.counter(
-            "mani_precedence_cache_delta_rebuilds_total",
-            "Delta derivations that fell back to a full matrix rebuild.",
-            precedence.delta_rebuild_fallbacks,
-        );
-        w.counter(
-            "mani_consensus_memo_hits_total",
-            "Base-consensus lookups answered from a cached dataset's memo.",
-            precedence.consensus_hits,
-        );
-        w.counter(
-            "mani_consensus_memo_builds_total",
-            "Base consensus rankings aggregated (Borda, Copeland or Schulze) into a memo.",
-            precedence.consensus_builds,
-        );
-        w.gauge(
-            "mani_precedence_cache_entries",
-            "Precedence-cache resident entries.",
-            precedence.entries as f64,
-        );
-        w.gauge(
-            "mani_precedence_cache_matrix_bytes",
-            "Heap bytes of the precedence-cache resident matrices.",
-            precedence.matrix_bytes as f64,
-        );
-
-        w.gauge(
-            "mani_response_cache_capacity",
-            "Response-cache entry bound.",
-            responses.capacity as f64,
-        );
-        w.gauge(
-            "mani_response_cache_entries",
-            "Response-cache resident entries.",
-            responses.entries as f64,
-        );
-        w.counter(
-            "mani_response_cache_hits_total",
-            "Response-cache hits.",
-            responses.hits,
-        );
-        w.counter(
-            "mani_response_cache_misses_total",
-            "Response-cache misses.",
-            responses.misses,
-        );
-        w.counter(
-            "mani_response_cache_insertions_total",
-            "Response-cache insertions.",
-            responses.insertions,
-        );
-        w.counter(
-            "mani_response_cache_evictions_total",
-            "Response-cache LRU evictions.",
-            responses.evictions,
-        );
-
-        w.gauge(
-            "mani_datasets_registered",
-            "Datasets resident in the registry.",
-            self.datasets.len() as f64,
-        );
-        w.gauge(
-            "mani_jobs_tracked",
-            "Async jobs tracked for polling.",
-            jobs_tracked as f64,
-        );
-
+        for row in self.stat_rows(transport) {
+            let (kind, sample) = row.value.prom();
+            w.family(row.family, kind, row.help);
+            w.sample(row.family, &[], sample);
+        }
         w.finish()
     }
+
+    /// Every scalar of both stats surfaces, one row each, in `/v1/stats`
+    /// order. Each stats struct is destructured field by field, so a field
+    /// added to any of them fails to compile until it has a row here.
+    fn stat_rows(&self, transport: &TransportStats) -> Vec<StatRow> {
+        use StatValue::{Counter, Gauge, Nanos};
+        let EngineStats {
+            queue_depth,
+            in_flight,
+            submitted,
+            completed,
+            rejected,
+            solve_ns,
+            nodes_expanded,
+            batches_opened,
+            batches_drained,
+            batch_results_yielded,
+            pool_queued,
+            pool_busy,
+            pool_tasks_executed,
+            fw_blocked_solves,
+            fw_tiles_relaxed,
+            ranking_shard_tasks,
+        } = self.engine.stats();
+        let CacheStats {
+            lookups,
+            hits,
+            builds,
+            build_ns,
+            delta_appends,
+            delta_retracts,
+            delta_rebuild_fallbacks,
+            consensus_hits,
+            consensus_builds,
+            entries,
+            matrix_bytes,
+        } = self.engine.cache().stats();
+        let ResponseCacheStats {
+            capacity,
+            entries: response_entries,
+            hits: response_hits,
+            misses,
+            insertions,
+            evictions,
+        } = self.cache.stats();
+        let TransportStats {
+            max_connections,
+            conn_threads,
+            accepted,
+            rejected_busy,
+            requests,
+            keepalive_reuses,
+        } = *transport;
+        let jobs_tracked = self.jobs.lock().expect("job registry lock poisoned").len();
+        vec![
+            StatRow {
+                path: "engine/threads",
+                family: "mani_engine_threads",
+                help: "Engine worker threads.",
+                value: Gauge(self.engine.threads() as u64),
+            },
+            StatRow {
+                path: "engine/kernel_threads",
+                family: "mani_engine_kernel_threads",
+                help: "Threads each solve's kernels may use.",
+                value: Gauge(self.engine.kernel_parallelism().max_threads() as u64),
+            },
+            StatRow {
+                path: "engine/queue_depth",
+                family: "mani_engine_queue_depth",
+                help: "Configured engine job-queue bound.",
+                value: Gauge(queue_depth as u64),
+            },
+            StatRow {
+                path: "engine/in_flight",
+                family: "mani_engine_jobs_in_flight",
+                help: "Jobs admitted and not yet completed.",
+                value: Gauge(in_flight as u64),
+            },
+            StatRow {
+                path: "engine/submitted",
+                family: "mani_engine_jobs_submitted_total",
+                help: "Jobs admitted to the engine queue.",
+                value: Counter(submitted),
+            },
+            StatRow {
+                path: "engine/completed",
+                family: "mani_engine_jobs_completed_total",
+                help: "Jobs that finished solving.",
+                value: Counter(completed),
+            },
+            StatRow {
+                path: "engine/rejected",
+                family: "mani_engine_jobs_rejected_total",
+                help: "Jobs refused because the queue was full.",
+                value: Counter(rejected),
+            },
+            StatRow {
+                path: "engine/pool_queued",
+                family: "mani_pool_queued",
+                help: "Engine worker-pool jobs waiting for a thread.",
+                value: Gauge(pool_queued as u64),
+            },
+            StatRow {
+                path: "engine/pool_busy",
+                family: "mani_pool_busy",
+                help: "Engine worker-pool threads currently running a job.",
+                value: Gauge(pool_busy as u64),
+            },
+            StatRow {
+                path: "engine/pool_tasks_executed",
+                family: "mani_pool_tasks_executed_total",
+                help: "Engine worker-pool jobs executed to completion.",
+                value: Counter(pool_tasks_executed),
+            },
+            StatRow {
+                path: "kernels/matrix_build_ns",
+                family: "mani_engine_matrix_build_seconds_total",
+                help: "Cumulative time spent building precedence matrices.",
+                value: Nanos(build_ns),
+            },
+            StatRow {
+                path: "kernels/solve_ns",
+                family: "mani_engine_solve_seconds_total",
+                help: "Cumulative time spent inside method solvers.",
+                value: Nanos(solve_ns),
+            },
+            StatRow {
+                path: "kernels/nodes_expanded",
+                family: "mani_engine_nodes_expanded_total",
+                help: "Exact-solver search nodes expanded.",
+                value: Counter(nodes_expanded),
+            },
+            StatRow {
+                path: "kernels/fw_blocked_solves",
+                family: "mani_kernel_fw_blocked_solves_total",
+                help: "Blocked (tiled) Floyd-Warshall solves, process-wide.",
+                value: Counter(fw_blocked_solves),
+            },
+            StatRow {
+                path: "kernels/fw_tiles_relaxed",
+                family: "mani_kernel_fw_tiles_relaxed_total",
+                help: "Tiles relaxed by blocked Floyd-Warshall solves, process-wide.",
+                value: Counter(fw_tiles_relaxed),
+            },
+            StatRow {
+                path: "kernels/ranking_shard_tasks",
+                family: "mani_kernel_ranking_shard_tasks_total",
+                help: "Row-block tasks spawned by parallel matrix builds, process-wide.",
+                value: Counter(ranking_shard_tasks),
+            },
+            StatRow {
+                path: "streaming/batches_opened",
+                family: "mani_engine_batches_opened_total",
+                help: "Streaming batches opened.",
+                value: Counter(batches_opened),
+            },
+            StatRow {
+                path: "streaming/batches_drained",
+                family: "mani_engine_batches_drained_total",
+                help: "Streaming batches fully drained.",
+                value: Counter(batches_drained),
+            },
+            StatRow {
+                path: "streaming/results_yielded",
+                family: "mani_engine_batch_results_yielded_total",
+                help: "Streaming results yielded in as-completed order.",
+                value: Counter(batch_results_yielded),
+            },
+            StatRow {
+                path: "precedence_cache/lookups",
+                family: "mani_precedence_cache_lookups_total",
+                help: "Precedence-cache lookups.",
+                value: Counter(lookups),
+            },
+            StatRow {
+                path: "precedence_cache/hits",
+                family: "mani_precedence_cache_hits_total",
+                help: "Precedence-cache hits (matrix reused).",
+                value: Counter(hits),
+            },
+            StatRow {
+                path: "precedence_cache/builds",
+                family: "mani_precedence_cache_builds_total",
+                help: "Precedence matrices built.",
+                value: Counter(builds),
+            },
+            StatRow {
+                path: "precedence_cache/delta_appends",
+                family: "mani_precedence_cache_delta_appends_total",
+                help: "Ranking appends folded into delta-derived precedence matrices.",
+                value: Counter(delta_appends),
+            },
+            StatRow {
+                path: "precedence_cache/delta_retracts",
+                family: "mani_precedence_cache_delta_retracts_total",
+                help: "Ranking retracts folded into delta-derived precedence matrices.",
+                value: Counter(delta_retracts),
+            },
+            StatRow {
+                path: "precedence_cache/delta_rebuild_fallbacks",
+                family: "mani_precedence_cache_delta_rebuilds_total",
+                help: "Delta derivations that fell back to a full matrix rebuild.",
+                value: Counter(delta_rebuild_fallbacks),
+            },
+            StatRow {
+                path: "precedence_cache/consensus_hits",
+                family: "mani_consensus_memo_hits_total",
+                help: "Base-consensus lookups answered from a cached dataset's memo.",
+                value: Counter(consensus_hits),
+            },
+            StatRow {
+                path: "precedence_cache/consensus_builds",
+                family: "mani_consensus_memo_builds_total",
+                help:
+                    "Base consensus rankings aggregated (Borda, Copeland or Schulze) into a memo.",
+                value: Counter(consensus_builds),
+            },
+            StatRow {
+                path: "precedence_cache/entries",
+                family: "mani_precedence_cache_entries",
+                help: "Precedence-cache resident entries.",
+                value: Gauge(entries as u64),
+            },
+            StatRow {
+                path: "precedence_cache/matrix_bytes",
+                family: "mani_precedence_cache_matrix_bytes",
+                help: "Heap bytes of the precedence-cache resident matrices.",
+                value: Gauge(matrix_bytes),
+            },
+            StatRow {
+                path: "response_cache/capacity",
+                family: "mani_response_cache_capacity",
+                help: "Response-cache entry bound.",
+                value: Gauge(capacity as u64),
+            },
+            StatRow {
+                path: "response_cache/entries",
+                family: "mani_response_cache_entries",
+                help: "Response-cache resident entries.",
+                value: Gauge(response_entries as u64),
+            },
+            StatRow {
+                path: "response_cache/hits",
+                family: "mani_response_cache_hits_total",
+                help: "Response-cache hits.",
+                value: Counter(response_hits),
+            },
+            StatRow {
+                path: "response_cache/misses",
+                family: "mani_response_cache_misses_total",
+                help: "Response-cache misses.",
+                value: Counter(misses),
+            },
+            StatRow {
+                path: "response_cache/insertions",
+                family: "mani_response_cache_insertions_total",
+                help: "Response-cache insertions.",
+                value: Counter(insertions),
+            },
+            StatRow {
+                path: "response_cache/evictions",
+                family: "mani_response_cache_evictions_total",
+                help: "Response-cache LRU evictions.",
+                value: Counter(evictions),
+            },
+            StatRow {
+                path: "server/max_connections",
+                family: "mani_connections_max",
+                help: "Configured concurrent-connection bound.",
+                value: Gauge(max_connections),
+            },
+            StatRow {
+                path: "server/conn_threads",
+                family: "mani_connection_threads",
+                help: "Configured connection worker threads.",
+                value: Gauge(conn_threads),
+            },
+            StatRow {
+                path: "server/connections_accepted",
+                family: "mani_connections_accepted_total",
+                help: "Connections handed to the worker pool.",
+                value: Counter(accepted),
+            },
+            StatRow {
+                path: "server/connections_rejected",
+                family: "mani_connections_rejected_total",
+                help: "Connections turned away at the accept path.",
+                value: Counter(rejected_busy),
+            },
+            StatRow {
+                path: "server/requests_served",
+                family: "mani_requests_served_total",
+                help: "HTTP exchanges served across all connections.",
+                value: Counter(requests),
+            },
+            StatRow {
+                path: "server/keepalive_reuses",
+                family: "mani_keepalive_reuses_total",
+                help: "Exchanges served on an already-used keep-alive connection.",
+                value: Counter(keepalive_reuses),
+            },
+            StatRow {
+                path: "datasets_registered",
+                family: "mani_datasets_registered",
+                help: "Datasets resident in the registry.",
+                value: Gauge(self.datasets.len() as u64),
+            },
+            StatRow {
+                path: "jobs_tracked",
+                family: "mani_jobs_tracked",
+                help: "Async jobs tracked for polling.",
+                value: Gauge(jobs_tracked as u64),
+            },
+        ]
+    }
+}
+
+/// The value of a [`StatRow`], and how it renders on the two stats surfaces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StatValue {
+    /// A monotone count: an integer in `/v1/stats`, a counter on `/metrics`.
+    Counter(u64),
+    /// A level that can fall: an integer in `/v1/stats`, a gauge on `/metrics`.
+    Gauge(u64),
+    /// Cumulative nanoseconds in `/v1/stats`, a seconds counter on `/metrics`.
+    Nanos(u64),
+}
+
+impl StatValue {
+    /// The integer `/v1/stats` renders.
+    fn json(self) -> u64 {
+        match self {
+            StatValue::Counter(value) | StatValue::Gauge(value) | StatValue::Nanos(value) => value,
+        }
+    }
+
+    /// The Prometheus `# TYPE` of the row's family, and its sample.
+    fn prom(self) -> (&'static str, f64) {
+        match self {
+            StatValue::Counter(value) => ("counter", value as f64),
+            StatValue::Gauge(value) => ("gauge", value as f64),
+            StatValue::Nanos(ns) => ("counter", ns as f64 / 1e9),
+        }
+    }
+}
+
+/// One scalar of the stats registry ([`Service::stat_rows`]): where it sits
+/// in `/v1/stats`, the `/metrics` family it renders as, and its value.
+#[derive(Debug)]
+struct StatRow {
+    /// `section/key` in the `/v1/stats` document, or a top-level key.
+    path: &'static str,
+    /// Prometheus family name.
+    family: &'static str,
+    /// Prometheus `# HELP` text.
+    help: &'static str,
+    value: StatValue,
 }
 
 /// The version operation: build identity of the embedding transport.
@@ -1785,6 +1817,7 @@ fn parse_job_id(raw_id: &str) -> Result<u64, ApiError> {
 mod tests {
     use super::*;
     use crate::value::parse_body;
+    use std::collections::BTreeSet;
 
     fn demo_body(delta: f64, wait: bool) -> Value {
         parse_body(&format!(
@@ -1865,18 +1898,8 @@ mod tests {
             };
             let poll = format!("\"poll\":\"/v1/jobs/job-{job}\"");
             assert!(render(&body).contains(&poll));
-
-            let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                let polled = service.job(&format!("job-{job}")).unwrap();
-                let text = render(&polled);
-                if text.contains("\"status\":\"done\"") {
-                    assert!(text.contains("\"ranking\""), "{text}");
-                    break;
-                }
-                assert!(Instant::now() < deadline, "job never completed");
-                std::hint::spin_loop();
-            }
+            let text = render(&poll_until_done(&service, &body));
+            assert!(text.contains("\"ranking\""), "{text}");
         }
         let trace = render(&service.job_trace("job-1").unwrap());
         assert!(trace.contains("\"phases\""), "{trace}");
@@ -1933,27 +1956,14 @@ mod tests {
     #[test]
     fn stats_carry_transport_counters_verbatim() {
         let service = service();
-        let transport = TransportStats {
-            max_connections: 7,
-            conn_threads: 3,
-            accepted: 11,
-            rejected_busy: 1,
-            requests: 29,
-            keepalive_reuses: 13,
-        };
+        let transport = test_transport();
         let text = render(&service.stats(&transport));
         assert!(text.contains("\"max_connections\":7"), "{text}");
         assert!(text.contains("\"requests_served\":29"), "{text}");
         assert!(text.contains("\"keepalive_reuses\":13"), "{text}");
         assert!(text.contains("\"uptime_seconds\""), "{text}");
 
-        let build = BuildInfo {
-            name: "mani-test",
-            version: "0.0.0",
-            git: None,
-            profile: "debug",
-            features: &["std-only"],
-        };
+        let build = test_build();
         let exposition = service.metrics_exposition(&build, &transport);
         assert!(exposition.contains("mani_build_info{version=\"0.0.0\"} 1"));
         assert!(exposition.contains("mani_requests_served_total 29"));
@@ -1965,196 +1975,193 @@ mod tests {
     }
 
     #[test]
-    fn every_engine_counter_appears_on_both_stats_surfaces() {
-        let service = service();
-        // Destructured field by field, so a field added to or removed from
-        // `EngineStats` or `CacheStats` fails to compile here until this
-        // table says where it renders on both surfaces.
-        let mani_engine::EngineStats {
-            queue_depth,
-            in_flight,
-            submitted,
-            completed,
-            rejected,
-            solve_ns,
-            nodes_expanded,
-            batches_opened,
-            batches_drained,
-            batch_results_yielded,
-            pool_queued,
-            pool_busy,
-            pool_tasks_executed,
-            fw_blocked_solves,
-            fw_tiles_relaxed,
-            ranking_shard_tasks,
-        } = service.engine.stats();
-        let mani_engine::CacheStats {
-            lookups,
-            hits,
-            builds,
-            build_ns,
-            delta_appends,
-            delta_retracts,
-            delta_rebuild_fallbacks,
-            consensus_hits,
-            consensus_builds,
-            entries,
-            matrix_bytes,
-        } = service.engine.cache().stats();
-        let surfaces = [
-            (
-                queue_depth as u64,
-                "engine/queue_depth",
-                "mani_engine_queue_depth",
-            ),
-            (
-                in_flight as u64,
-                "engine/in_flight",
-                "mani_engine_jobs_in_flight",
-            ),
-            (
-                submitted,
-                "engine/submitted",
-                "mani_engine_jobs_submitted_total",
-            ),
-            (
-                completed,
-                "engine/completed",
-                "mani_engine_jobs_completed_total",
-            ),
-            (
-                rejected,
-                "engine/rejected",
-                "mani_engine_jobs_rejected_total",
-            ),
-            (pool_queued as u64, "engine/pool_queued", "mani_pool_queued"),
-            (pool_busy as u64, "engine/pool_busy", "mani_pool_busy"),
-            (
-                pool_tasks_executed,
-                "engine/pool_tasks_executed",
-                "mani_pool_tasks_executed_total",
-            ),
-            (
-                build_ns,
-                "kernels/matrix_build_ns",
-                "mani_engine_matrix_build_seconds_total",
-            ),
-            (
-                solve_ns,
-                "kernels/solve_ns",
-                "mani_engine_solve_seconds_total",
-            ),
-            (
-                nodes_expanded,
-                "kernels/nodes_expanded",
-                "mani_engine_nodes_expanded_total",
-            ),
-            (
-                fw_blocked_solves,
-                "kernels/fw_blocked_solves",
-                "mani_kernel_fw_blocked_solves_total",
-            ),
-            (
-                fw_tiles_relaxed,
-                "kernels/fw_tiles_relaxed",
-                "mani_kernel_fw_tiles_relaxed_total",
-            ),
-            (
-                ranking_shard_tasks,
-                "kernels/ranking_shard_tasks",
-                "mani_kernel_ranking_shard_tasks_total",
-            ),
-            (
-                batches_opened,
-                "streaming/batches_opened",
-                "mani_engine_batches_opened_total",
-            ),
-            (
-                batches_drained,
-                "streaming/batches_drained",
-                "mani_engine_batches_drained_total",
-            ),
-            (
-                batch_results_yielded,
-                "streaming/results_yielded",
-                "mani_engine_batch_results_yielded_total",
-            ),
-            (
-                lookups,
-                "precedence_cache/lookups",
-                "mani_precedence_cache_lookups_total",
-            ),
-            (
-                hits,
-                "precedence_cache/hits",
-                "mani_precedence_cache_hits_total",
-            ),
-            (
-                builds,
-                "precedence_cache/builds",
-                "mani_precedence_cache_builds_total",
-            ),
-            (
-                delta_appends,
-                "precedence_cache/delta_appends",
-                "mani_precedence_cache_delta_appends_total",
-            ),
-            (
-                delta_retracts,
-                "precedence_cache/delta_retracts",
-                "mani_precedence_cache_delta_retracts_total",
-            ),
-            (
-                delta_rebuild_fallbacks,
-                "precedence_cache/delta_rebuild_fallbacks",
-                "mani_precedence_cache_delta_rebuilds_total",
-            ),
-            (
-                consensus_hits,
-                "precedence_cache/consensus_hits",
-                "mani_consensus_memo_hits_total",
-            ),
-            (
-                consensus_builds,
-                "precedence_cache/consensus_builds",
-                "mani_consensus_memo_builds_total",
-            ),
-            (
-                entries as u64,
-                "precedence_cache/entries",
-                "mani_precedence_cache_entries",
-            ),
-            (
-                matrix_bytes,
-                "precedence_cache/matrix_bytes",
-                "mani_precedence_cache_matrix_bytes",
-            ),
+    fn documented_metric_inventory_matches_the_stat_rows() {
+        // Rendered by hand: build identity, uptime and the per-endpoint
+        // request histograms.
+        const HAND_RENDERED: [&str; 4] = [
+            "mani_build_info",
+            "mani_uptime_seconds",
+            "mani_http_requests_total",
+            "mani_http_request_duration_seconds",
         ];
-        // Rendered after the snapshot, so every counter reads at least the
-        // snapshot's value (process-wide kernel counters may move meanwhile).
-        let stats = service.stats(&TransportStats::default());
-        let build = BuildInfo {
+        // | `family{labels}` | type | `/v1/stats path` | meaning |
+        let documented: Vec<(&str, &str, &str)> = include_str!("../../../docs/OBSERVABILITY.md")
+            .lines()
+            .filter_map(|line| {
+                let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+                let family = cells.get(1)?.strip_prefix('`')?.split(['`', '{']).next()?;
+                let path = cells.get(3)?.trim_matches('`');
+                (family.starts_with("mani_") && !HAND_RENDERED.contains(&family))
+                    .then_some((family, cells[2], path))
+            })
+            .collect();
+        let registry: Vec<(&str, &str, &str)> = service()
+            .stat_rows(&TransportStats::default())
+            .iter()
+            .map(|row| (row.family, row.value.prom().0, row.path))
+            .collect();
+        assert_eq!(documented, registry);
+    }
+
+    #[test]
+    fn every_stat_row_reads_alike_on_both_surfaces_after_traffic() {
+        let service = service();
+        let id = upload_demo(&service);
+        let ctx = || RequestContext::new(None);
+        // A solve and its cache replay, a PATCH that derives the next
+        // version's matrix, and an async job on that version.
+        for _ in 0..2 {
+            service.consensus(&solve_by_id(&id), &ctx()).unwrap();
+        }
+        let patch =
+            parse_body(r#"{"ops": [{"op": "append", "ranking": ["d","c","b","a"]}]}"#).unwrap();
+        let patched = render(&service.dataset_patch(&id, &patch).unwrap());
+        assert!(patched.contains("\"derived\":true"), "{patched}");
+        let mut job = solve_by_id(&id);
+        if let Value::Object(ref mut entries) = job {
+            entries.retain(|(k, _)| k != "wait");
+        }
+        let ConsensusReply::Accepted(accepted) = service.consensus(&job, &ctx()).unwrap() else {
+            panic!("async submit must be accepted-pending");
+        };
+        poll_until_done(&service, &accepted);
+        // One pool task per method, so two here; the pool counts a task
+        // just after the job's last statement.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while service.engine().stats().pool_tasks_executed < 2 {
+            assert!(Instant::now() < deadline, "the pool stalled");
+            std::thread::yield_now();
+        }
+
+        let transport = test_transport();
+        let rows = service.stat_rows(&transport);
+        let stats = service.stats(&transport);
+        let exposition = service.metrics_exposition(&test_build(), &transport);
+        let at = |path: &str| path.split('/').try_fold(&stats, |v, key| v.get(key));
+        for row in &rows {
+            let Some(Value::UInt(json)) = at(row.path) else {
+                panic!("/v1/stats has no integer at {}", row.path);
+            };
+            let sample: f64 = exposition
+                .lines()
+                .find_map(|line| line.strip_prefix(row.family)?.strip_prefix(' '))
+                .unwrap_or_else(|| panic!("/metrics has no {} sample", row.family))
+                .parse()
+                .unwrap();
+            let expected = match row.value {
+                StatValue::Nanos(_) => *json as f64 / 1e9,
+                StatValue::Counter(_) | StatValue::Gauge(_) => *json as f64,
+            };
+            // Process-wide kernel counters move with every test's solves.
+            if row.family.starts_with("mani_kernel_") {
+                assert!(sample >= expected, "{}: {sample} < {expected}", row.family);
+            } else {
+                assert_eq!(sample, expected, "{}", row.family);
+            }
+            let counts = !matches!(row.value, StatValue::Gauge(_));
+            assert_eq!(counts, row.family.ends_with("_total"), "{}", row.family);
+        }
+        // The traffic reached the counters.
+        for (path, value) in [
+            ("engine/submitted", 2),
+            ("precedence_cache/delta_appends", 1),
+            ("response_cache/hits", 1),
+            ("jobs_tracked", 1),
+        ] {
+            assert_eq!(at(path), Some(&Value::UInt(value)), "{path}");
+        }
+        let paths: BTreeSet<&str> = rows.iter().map(|row| row.path).collect();
+        let families: BTreeSet<&str> = rows.iter().map(|row| row.family).collect();
+        assert_eq!((paths.len(), families.len()), (rows.len(), rows.len()));
+    }
+
+    #[test]
+    fn a_polled_job_answers_as_a_waited_solve_and_replays_from_the_cache() {
+        let service = service();
+        let id = upload_demo(&service);
+        let ctx = || RequestContext::new(None);
+        let body = |delta: f64, wait: bool| {
+            parse_body(&format!(
+                r#"{{"dataset": {{"id": "{id}"}}, "methods": ["Fair-Borda", "Fair-Copeland"],
+                    "delta": {delta}, "wait": {wait}}}"#
+            ))
+            .unwrap()
+        };
+        // Warm the matrix at another Δ, so both solves below hit it.
+        service.consensus(&body(0.3, true), &ctx()).unwrap();
+        // The job is submitted before the waited solve and polled after it,
+        // so neither finds the other's results in the response cache.
+        let ConsensusReply::Accepted(accepted) =
+            service.consensus(&body(0.2, false), &ctx()).unwrap()
+        else {
+            panic!("async submit must be accepted-pending");
+        };
+        let ConsensusReply::Complete(waited) = service.consensus(&body(0.2, true), &ctx()).unwrap()
+        else {
+            panic!("waited solve must be complete");
+        };
+        let polled = poll_until_done(&service, &accepted);
+        let results = |reply: &Value, strip: &[&str]| {
+            let mut results = reply
+                .get("results")
+                .and_then(Value::as_array)
+                .unwrap()
+                .to_vec();
+            for result in &mut results {
+                if let Value::Object(fields) = result {
+                    fields.retain(|(key, _)| !strip.contains(&key.as_str()));
+                }
+            }
+            results
+        };
+        let timing = ["duration_ms"];
+        assert_eq!(results(&polled, &timing), results(&waited, &timing));
+        assert_eq!(results(&waited, &timing).len(), 2);
+
+        let hits = service.response_cache().stats().hits;
+        let ConsensusReply::Complete(replay) = service.consensus(&body(0.2, true), &ctx()).unwrap()
+        else {
+            panic!("replay must be complete");
+        };
+        assert_eq!(replay.get("cached"), Some(&Value::Bool(true)));
+        assert_eq!(service.response_cache().stats().hits, hits + 2);
+        let replayed = ["duration_ms", "cached"];
+        assert_eq!(results(&replay, &replayed), results(&waited, &replayed));
+    }
+
+    /// Polls the job an accepted reply names until it reports done, and
+    /// returns that answer.
+    fn poll_until_done(service: &Service, accepted: &Value) -> Value {
+        let id = accepted.get("id").and_then(Value::as_str).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let polled = service.job(id).unwrap();
+            if polled.get("status") == Some(&s("done")) {
+                return polled;
+            }
+            assert!(Instant::now() < deadline, "job never completed");
+            std::hint::spin_loop();
+        }
+    }
+
+    fn test_transport() -> TransportStats {
+        TransportStats {
+            max_connections: 7,
+            conn_threads: 3,
+            accepted: 11,
+            rejected_busy: 1,
+            requests: 29,
+            keepalive_reuses: 13,
+        }
+    }
+
+    fn test_build() -> BuildInfo {
+        BuildInfo {
             name: "mani-test",
             version: "0.0.0",
             git: None,
             profile: "debug",
             features: &[],
-        };
-        let exposition = service.metrics_exposition(&build, &TransportStats::default());
-        for (snapshot, path, metric) in surfaces {
-            let json = path
-                .split('/')
-                .try_fold(&stats, |value, key| value.get(key));
-            match json {
-                Some(Value::UInt(rendered)) => assert!(*rendered >= snapshot, "{path}"),
-                other => panic!("/v1/stats has no integer at {path}: {other:?}"),
-            }
-            assert!(
-                exposition.lines().any(|line| line
-                    .strip_prefix(metric)
-                    .is_some_and(|rest| rest.starts_with([' ', '{']))),
-                "/metrics has no {metric} sample"
-            );
         }
     }
 
@@ -2206,14 +2213,7 @@ mod tests {
                 .and_then(|p| p.get("matrix_bytes")),
             Some(&Value::UInt(two_triangles))
         );
-        let build = BuildInfo {
-            name: "mani-test",
-            version: "0.0.0",
-            git: None,
-            profile: "debug",
-            features: &[],
-        };
-        let exposition = service.metrics_exposition(&build, &TransportStats::default());
+        let exposition = service.metrics_exposition(&test_build(), &TransportStats::default());
         assert!(
             exposition
                 .lines()
