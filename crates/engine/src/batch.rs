@@ -13,7 +13,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 use crate::jobs::{JobHandle, JobId};
 use crate::request::ConsensusResponse;
@@ -23,24 +22,16 @@ use crate::request::ConsensusResponse;
 /// indexes in arrival order.
 #[derive(Debug, Default)]
 pub(crate) struct BatchNotifier {
-    ready: Mutex<ReadyQueue>,
-    cond: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct ReadyQueue {
     /// Completed-but-not-yet-yielded batch indexes, in completion order.
-    indexes: VecDeque<usize>,
-    /// Total completions observed (monotonic; never drained).
-    completed: usize,
+    ready: Mutex<VecDeque<usize>>,
+    cond: Condvar,
 }
 
 impl BatchNotifier {
     /// Records that the job at `index` completed and wakes the batch waiter.
     pub(crate) fn notify(&self, index: usize) {
         let mut ready = self.ready.lock().expect("batch ready lock poisoned");
-        ready.indexes.push_back(index);
-        ready.completed += 1;
+        ready.push_back(index);
         self.cond.notify_all();
     }
 }
@@ -52,17 +43,6 @@ pub(crate) struct BatchCounters {
     pub(crate) opened: AtomicU64,
     pub(crate) drained: AtomicU64,
     pub(crate) results_yielded: AtomicU64,
-}
-
-/// Progress of one streaming batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchProgress {
-    /// Jobs in the batch.
-    pub total: usize,
-    /// Jobs that have completed (whether or not yielded yet).
-    pub completed: usize,
-    /// Completions already handed to the caller via `wait_next`.
-    pub yielded: usize,
 }
 
 /// One completion yielded by a [`BatchHandle`], tagged with the position of
@@ -145,21 +125,6 @@ impl BatchHandle {
         &self.handles
     }
 
-    /// Current totals: jobs, completions, and yields so far.
-    pub fn progress(&self) -> BatchProgress {
-        let completed = self
-            .notifier
-            .ready
-            .lock()
-            .expect("batch ready lock poisoned")
-            .completed;
-        BatchProgress {
-            total: self.handles.len(),
-            completed,
-            yielded: self.yielded,
-        }
-    }
-
     /// Blocks until the next job completes and yields it; `None` once every
     /// completion has been yielded.
     pub fn wait_next(&mut self) -> Option<BatchItem> {
@@ -173,7 +138,7 @@ impl BatchHandle {
                 .lock()
                 .expect("batch ready lock poisoned");
             loop {
-                if let Some(index) = ready.indexes.pop_front() {
+                if let Some(index) = ready.pop_front() {
                     break index;
                 }
                 ready = self
@@ -184,70 +149,6 @@ impl BatchHandle {
             }
         };
         Some(self.yield_item(index))
-    }
-
-    /// Like [`BatchHandle::wait_next`], waiting at most `timeout` for the
-    /// next completion; `None` on timeout **or** when the batch is already
-    /// drained (disambiguate with [`BatchHandle::is_drained`]).
-    pub fn wait_next_timeout(&mut self, timeout: Duration) -> Option<BatchItem> {
-        if self.is_drained() {
-            return None;
-        }
-        let deadline = Instant::now() + timeout;
-        let index = {
-            let mut ready = self
-                .notifier
-                .ready
-                .lock()
-                .expect("batch ready lock poisoned");
-            loop {
-                if let Some(index) = ready.indexes.pop_front() {
-                    break index;
-                }
-                let remaining = deadline.checked_duration_since(Instant::now())?;
-                let (guard, result) = self
-                    .notifier
-                    .cond
-                    .wait_timeout(ready, remaining)
-                    .expect("batch ready lock poisoned");
-                ready = guard;
-                if result.timed_out() && ready.indexes.is_empty() {
-                    return None;
-                }
-            }
-        };
-        Some(self.yield_item(index))
-    }
-
-    /// Waits up to `timeout` for **every** remaining job to complete, then
-    /// yields them all in completion order. On timeout returns `None` without
-    /// consuming anything — already-yielded items stay yielded, pending
-    /// completions stay pending, and the call can be retried.
-    pub fn wait_all_timeout(&mut self, timeout: Duration) -> Option<Vec<BatchItem>> {
-        let deadline = Instant::now() + timeout;
-        let indexes: Vec<usize> = {
-            let mut ready = self
-                .notifier
-                .ready
-                .lock()
-                .expect("batch ready lock poisoned");
-            loop {
-                if ready.completed == self.handles.len() {
-                    break ready.indexes.drain(..).collect();
-                }
-                let remaining = deadline.checked_duration_since(Instant::now())?;
-                let (guard, result) = self
-                    .notifier
-                    .cond
-                    .wait_timeout(ready, remaining)
-                    .expect("batch ready lock poisoned");
-                ready = guard;
-                if result.timed_out() && ready.completed < self.handles.len() {
-                    return None;
-                }
-            }
-        };
-        Some(indexes.into_iter().map(|i| self.yield_item(i)).collect())
     }
 
     /// Yields the completed job at `index`, updating batch and engine
@@ -315,11 +216,6 @@ mod tests {
         let second = batch.wait_next().expect("another job is done");
         assert_eq!(second.index, 0);
 
-        let progress = batch.progress();
-        assert_eq!(progress.total, 3);
-        assert_eq!(progress.completed, 2);
-        assert_eq!(progress.yielded, 2);
-
         s1.complete(response("b"));
         assert_eq!(batch.wait_next().expect("final job").index, 1);
         assert!(batch.is_drained());
@@ -333,7 +229,7 @@ mod tests {
         assert_eq!(h0.status(), JobStatus::Done);
         let mut batch = BatchHandle::new(vec![h0]);
         let item = batch
-            .wait_next_timeout(Duration::from_millis(50))
+            .wait_next()
             .expect("already-done job must be ready without a transition");
         assert_eq!(item.index, 0);
         assert_eq!(item.response.dataset, "early");
@@ -350,36 +246,6 @@ mod tests {
         let item = batch.wait_next().expect("completion arrives");
         assert_eq!(item.response.dataset, "late");
         completer.join().unwrap();
-    }
-
-    #[test]
-    fn timeouts_do_not_consume_progress() {
-        let (h0, s0) = job(1);
-        let (h1, s1) = job(2);
-        let mut batch = BatchHandle::new(vec![h0, h1]);
-        assert!(batch.wait_next_timeout(Duration::from_millis(10)).is_none());
-        s0.complete(response("a"));
-        // One of two jobs is done: wait_all still times out, consuming nothing.
-        assert!(batch.wait_all_timeout(Duration::from_millis(10)).is_none());
-        assert_eq!(batch.progress().completed, 1);
-        assert_eq!(batch.progress().yielded, 0);
-
-        s1.complete(response("b"));
-        let items = batch
-            .wait_all_timeout(Duration::from_millis(100))
-            .expect("both jobs are done");
-        assert_eq!(items.len(), 2);
-        assert_eq!(items[0].index, 0, "completion order preserved");
-        assert_eq!(items[1].index, 1);
-        assert!(batch.is_drained());
-        // Drained: wait_all returns the (empty) remainder immediately.
-        assert_eq!(
-            batch
-                .wait_all_timeout(Duration::from_millis(10))
-                .expect("nothing left to wait for")
-                .len(),
-            0
-        );
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub mod pool;
 pub mod report;
 pub mod request;
 
-pub use batch::{BatchHandle, BatchItem, BatchProgress};
+pub use batch::{BatchHandle, BatchItem};
 pub use cache::{CacheStats, PrecedenceCache, RankingDelta, SharedArtifacts};
 pub use dataset::EngineDataset;
 pub use engine::{ConsensusEngine, EngineConfig, EngineStats, DEFAULT_QUEUE_DEPTH};

@@ -4,7 +4,6 @@
 //! the engine's worker.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use mani_core::MethodKind;
 use mani_engine::{ConsensusEngine, ConsensusRequest, EngineConfig, EngineDataset, EngineError};
@@ -92,22 +91,6 @@ fn streamed_responses_are_bit_identical_to_blocking_batches() {
 }
 
 #[test]
-fn wait_all_timeout_returns_the_whole_batch() {
-    let engine = engine(2);
-    let mut batch = engine
-        .submit_batch_streaming(vec![cheap(11), cheap(12), cheap(13)])
-        .expect("queue is empty");
-    let items = batch
-        .wait_all_timeout(Duration::from_secs(30))
-        .expect("three tiny solves complete well inside the deadline");
-    assert_eq!(items.len(), 3);
-    let mut indexes: Vec<usize> = items.iter().map(|i| i.index).collect();
-    indexes.sort_unstable();
-    assert_eq!(indexes, vec![0, 1, 2]);
-    assert!(batch.is_drained());
-}
-
-#[test]
 fn engine_stats_track_streaming_batches() {
     let engine = engine(2);
     let before = engine.stats();
@@ -159,7 +142,7 @@ fn invalid_requests_stream_error_responses_immediately() {
         )])
         .expect("queue is empty");
     let item = batch
-        .wait_next_timeout(Duration::from_secs(5))
+        .wait_next()
         .expect("validation failures complete without touching a worker");
     assert_eq!(item.index, 0);
     assert!(!item.response.is_complete());

@@ -28,7 +28,8 @@ use mani_fairness::{FairnessAudit, FairnessThresholds};
 use mani_ranking::GroupIndex;
 use mani_serve::{Server, ServerConfig};
 use mani_service::{
-    dataset_to_value, obj, render, s, ConsensusSpec, RequestContext, Service, StreamSink,
+    dataset_to_value, obj, parse_solve, query_fields, render, s, with_entry, ApiError,
+    RequestContext, Service, StreamSink,
 };
 use serde::Value;
 
@@ -257,41 +258,31 @@ fn cmd_consensus(args: &[String]) -> Result<(), EngineError> {
         ));
     }
 
-    let methods = parse_methods(flags.get("methods"))?;
-    let delta: f64 = flags.get_parsed("delta", 0.1)?;
     let threads: usize = flags.get_parsed("threads", 0)?;
     let kernel_threads: usize = flags.get_parsed("kernel-threads", 1)?;
-    let budget: Option<u64> =
-        match flags.get("budget") {
-            Some(raw) => Some(raw.parse().map_err(|_| {
-                EngineError::invalid(format!("cannot parse --budget value `{raw}`"))
-            })?),
-            None => None,
-        };
+    // Every request is read before any solve, by the reader the HTTP API
+    // uses, so a bad option fails the whole run up front.
+    let fields = solve_fields(&flags)?;
+    let requests = datasets
+        .iter()
+        .map(|ds| parse_solve(Arc::clone(ds), &fields))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(service_error)?;
 
     // Local solves ride the same transport-agnostic service core the HTTP
     // front-end uses — one submission path, one cache stack, one stats story.
     let service = Service::new(
         EngineConfig {
             threads,
-            default_budget: budget,
             kernel_threads,
             // Both CLI paths ride the async submission queue; size it to the
             // batch so a many-dataset run is never rejected for a capacity
             // bound meant for network backpressure.
             queue_depth: datasets.len(),
+            ..EngineConfig::default()
         },
         0,
     );
-    let specs: Vec<ConsensusSpec> = datasets
-        .iter()
-        .map(|ds| ConsensusSpec {
-            dataset: Arc::clone(ds),
-            methods: methods.clone(),
-            thresholds: FairnessThresholds::uniform(delta),
-            budget,
-        })
-        .collect();
 
     // Prints one dataset's response (and optional audits); returns its
     // failure count. Shared by the blocking and streaming paths.
@@ -320,9 +311,7 @@ fn cmd_consensus(args: &[String]) -> Result<(), EngineError> {
         // Streaming batch mode: each dataset's table prints the moment its
         // solve completes, in as-completed order — fast datasets are not
         // held hostage by the slowest exact solve in the batch.
-        let mut batch = service
-            .submit_streaming(&specs)
-            .map_err(|e| EngineError::invalid(e.message))?;
+        let mut batch = service.submit_streaming(&requests).map_err(service_error)?;
         let total = batch.len();
         let mut done = 0usize;
         while let Some(item) = batch.wait_next() {
@@ -338,9 +327,7 @@ fn cmd_consensus(args: &[String]) -> Result<(), EngineError> {
             failures += print_response(dataset, &item.response);
         }
     } else {
-        let handles = service
-            .submit(&specs)
-            .map_err(|e| EngineError::invalid(e.message))?;
+        let handles = service.submit(&requests).map_err(service_error)?;
         for (dataset, handle) in datasets.iter().zip(&handles) {
             let response = handle.wait();
             method_runs += response.results.len();
@@ -489,47 +476,26 @@ fn cmd_session(args: &[String]) -> Result<(), EngineError> {
     )?;
     let dataset = load_pair(&flags)?;
     let ops = parse_edit_flags(&flags)?;
-    let methods = parse_methods(flags.get("methods"))?;
-    let delta: f64 = flags.get_parsed("delta", 0.1)?;
     let threads: usize = flags.get_parsed("threads", 0)?;
     let kernel_threads: usize = flags.get_parsed("kernel-threads", 1)?;
-    let budget: Option<u64> =
-        match flags.get("budget") {
-            Some(raw) => Some(raw.parse().map_err(|_| {
-                EngineError::invalid(format!("cannot parse --budget value `{raw}`"))
-            })?),
-            None => None,
-        };
 
     let service = Service::new(
         EngineConfig {
             threads,
-            default_budget: budget,
             kernel_threads,
             ..EngineConfig::default()
         },
         0,
     );
     // One edit per flag: the session streams one consensus line per op.
-    let mut body = obj(vec![
-        ("dataset", dataset_to_value(&dataset)),
-        (
-            "methods",
-            Value::Array(methods.iter().map(|m| s(m.name())).collect()),
-        ),
-        ("delta", Value::Float(delta)),
-        ("edits", Value::Array(ops)),
-    ]);
-    if let Some(nodes) = budget {
-        if let Value::Object(entries) = &mut body {
-            entries.push(("budget".to_string(), Value::UInt(nodes)));
-        }
-    }
+    let body = with_entry(
+        with_entry(solve_fields(&flags)?, "dataset", dataset_to_value(&dataset)),
+        "edits",
+        Value::Array(ops),
+    );
     let ctx = RequestContext::new(None);
-    let session = service
-        .session(&body, &ctx)
-        .map_err(|e| EngineError::invalid(e.message))?;
-    match service.stream_session(session, &mut StdoutSink) {
+    let session = service.session(&body, &ctx).map_err(service_error)?;
+    match service.drive(session, &mut StdoutSink) {
         Ok(()) => Ok(()),
         Err(never) => match never {},
     }
@@ -571,22 +537,20 @@ fn cmd_dataset_patch(args: &[String]) -> Result<(), EngineError> {
     );
     let registered = service
         .register_dataset(Arc::new(dataset))
-        .map_err(|e| EngineError::invalid(e.message))?;
+        .map_err(service_error)?;
     let id = registered
         .get("id")
         .and_then(Value::as_str)
         .ok_or_else(|| EngineError::invalid("registration returned no id"))?
         .to_string();
     let body = obj(vec![("ops", Value::Array(ops))]);
-    let patched = service
-        .dataset_patch(&id, &body)
-        .map_err(|e| EngineError::invalid(e.message))?;
+    let patched = service.dataset_patch(&id, &body).map_err(service_error)?;
     emit(render(&patched));
     if let Some(out) = flags.get("out-rankings") {
         let current = service
             .datasets()
             .resolve_current(&id)
-            .map_err(|e| EngineError::invalid(e.message))?;
+            .map_err(service_error)?;
         csvio::save_rankings(
             current.dataset.profile(),
             current.dataset.db(),
@@ -742,18 +706,16 @@ fn load_dataset_spec(spec: &str) -> Result<EngineDataset, EngineError> {
     EngineDataset::new(name, db, profile)
 }
 
-fn parse_methods(raw: Option<&str>) -> Result<Vec<MethodKind>, EngineError> {
-    match raw {
-        None => Ok(MethodKind::proposed().to_vec()),
-        Some(list) => list
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(|name| {
-                MethodKind::parse(name).ok_or_else(|| {
-                    EngineError::invalid(format!("unknown method `{name}` (see `mani methods`)"))
-                })
-            })
-            .collect(),
-    }
+/// The solve fields of `--methods`, `--delta` and `--budget`, read as the
+/// service reads a columnar upload's query string.
+fn solve_fields(flags: &Flags) -> Result<Value, EngineError> {
+    let given = ["methods", "delta", "budget"]
+        .into_iter()
+        .filter_map(|name| flags.get(name).map(|raw| (name, raw)));
+    query_fields(given).map_err(service_error)
+}
+
+/// Reports a service error as the CLI's error type.
+fn service_error(error: ApiError) -> EngineError {
+    EngineError::invalid(error.message)
 }

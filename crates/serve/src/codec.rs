@@ -11,7 +11,9 @@
 //! * `application/vnd.mani.columnar` — the compact binary columnar dataset
 //!   encoding defined in [`mani_service::columnar`]. A columnar `POST
 //!   /v1/consensus` body is the dataset itself; solve parameters
-//!   (`methods`, `delta`, `budget`, `wait`, `stream`) ride the query string.
+//!   (`methods`, `delta`, `budget`, `wait`, `stream`) ride the query string,
+//!   which [`mani_service::query_fields`] reads into the fields a JSON body
+//!   carries, so both codecs read every option alike.
 //!
 //! Anything else is refused with `415 Unsupported Media Type` and a
 //! structured JSON envelope listing the supported representations. Responses
@@ -19,14 +21,7 @@
 //! header excludes both is refused with `406 Not Acceptable` rather than
 //! silently answered with a representation the client said it cannot read.
 
-use std::sync::Arc;
-
-use mani_engine::EngineDataset;
-use mani_fairness::FairnessThresholds;
-use mani_service::{
-    error_body, obj, parse_methods_csv, render, s, with_entry, ApiError, ConsensusSpec,
-    COLUMNAR_CONTENT_TYPE,
-};
+use mani_service::{error_body, obj, render, s, with_entry, ApiError, COLUMNAR_CONTENT_TYPE};
 use serde::Value;
 
 use crate::http::{HttpRequest, HttpResponse};
@@ -115,90 +110,13 @@ pub fn check_accept(request: &HttpRequest) -> Result<(), HttpResponse> {
 /// Splits a raw query string into `(key, value)` pairs. No percent-decoding:
 /// every parameter this API defines (method names, numbers, booleans) is
 /// already URL-safe, and commas are legal raw in query strings.
-pub fn query_params(query: Option<&str>) -> Vec<(String, String)> {
+pub fn query_params(query: Option<&str>) -> Vec<(&str, &str)> {
     query
         .unwrap_or("")
         .split('&')
         .filter(|pair| !pair.is_empty())
-        .map(|pair| match pair.split_once('=') {
-            Some((k, v)) => (k.to_string(), v.to_string()),
-            None => (pair.to_string(), String::new()),
-        })
+        .map(|pair| pair.split_once('=').unwrap_or((pair, "")))
         .collect()
-}
-
-/// Solve parameters of a columnar consensus request, parsed from the query
-/// string (a binary body has no side channel for them).
-#[derive(Debug)]
-pub struct ColumnarSolveParams {
-    /// The parsed spec (dataset + methods + thresholds + budget).
-    pub spec: ConsensusSpec,
-    /// `wait=true` — block for results.
-    pub wait: bool,
-    /// `stream=true` — NDJSON lines in completion order.
-    pub stream: bool,
-}
-
-/// Builds the consensus spec for a columnar upload: the decoded dataset plus
-/// `methods` (comma-separated), `delta`, `budget`, `wait`, and `stream` from
-/// the query string. Unknown parameters are rejected so typos fail loudly.
-pub fn columnar_solve_params(
-    dataset: Arc<EngineDataset>,
-    query: Option<&str>,
-) -> Result<ColumnarSolveParams, ApiError> {
-    let mut methods_csv: Option<String> = None;
-    let mut delta = 0.1f64;
-    let mut budget: Option<u64> = None;
-    let mut wait = false;
-    let mut stream = false;
-    for (key, value) in query_params(query) {
-        match key.as_str() {
-            "methods" => methods_csv = Some(value),
-            "delta" => {
-                delta = value.parse().map_err(|_| {
-                    ApiError::invalid(format!("cannot parse `delta` value `{value}`"))
-                })?;
-            }
-            "budget" => {
-                budget = Some(value.parse().map_err(|_| {
-                    ApiError::invalid(format!("cannot parse `budget` value `{value}`"))
-                })?);
-            }
-            "wait" => wait = parse_bool_param("wait", &value)?,
-            "stream" => stream = parse_bool_param("stream", &value)?,
-            other => {
-                return Err(ApiError::invalid(format!(
-                    "unknown query parameter `{other}` (expected methods, delta, budget, wait, or stream)"
-                )));
-            }
-        }
-    }
-    let methods = match methods_csv {
-        Some(csv) => parse_methods_csv(&csv)?,
-        None => mani_core::MethodKind::proposed().to_vec(),
-    };
-    Ok(ColumnarSolveParams {
-        spec: ConsensusSpec {
-            dataset,
-            methods,
-            thresholds: FairnessThresholds::uniform(delta),
-            budget,
-        },
-        wait,
-        stream,
-    })
-}
-
-/// Parses a boolean query parameter (`true`/`false`/`1`/`0`; a bare key with
-/// no value means `true`).
-fn parse_bool_param(name: &str, value: &str) -> Result<bool, ApiError> {
-    match value {
-        "" | "true" | "1" => Ok(true),
-        "false" | "0" => Ok(false),
-        other => Err(ApiError::invalid(format!(
-            "cannot parse `{name}` value `{other}` (expected true or false)"
-        ))),
-    }
 }
 
 /// Renders an [`ApiError`] as the standard JSON error envelope on the status
@@ -293,9 +211,6 @@ mod tests {
         assert_eq!(pairs[0].0, "methods");
         assert_eq!(pairs[0].1, "Fair-Borda,Fair-Copeland");
         assert!(query_params(None).is_empty());
-        assert_eq!(
-            query_params(Some("wait")),
-            vec![("wait".into(), String::new())]
-        );
+        assert_eq!(query_params(Some("wait")), vec![("wait", "")]);
     }
 }

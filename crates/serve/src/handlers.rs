@@ -12,16 +12,17 @@ use std::sync::Arc;
 
 use mani_engine::EngineConfig;
 use mani_obs::Span;
-pub use mani_service::ConsensusStream;
+pub use mani_service::NdjsonStream;
 use mani_service::{
-    decode_dataset, error_body, methods_value, parse_body, render, version_value, ApiError,
-    ApiErrorKind, BuildInfo, ConsensusReply, EndpointMetrics, RequestContext, ResponseCache,
-    Service, WhatIfSession,
+    decode_dataset, error_body, methods_value, parse_body, query_fields, render, version_value,
+    ApiError, ApiErrorKind, BuildInfo, ConsensusReply, EndpointMetrics, RequestContext,
+    ResponseCache, Service,
 };
+use serde::Value;
 
 use crate::codec::{
-    api_error_response, check_accept, columnar_solve_params, negotiate_body, BodyCodec,
-    JSON_CONTENT_TYPE, NDJSON_CONTENT_TYPE,
+    api_error_response, check_accept, negotiate_body, query_params, BodyCodec, JSON_CONTENT_TYPE,
+    NDJSON_CONTENT_TYPE,
 };
 use crate::http::{ChunkedBody, ChunkedResponse, HttpError, HttpRequest, HttpResponse};
 use crate::metrics::ServeCounters;
@@ -60,19 +61,16 @@ pub fn api_error_status(error: &ApiError) -> u16 {
 }
 
 /// Outcome of dispatching one request: either a fully materialized response,
-/// or a streaming consensus batch whose NDJSON lines are produced as jobs
-/// complete (written with chunked framing by [`crate::server`]).
+/// or an NDJSON stream whose lines are produced as results land (written with
+/// chunked framing by [`crate::server`]).
 #[derive(Debug)]
 pub enum Handled {
     /// A complete response, ready to serialize with a `Content-Length`.
     Response(HttpResponse),
-    /// A `"stream": true` consensus batch: one NDJSON line per request, in
-    /// completion order, plus a terminal summary line.
-    Stream(ConsensusStream),
-    /// A `POST /v1/sessions` what-if session: one NDJSON line per edit step
-    /// (in order, each delta-derived from its predecessor), plus a terminal
-    /// summary line.
-    Session(WhatIfSession),
+    /// A `"stream": true` consensus batch (one line per request, in
+    /// completion order) or a `POST /v1/sessions` what-if session (one line
+    /// per edit, in order), plus a terminal summary line.
+    Stream(NdjsonStream),
 }
 
 /// The HTTP front-end's per-server state: the shared [`Service`] core plus
@@ -135,10 +133,10 @@ impl AppState {
 
     /// Dispatches one parsed HTTP request. Complete responses have their
     /// latency recorded immediately; a [`Handled::Stream`] records its
-    /// latency (under `consensus_stream`) when the stream finishes, since its
-    /// wall-clock spans the whole batch drain. Every response — buffered,
-    /// streamed, or error — carries the request's `x-request-id` (accepted
-    /// from the client or generated here).
+    /// latency (under its label, `consensus_stream` or `session`) when the
+    /// stream finishes, since its wall-clock spans the whole drain. Every
+    /// response — buffered, streamed, or error — carries the request's
+    /// `x-request-id` (accepted from the client or generated here).
     pub fn dispatch(&self, request: &HttpRequest) -> Handled {
         let ctx = RequestContext::new(request.header("x-request-id"));
         let routed = route(&request.method, &request.path);
@@ -156,18 +154,28 @@ impl AppState {
                 format!("{} does not accept {}", request.path, request.method),
             ))),
             Routed::Found(Route::Consensus) => self.consensus(request, &ctx),
-            Routed::Found(Route::Audit) => self.audit(request).map(Handled::Response),
+            Routed::Found(Route::Audit) => json_only_body(request, "audit accepts")
+                .and_then(|body| json_outcome(self.service.audit(&body))),
             Routed::Found(Route::Job(id)) => json_outcome(self.service.job(&id)),
             Routed::Found(Route::JobTrace(id)) => json_outcome(self.service.job_trace(&id)),
             Routed::Found(Route::DatasetCreate) => {
                 self.dataset_create(request).map(Handled::Response)
             }
             Routed::Found(Route::DatasetGet(id)) => json_outcome(self.service.dataset_get(&id)),
-            Routed::Found(Route::DatasetPatch(id)) => self.dataset_patch(request, &id),
+            Routed::Found(Route::DatasetPatch(id)) => {
+                json_only_body(request, "dataset edits accept")
+                    .and_then(|body| json_outcome(self.service.dataset_patch(&id, &body)))
+            }
             Routed::Found(Route::DatasetDelete(id)) => {
                 json_outcome(self.service.dataset_delete(&id))
             }
-            Routed::Found(Route::SessionCreate) => self.session_create(request, &ctx),
+            Routed::Found(Route::SessionCreate) => json_only_body(request, "sessions accept")
+                .and_then(|body| {
+                    self.service
+                        .session(&body, &ctx)
+                        .map(Handled::Stream)
+                        .map_err(|e| api_error_response(&e))
+                }),
             Routed::Found(Route::Methods) => Ok(Handled::Response(HttpResponse::json(
                 200,
                 render(&methods_value()),
@@ -193,7 +201,6 @@ impl AppState {
             // Streams carry their context; their latency, access-log line,
             // and header stamp happen when the drain finishes.
             Ok(Handled::Stream(stream)) => return Handled::Stream(stream),
-            Ok(Handled::Session(session)) => return Handled::Session(session),
             Ok(Handled::Response(response)) => response,
             Err(response) => response,
         };
@@ -231,133 +238,63 @@ impl AppState {
         match self.dispatch(request) {
             Handled::Response(response) => response,
             Handled::Stream(stream) => self.collect_stream(stream),
-            Handled::Session(session) => self.collect_session(session),
         }
     }
 
-    /// Writes a [`ConsensusStream`] as a chunked NDJSON response, one chunk
-    /// per line as completions land, recording the stream's total latency.
+    /// Writes an [`NdjsonStream`] as a chunked NDJSON response, one chunk
+    /// per line as results land, recording the stream's total latency.
     pub fn stream_ndjson<W: Write>(
         &self,
-        stream: ConsensusStream,
+        stream: NdjsonStream,
         writer: &mut W,
         keep_alive: bool,
     ) -> std::io::Result<()> {
-        let started = stream.started();
-        let request_id = stream.request_id().to_string();
-        let trace = Arc::clone(stream.trace());
-        let result = (|| {
-            let mut body = ChunkedResponse::ndjson(200)
-                .with_header("x-request-id", request_id.clone())
-                .begin(writer, keep_alive)?;
-            self.service.stream_consensus(stream, &mut body)?;
+        let head =
+            ChunkedResponse::ndjson(200).with_header("x-request-id", stream.request_id.clone());
+        self.drain(stream, |service, stream| {
+            let mut body = head.begin(writer, keep_alive)?;
+            service.drive(stream, &mut body)?;
             body.finish()
-        })();
-        let elapsed = started.elapsed();
-        self.service.metrics().record("consensus_stream", elapsed);
-        self.service.observe(
-            "consensus_stream",
-            "POST /v1/consensus".to_string(),
-            request_id,
-            &trace,
-            200,
-            elapsed,
-        );
-        result
+        })
     }
 
-    /// Writes a [`WhatIfSession`] as a chunked NDJSON response, one chunk per
-    /// edit step as its consensus lands, recording the session's total
-    /// latency under the `session` label.
-    pub fn stream_session_ndjson<W: Write>(
+    /// Drains an [`NdjsonStream`] into one buffered NDJSON response.
+    fn collect_stream(&self, stream: NdjsonStream) -> HttpResponse {
+        let request_id = stream.request_id.clone();
+        let mut body = String::new();
+        match self.drain(stream, |service, stream| service.drive(stream, &mut body)) {
+            Ok(()) => {}
+            Err(never) => match never {},
+        }
+        HttpResponse {
+            status: 200,
+            content_type: NDJSON_CONTENT_TYPE,
+            extra_headers: vec![("x-request-id", request_id)],
+            body,
+        }
+    }
+
+    /// Runs `drive` over `stream`, then records the stream's latency under
+    /// its label and its access-log line, timed from the stream's admission.
+    fn drain<E>(
         &self,
-        session: WhatIfSession,
-        writer: &mut W,
-        keep_alive: bool,
-    ) -> std::io::Result<()> {
-        let started = session.started();
-        let request_id = session.request_id().to_string();
-        let trace = Arc::clone(session.trace());
-        let result = (|| {
-            let mut body = ChunkedResponse::ndjson(200)
-                .with_header("x-request-id", request_id.clone())
-                .begin(writer, keep_alive)?;
-            self.service.stream_session(session, &mut body)?;
-            body.finish()
-        })();
+        stream: NdjsonStream,
+        drive: impl FnOnce(&Service, NdjsonStream) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (label, target, started) = (stream.label, stream.target, stream.started);
+        let (request_id, trace) = (stream.request_id.clone(), Arc::clone(&stream.trace));
+        let result = drive(&self.service, stream);
         let elapsed = started.elapsed();
-        self.service.metrics().record("session", elapsed);
-        self.service.observe(
-            "session",
-            "POST /v1/sessions".to_string(),
-            request_id,
-            &trace,
-            200,
-            elapsed,
-        );
+        self.service.metrics().record(label, elapsed);
+        self.service
+            .observe(label, target.to_string(), request_id, &trace, 200, elapsed);
         result
     }
 
-    /// Drains a [`WhatIfSession`] into one buffered NDJSON response.
-    fn collect_session(&self, session: WhatIfSession) -> HttpResponse {
-        let started = session.started();
-        let request_id = session.request_id().to_string();
-        let trace = Arc::clone(session.trace());
-        let mut body = String::new();
-        match self.service.stream_session(session, &mut body) {
-            Ok(()) => {}
-            Err(never) => match never {},
-        }
-        let elapsed = started.elapsed();
-        self.service.metrics().record("session", elapsed);
-        self.service.observe(
-            "session",
-            "POST /v1/sessions".to_string(),
-            request_id.clone(),
-            &trace,
-            200,
-            elapsed,
-        );
-        HttpResponse {
-            status: 200,
-            content_type: NDJSON_CONTENT_TYPE,
-            extra_headers: vec![("x-request-id", request_id)],
-            body,
-        }
-    }
-
-    /// Drains a [`ConsensusStream`] into one buffered NDJSON response.
-    fn collect_stream(&self, stream: ConsensusStream) -> HttpResponse {
-        let started = stream.started();
-        let request_id = stream.request_id().to_string();
-        let trace = Arc::clone(stream.trace());
-        let mut body = String::new();
-        match self.service.stream_consensus(stream, &mut body) {
-            Ok(()) => {}
-            Err(never) => match never {},
-        }
-        let elapsed = started.elapsed();
-        self.service.metrics().record("consensus_stream", elapsed);
-        self.service.observe(
-            "consensus_stream",
-            "POST /v1/consensus".to_string(),
-            request_id.clone(),
-            &trace,
-            200,
-            elapsed,
-        );
-        HttpResponse {
-            status: 200,
-            content_type: NDJSON_CONTENT_TYPE,
-            extra_headers: vec![("x-request-id", request_id)],
-            body,
-        }
-    }
-
-    /// `POST /v1/consensus` — single spec or `{"requests": [...]}` batch in
-    /// JSON, or one columnar dataset body with solve parameters on the query
-    /// string. Buffered by default, `202` for async submissions, streamed
-    /// NDJSON when streaming is requested.
+    /// `POST /v1/consensus` — single request or `{"requests": [...]}` batch
+    /// in JSON, or one columnar dataset body with solve parameters on the
+    /// query string. Buffered by default, `202` for async submissions,
+    /// streamed NDJSON when streaming is requested.
     fn consensus(
         &self,
         request: &HttpRequest,
@@ -365,27 +302,23 @@ impl AppState {
     ) -> Result<Handled, HttpResponse> {
         check_accept(request)?;
         let reply = match negotiate_body(request)? {
-            BodyCodec::Json => {
-                let text = request.body_utf8().map_err(http_error_response)?;
-                let body = parse_body(text).map_err(|e| api_error_response(&e))?;
-                self.service
-                    .consensus(&body, ctx)
-                    .map_err(|e| api_error_response(&e))?
-            }
+            BodyCodec::Json => self.service.consensus(&json_body(request)?, ctx),
             BodyCodec::Columnar => {
-                let params = {
+                let upload = {
                     let _parse = Span::enter(ctx.trace(), "parse");
-                    let dataset =
-                        decode_dataset(&request.body).map_err(|e| api_error_response(&e))?;
-                    columnar_solve_params(dataset, request.query.as_deref())
-                        .map_err(|e| api_error_response(&e))?
+                    decode_dataset(&request.body).and_then(|dataset| {
+                        Ok((
+                            dataset,
+                            query_fields(query_params(request.query.as_deref()))?,
+                        ))
+                    })
                 };
-                self.service
-                    .consensus_specs(vec![params.spec], true, params.wait, params.stream, ctx)
-                    .map_err(|e| api_error_response(&e))?
+                upload.and_then(|(dataset, fields)| {
+                    self.service.consensus_upload(dataset, &fields, ctx)
+                })
             }
         };
-        Ok(match reply {
+        Ok(match reply.map_err(|e| api_error_response(&e))? {
             ConsensusReply::Complete(body) => {
                 Handled::Response(HttpResponse::json(200, render(&body)))
             }
@@ -396,74 +329,13 @@ impl AppState {
         })
     }
 
-    /// `POST /v1/audit` — JSON only (an audit references a dataset by value
-    /// or id; there is no columnar audit document).
-    fn audit(&self, request: &HttpRequest) -> Result<HttpResponse, HttpResponse> {
-        check_accept(request)?;
-        if negotiate_body(request)? == BodyCodec::Columnar {
-            return Err(api_error_response(&ApiError::new(
-                ApiErrorKind::UnsupportedMedia,
-                format!("audit accepts `{JSON_CONTENT_TYPE}` bodies only"),
-            )));
-        }
-        let text = request.body_utf8().map_err(http_error_response)?;
-        let body = parse_body(text).map_err(|e| api_error_response(&e))?;
-        self.service
-            .audit(&body)
-            .map(|value| HttpResponse::json(200, render(&value)))
-            .map_err(|e| api_error_response(&e))
-    }
-
-    /// `PATCH /v1/datasets/{id}` — apply ranking edits (appends/retracts) to
-    /// the current version, delta-deriving the next version's precedence
-    /// matrix. JSON only: an edit document is a list of ops, not a dataset.
-    fn dataset_patch(&self, request: &HttpRequest, id: &str) -> Result<Handled, HttpResponse> {
-        check_accept(request)?;
-        if negotiate_body(request)? == BodyCodec::Columnar {
-            return Err(api_error_response(&ApiError::new(
-                ApiErrorKind::UnsupportedMedia,
-                format!("dataset edits accept `{JSON_CONTENT_TYPE}` bodies only"),
-            )));
-        }
-        let text = request.body_utf8().map_err(http_error_response)?;
-        let body = parse_body(text).map_err(|e| api_error_response(&e))?;
-        json_outcome(self.service.dataset_patch(id, &body))
-    }
-
-    /// `POST /v1/sessions` — a live what-if session: validates the base spec
-    /// and every edit up front, then streams one consensus line per edit as
-    /// chunked NDJSON. JSON only.
-    fn session_create(
-        &self,
-        request: &HttpRequest,
-        ctx: &RequestContext,
-    ) -> Result<Handled, HttpResponse> {
-        check_accept(request)?;
-        if negotiate_body(request)? == BodyCodec::Columnar {
-            return Err(api_error_response(&ApiError::new(
-                ApiErrorKind::UnsupportedMedia,
-                format!("sessions accept `{JSON_CONTENT_TYPE}` bodies only"),
-            )));
-        }
-        let text = request.body_utf8().map_err(http_error_response)?;
-        let body = parse_body(text).map_err(|e| api_error_response(&e))?;
-        self.service
-            .session(&body, ctx)
-            .map(Handled::Session)
-            .map_err(|e| api_error_response(&e))
-    }
-
     /// `POST /v1/datasets` — register a dataset from a JSON document or a
     /// columnar body. Ids are content fingerprints, so the same rows register
     /// idempotently in either representation.
     fn dataset_create(&self, request: &HttpRequest) -> Result<HttpResponse, HttpResponse> {
         check_accept(request)?;
         let registered = match negotiate_body(request)? {
-            BodyCodec::Json => {
-                let text = request.body_utf8().map_err(http_error_response)?;
-                let body = parse_body(text).map_err(|e| api_error_response(&e))?;
-                self.service.dataset_create(&body)
-            }
+            BodyCodec::Json => self.service.dataset_create(&json_body(request)?),
             BodyCodec::Columnar => decode_dataset(&request.body)
                 .and_then(|dataset| self.service.register_dataset(dataset)),
         };
@@ -482,8 +354,28 @@ fn http_error_response(error: HttpError) -> HttpResponse {
     )
 }
 
+/// The JSON document of a request body.
+fn json_body(request: &HttpRequest) -> Result<Value, HttpResponse> {
+    let text = request.body_utf8().map_err(http_error_response)?;
+    parse_body(text).map_err(|e| api_error_response(&e))
+}
+
+/// The JSON document of a request to an operation that takes JSON only
+/// (audit, dataset edits, sessions: none has a columnar document). A
+/// columnar body is a `415` whose message starts with `what`.
+fn json_only_body(request: &HttpRequest, what: &str) -> Result<Value, HttpResponse> {
+    check_accept(request)?;
+    if negotiate_body(request)? == BodyCodec::Columnar {
+        return Err(api_error_response(&ApiError::new(
+            ApiErrorKind::UnsupportedMedia,
+            format!("{what} `{JSON_CONTENT_TYPE}` bodies only"),
+        )));
+    }
+    json_body(request)
+}
+
 /// Maps a service operation's result onto a buffered 200-or-error outcome.
-fn json_outcome(result: Result<serde::Value, ApiError>) -> Result<Handled, HttpResponse> {
+fn json_outcome(result: Result<Value, ApiError>) -> Result<Handled, HttpResponse> {
     result
         .map(|value| Handled::Response(HttpResponse::json(200, render(&value))))
         .map_err(|e| api_error_response(&e))
@@ -493,7 +385,11 @@ fn json_outcome(result: Result<serde::Value, ApiError>) -> Result<Handled, HttpR
 mod tests {
     use super::*;
     use crate::test_support::{delete, demo_consensus_body, demo_dataset_json, get, post};
-    use mani_service::{dataset_to_value, encode_dataset, parse_dataset, COLUMNAR_CONTENT_TYPE};
+    use mani_core::MethodKind;
+    use mani_service::{
+        cache_key, dataset_to_value, encode_dataset, parse_dataset, parse_solve,
+        COLUMNAR_CONTENT_TYPE,
+    };
     use serde::Value;
     use std::time::Instant;
 
@@ -620,7 +516,8 @@ mod tests {
             2,
             "the replay must not resubmit jobs"
         );
-        // Streaming batch counters surface in /v1/stats.
+        // Streaming batch counters surface in /v1/stats, and both streams
+        // recorded under the batch stream's latency label and target.
         let stats = state.handle(&get("/v1/stats"));
         assert!(stats.body.contains("\"streaming\""), "{}", stats.body);
         assert!(
@@ -628,6 +525,28 @@ mod tests {
             "{}",
             stats.body
         );
+        let parsed = parse_body(&stats.body).unwrap();
+        let count = parsed
+            .get("latency")
+            .and_then(|l| l.get("consensus_stream"))
+            .and_then(|h| h.get("count"));
+        assert_eq!(count, Some(&Value::UInt(2)), "{}", stats.body);
+        assert_eq!(
+            slow_target(&parsed, "consensus_stream"),
+            Some("POST /v1/consensus")
+        );
+    }
+
+    /// The `target` of the slow-request entry `/v1/stats` lists for
+    /// `endpoint`.
+    fn slow_target<'a>(stats: &'a Value, endpoint: &str) -> Option<&'a str> {
+        stats
+            .get("slow_requests")?
+            .as_array()?
+            .iter()
+            .find(|entry| entry.get("endpoint").and_then(Value::as_str) == Some(endpoint))?
+            .get("target")?
+            .as_str()
     }
 
     #[test]
@@ -698,11 +617,21 @@ mod tests {
 
         // Solve by reference instead of re-posting the rows.
         let by_id = format!(
-            r#"{{"dataset_id": "{id}", "methods": ["Fair-Borda"], "delta": 0.2, "wait": true}}"#
+            r#"{{"dataset": {{"id": "{id}"}}, "methods": ["Fair-Borda"], "delta": 0.2, "wait": true}}"#
         );
         let solved = state.handle(&post("/v1/consensus", &by_id));
         assert_eq!(solved.status, 200, "{}", solved.body);
         assert!(solved.body.contains("\"ranking\""));
+
+        // The removed flat `dataset_id` field is a 400 naming its
+        // replacement.
+        let flat_id =
+            format!(r#"{{"dataset_id": "{id}", "methods": ["Fair-Borda"], "wait": true}}"#);
+        let refused = state.handle(&post("/v1/consensus", &flat_id));
+        assert_eq!(refused.status, 400, "{}", refused.body);
+        let message = parse_body(&refused.body).unwrap();
+        let message = message.get("error").and_then(Value::as_str).unwrap();
+        assert!(message.contains(r#""dataset": {"id""#), "{message}");
 
         let gone = state.handle(&delete(&format!("/v1/datasets/{id}")));
         assert_eq!(gone.status, 200);
@@ -998,6 +927,34 @@ mod tests {
         assert!(response.body.contains("\"produces\""), "{}", response.body);
     }
 
+    /// Each result of a consensus body, without the fields that may differ
+    /// between two answers of one solve (`duration_ms`,
+    /// `precedence_cache_hit`, `cached`).
+    fn stable_results(body: &str) -> Vec<String> {
+        parse_body(body)
+            .unwrap()
+            .get("results")
+            .and_then(Value::as_array)
+            .expect("results")
+            .iter()
+            .map(|result| match result {
+                Value::Object(entries) => render(&Value::Object(
+                    entries
+                        .iter()
+                        .filter(|(key, _)| {
+                            !matches!(
+                                key.as_str(),
+                                "duration_ms" | "precedence_cache_hit" | "cached"
+                            )
+                        })
+                        .cloned()
+                        .collect(),
+                )),
+                other => render(other),
+            })
+            .collect()
+    }
+
     #[test]
     fn columnar_consensus_matches_json_bit_for_bit() {
         let state = state();
@@ -1031,24 +988,137 @@ mod tests {
             1,
             "the columnar replay must not resubmit"
         );
-        // And the method payloads are bit-identical modulo the cache flag.
-        let strip = |body: &str| {
-            body.replace("\"cached\":true", "")
-                .replace("\"cached\":false", "")
+        assert_eq!(
+            stable_results(&json_solved.body),
+            stable_results(&columnar_solved.body)
+        );
+
+        // The other way round, at a new Δ: one solve sent as a columnar query
+        // string, as flat JSON fields and as nested `options` reads to one
+        // request with one cache key per method...
+        let query = "methods=Fair-Borda,Fair-Copeland&delta=0.35&budget=7";
+        let rows = demo_dataset_json("demo");
+        let flat = format!(
+            r#"{{"dataset": {rows}, "methods": ["Fair-Borda", "Fair-Copeland"],
+                "delta": 0.35, "budget": 7, "wait": true}}"#
+        );
+        let nested = format!(
+            r#"{{"dataset": {rows}, "options": {{"methods": ["Fair-Borda", "Fair-Copeland"],
+                "thresholds": {{"delta": 0.35}}, "budget": 7}}, "wait": true}}"#
+        );
+        let dataset = parse_dataset(&parse_body(&rows).unwrap()).unwrap();
+        let fields = query_fields(query_params(Some(query))).unwrap();
+        let from_query = parse_solve(Arc::clone(&dataset), &fields).unwrap();
+        for body in [&flat, &nested] {
+            let from_json = parse_solve(Arc::clone(&dataset), &parse_body(body).unwrap()).unwrap();
+            for method in [MethodKind::FairBorda, MethodKind::FairCopeland] {
+                assert_eq!(
+                    cache_key(&from_query, method),
+                    cache_key(&from_json, method),
+                    "{body}"
+                );
+            }
+        }
+        // ...so a JSON replay of the columnar solve, in either shape, is a
+        // cache hit with the same results.
+        let columnar = state.handle(&columnar_post(
+            "/v1/consensus",
+            Some(&format!("{query}&wait=true")),
+            "demo",
+        ));
+        assert_eq!(columnar.status, 200, "{}", columnar.body);
+        assert!(
+            columnar.body.contains("\"cached\":false"),
+            "{}",
+            columnar.body
+        );
+        let submitted = state.engine().stats().submitted;
+        for body in [&flat, &nested] {
+            let replay = state.handle(&post("/v1/consensus", body));
+            assert_eq!(replay.status, 200, "{}", replay.body);
+            let parsed = parse_body(&replay.body).unwrap();
+            assert_eq!(parsed.get("cached"), Some(&Value::Bool(true)), "{body}");
+            assert_eq!(stable_results(&replay.body), stable_results(&columnar.body));
+        }
+        assert_eq!(
+            state.engine().stats().submitted,
+            submitted,
+            "the JSON replays must not resubmit"
+        );
+    }
+
+    #[test]
+    fn every_delta_is_a_finite_number_at_least_zero_on_both_codecs() {
+        let state = state();
+        let rows = demo_dataset_json("demo");
+        let solve = |extra: &str| {
+            state.handle(&post(
+                "/v1/consensus",
+                &format!(
+                    r#"{{"dataset": {rows}, "methods": ["Fair-Borda"], {extra}, "wait": true}}"#
+                ),
+            ))
         };
-        let json_results = parse_body(&json_solved.body).unwrap();
-        let columnar_results = parse_body(&columnar_solved.body).unwrap();
-        let ranking_of = |v: &Value| {
-            render(
-                v.get("results")
-                    .and_then(Value::as_array)
-                    .and_then(|a| a.first())
-                    .and_then(|r| r.get("ranking"))
-                    .expect("ranking"),
-            )
+        let columnar = |query: &str| {
+            state.handle(&columnar_post(
+                "/v1/consensus",
+                Some(&format!("methods=Fair-Borda&{query}&wait=true")),
+                "demo",
+            ))
         };
-        assert_eq!(ranking_of(&json_results), ranking_of(&columnar_results));
-        let _ = strip;
+
+        // NaN, both infinities and a negative value, through each codec. JSON
+        // has no NaN and reads `1e999` as infinity; the query string is read
+        // in the JSON number grammar, so `NaN`, `inf`, `.5` and `+5` are not
+        // numbers there either.
+        for delta in ["NaN", "1e999", "-1e999", "-0.5"] {
+            let json = solve(&format!(r#""delta": {delta}"#));
+            assert_eq!(json.status, 400, "JSON delta {delta}: {}", json.body);
+            let binary = columnar(&format!("delta={delta}"));
+            assert_eq!(
+                binary.status, 400,
+                "columnar delta={delta}: {}",
+                binary.body
+            );
+        }
+        for query in ["delta=inf", "delta=.5", "budget=+5"] {
+            let binary = columnar(query);
+            assert_eq!(binary.status, 400, "{query}: {}", binary.body);
+        }
+        // Every other Δ of a body is read by the same check, as is the
+        // audit's.
+        for extra in [
+            r#""attribute_deltas": {"G": -0.5}"#,
+            r#""attribute_deltas": {"G": 1e999}"#,
+            r#""intersection_delta": -0.5"#,
+            r#""intersection_delta": 1e999"#,
+        ] {
+            let json = solve(extra);
+            assert_eq!(json.status, 400, "{extra}: {}", json.body);
+            assert!(json.body.contains("finite number"), "{}", json.body);
+        }
+        let nested = state.handle(&post(
+            "/v1/consensus",
+            &format!(r#"{{"dataset": {rows}, "options": {{"thresholds": {{"delta": -0.5}}}}}}"#),
+        ));
+        assert_eq!(nested.status, 400, "{}", nested.body);
+        for delta in ["-0.5", "1e999"] {
+            let audit = state.handle(&post(
+                "/v1/audit",
+                &format!(r#"{{"dataset": {rows}, "delta": {delta}}}"#),
+            ));
+            assert_eq!(audit.status, 400, "audit delta {delta}: {}", audit.body);
+        }
+        assert_eq!(state.engine().stats().submitted, 0, "nothing was solved");
+
+        // Δ above 1 stays accepted (every axis then passes), on both codecs
+        // alike: the columnar twin replays the JSON solve.
+        let json = solve(r#""delta": 1.5"#);
+        assert_eq!(json.status, 200, "{}", json.body);
+        assert!(json.body.contains("\"satisfied\":true"), "{}", json.body);
+        let binary = columnar("delta=1.5");
+        assert_eq!(binary.status, 200, "{}", binary.body);
+        assert!(binary.body.contains("\"cached\":true"), "{}", binary.body);
     }
 
     #[test]
@@ -1233,6 +1303,7 @@ mod tests {
             .and_then(|l| l.get("session"))
             .and_then(|h| h.get("count"));
         assert_eq!(session_count, Some(&Value::UInt(1)), "{}", stats.body);
+        assert_eq!(slow_target(&parsed, "session"), Some("POST /v1/sessions"));
 
         // Invalid sessions fail before any stream head: plain JSON errors.
         let no_edits = state.handle(&post(

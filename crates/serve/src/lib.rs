@@ -94,7 +94,7 @@ pub mod router;
 pub mod server;
 
 pub use codec::{BodyCodec, JSON_CONTENT_TYPE, NDJSON_CONTENT_TYPE};
-pub use handlers::{api_error_status, AppState, ConsensusStream, Handled};
+pub use handlers::{api_error_status, AppState, Handled, NdjsonStream};
 pub use http::{ChunkedBody, ChunkedResponse, HttpError, HttpRequest, HttpResponse};
 pub use metrics::ServeCounters;
 pub use router::{route, Route, Routed};
@@ -104,9 +104,8 @@ pub use server::{Server, ServerConfig, ServerHandle};
 // existing integration tests and downstream users keep compiling.
 pub use mani_service::{
     ApiError, ApiErrorKind, DatasetRegistry, EndpointMetrics, HistogramSnapshot, LatencyHistogram,
-    ResponseCache, ResponseCacheStats, WhatIfSession, COLUMNAR_CONTENT_TYPE,
-    DEFAULT_RESPONSE_CACHE_CAPACITY, LATENCY_BUCKET_BOUNDS_US, MAX_REGISTERED_DATASETS,
-    MAX_RETAINED_VERSIONS,
+    ResponseCache, ResponseCacheStats, COLUMNAR_CONTENT_TYPE, DEFAULT_RESPONSE_CACHE_CAPACITY,
+    LATENCY_BUCKET_BOUNDS_US, MAX_REGISTERED_DATASETS, MAX_RETAINED_VERSIONS,
 };
 
 /// Shared helpers for this crate's unit tests.

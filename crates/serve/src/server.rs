@@ -450,17 +450,6 @@ fn handle_connection(
                         let _ = writer.set_write_timeout(None);
                         ok
                     }
-                    Handled::Session(session) => {
-                        // Same stalled-reader guard as consensus streams: each
-                        // edit step can take real solve time, so a client that
-                        // stops reading is cut off by the write timeout.
-                        let _ = writer.set_write_timeout(Some(limits.read_timeout));
-                        let ok = state
-                            .stream_session_ndjson(session, &mut writer, keep_alive)
-                            .is_ok();
-                        let _ = writer.set_write_timeout(None);
-                        ok
-                    }
                 };
                 if !write_ok || !keep_alive {
                     return;

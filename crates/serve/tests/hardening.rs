@@ -419,7 +419,7 @@ fn dataset_registry_round_trip_matches_inline_solves() {
 
     // ...solve many times by reference. The first by-id solve computes...
     let by_id = format!(
-        r#"{{"dataset_id": "{id}", "methods": ["Fair-Borda", "Fair-Copeland"], "delta": 0.2, "wait": true}}"#
+        r#"{{"dataset": {{"id": "{id}"}}, "methods": ["Fair-Borda", "Fair-Copeland"], "delta": 0.2, "wait": true}}"#
     );
     let (status, from_registry) = exchange(addr, "POST", "/v1/consensus", &by_id);
     assert_eq!(status, 200, "{from_registry:?}");
@@ -434,13 +434,13 @@ fn dataset_registry_round_trip_matches_inline_solves() {
     assert_eq!(
         normalized(from_registry.get("results").unwrap()),
         normalized(from_inline.get("results").unwrap()),
-        "dataset_id and inline solves must return identical results"
+        "by-reference and inline solves must return identical results"
     );
 
     // A different delta by id reuses the warm precedence matrix: still just
     // one build after a second full solve.
     let with_other_delta = format!(
-        r#"{{"dataset_id": "{id}", "methods": ["Fair-Borda"], "delta": 0.35, "wait": true}}"#
+        r#"{{"dataset": {{"id": "{id}"}}, "methods": ["Fair-Borda"], "delta": 0.35, "wait": true}}"#
     );
     let (status, _) = exchange(addr, "POST", "/v1/consensus", &with_other_delta);
     assert_eq!(status, 200);
@@ -452,8 +452,8 @@ fn dataset_registry_round_trip_matches_inline_solves() {
     );
     assert_eq!(get_u64(&stats, &["datasets_registered"]), 1);
 
-    // Audits accept dataset_id too.
-    let audit = format!(r#"{{"dataset_id": "{id}", "delta": 0.1}}"#);
+    // Audits accept dataset references too.
+    let audit = format!(r#"{{"dataset": {{"id": "{id}"}}, "delta": 0.1}}"#);
     let (status, audited) = exchange(addr, "POST", "/v1/audit", &audit);
     assert_eq!(status, 200, "{audited:?}");
     assert!(audited.get("consensus").is_some());

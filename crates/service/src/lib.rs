@@ -41,14 +41,15 @@ pub use metrics::{
 pub use registry::{
     dataset_id, DatasetRegistry, RegisteredDataset, MAX_REGISTERED_DATASETS, MAX_RETAINED_VERSIONS,
 };
-pub use response_cache::{ResponseCache, ResponseCacheStats, DEFAULT_RESPONSE_CACHE_CAPACITY};
+pub use response_cache::{
+    cache_key, ResponseCache, ResponseCacheStats, DEFAULT_RESPONSE_CACHE_CAPACITY,
+};
 pub use service::{
-    methods_value, version_value, BuildInfo, ConsensusReply, ConsensusStream, RequestContext,
-    Service, StreamSink, WhatIfSession, MAX_TRACKED_JOBS, SLOW_RING_CAPACITY,
+    methods_value, version_value, BuildInfo, ConsensusReply, NdjsonStream, RequestContext, Service,
+    StreamSink, MAX_TRACKED_JOBS, SLOW_RING_CAPACITY,
 };
 pub use spec::{
-    attribute_names_json, dataset_to_value, method_result_json, parse_budget, parse_consensus_spec,
-    parse_dataset, parse_methods, parse_methods_csv, ranking_names, resolve_spec_dataset,
-    ConsensusSpec,
+    attribute_names_json, dataset_to_value, method_result_json, parse_dataset, parse_solve,
+    query_fields, ranking_names,
 };
 pub use value::{as_f64, error_body, obj, parse_body, render, s, with_entry};

@@ -4,8 +4,8 @@
 //! same candidate pool with varied deltas and methods. Re-uploading a
 //! multi-megabyte dataset per request wastes client bandwidth and server parse
 //! time, so the registry lets a client upload once and reference the dataset
-//! by id (`"dataset": {"id": ...}` or legacy `"dataset_id"` in consensus and
-//! audit bodies) for every later solve.
+//! by id (`"dataset": {"id": ...}` in consensus, session and audit bodies)
+//! for every later solve.
 //!
 //! Ids are **content fingerprints** ([`EngineDataset::fingerprint`] of the
 //! originally uploaded content, the same key the engine's `PrecedenceCache`

@@ -17,10 +17,28 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use mani_core::MethodKind;
+use mani_engine::ConsensusRequest;
 use serde::Value;
 
 /// Entry capacity used when a [`ResponseCache`] is built with capacity `0`.
 pub const DEFAULT_RESPONSE_CACHE_CAPACITY: usize = 1024;
+
+/// Canonical response-cache key for one method of `request`: dataset
+/// content fingerprint + serialized thresholds + method + budget. Two
+/// requests with identical content collide on purpose, whatever their
+/// dataset display names.
+pub fn cache_key(request: &ConsensusRequest, method: MethodKind) -> String {
+    let thresholds = serde_json::to_string(&request.thresholds)
+        .expect("shim serialization of thresholds cannot fail");
+    format!(
+        "{:016x}|{}|{}|{:?}",
+        request.dataset.fingerprint(),
+        thresholds,
+        method.name(),
+        request.budget
+    )
+}
 
 /// Effectiveness counters of a [`ResponseCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use mani_core::{BaseAggregator, MethodKind, MfcrContext};
 use mani_engine::{
     BatchHandle, CacheStats, ConsensusEngine, ConsensusRequest, ConsensusResponse, EngineConfig,
-    EngineDataset, EngineError, EngineStats, JobHandle, JobId, JobStatus, RankingDelta,
+    EngineDataset, EngineError, EngineStats, JobHandle, JobStatus, RankingDelta,
 };
 use mani_fairness::{FairnessAudit, FairnessThresholds};
 use mani_obs::{PromWriter, SlowEntry, SlowRing, Span, TraceTimeline};
@@ -37,12 +37,12 @@ use serde::{Serialize, Value};
 use crate::error::{ApiError, ApiErrorKind};
 use crate::metrics::{EndpointMetrics, TransportStats, LATENCY_BUCKET_BOUNDS_US};
 use crate::registry::{DatasetRegistry, RegisteredDataset};
-use crate::response_cache::{ResponseCache, ResponseCacheStats};
+use crate::response_cache::{cache_key, ResponseCache, ResponseCacheStats};
 use crate::spec::{
-    attribute_names_json, method_result_json, parse_consensus_spec, parse_dataset,
-    resolve_spec_dataset, ConsensusSpec,
+    attribute_names_json, method_result_json, parse_dataset, parse_solve, resolve_dataset,
+    uniform_delta,
 };
-use crate::value::{as_f64, obj, render, s, with_entry};
+use crate::value::{obj, render, s, with_entry};
 
 /// Most jobs tracked by the registry before completed ones are pruned
 /// (oldest first), bounding registry memory under sustained async traffic.
@@ -114,13 +114,13 @@ impl Default for RequestContext {
 /// a stream delivering one line per result as solves finish.
 #[derive(Debug)]
 pub enum ConsensusReply {
-    /// Every spec resolved (cached or awaited); the document is final.
+    /// Every request resolved (cached or awaited); the document is final.
     Complete(Value),
-    /// At least one spec was submitted without waiting; the document carries
-    /// poll targets for the pending jobs.
+    /// At least one request was submitted without waiting; the document
+    /// carries poll targets for the pending jobs.
     Accepted(Value),
-    /// A `"stream": true` batch: drive it with [`Service::stream_consensus`].
-    Stream(ConsensusStream),
+    /// A `"stream": true` batch: drive it with [`Service::drive`].
+    Stream(NdjsonStream),
 }
 
 /// A destination for streamed NDJSON result lines. Transports adapt their
@@ -143,7 +143,7 @@ impl StreamSink for String {
     }
 }
 
-/// How one spec of a consensus request is satisfied: replayed from the
+/// How one request of a consensus batch is satisfied: replayed from the
 /// response cache, or submitted to the engine (index into the submitted
 /// subset).
 #[derive(Debug)]
@@ -152,126 +152,75 @@ enum Disposition {
     Submitted(usize),
 }
 
-/// A pending `"stream": true` consensus batch: the parsed specs, the cache
-/// replays, and the engine [`BatchHandle`] for everything that needs solving.
+/// An admitted NDJSON stream — a `"stream": true` consensus batch or a
+/// what-if session — that [`Service::drive`] writes one line per result
+/// into, then a summary line.
 ///
-/// Lines are emitted cached-first (those results exist before any solve),
-/// then in engine completion order; the payload of each line is built by the
-/// same rendering path as the buffered operation, so streamed and
-/// non-streamed results are bit-identical and equally replayable through the
-/// response cache.
+/// Each result line's payload is built by the same rendering path as the
+/// buffered operation, so streamed and non-streamed results are
+/// bit-identical and equally replayable through the response cache. The
+/// public fields are what a transport records once the stream is drained.
 #[derive(Debug)]
-pub struct ConsensusStream {
-    specs: Vec<ConsensusSpec>,
-    dispositions: Vec<Disposition>,
-    batch: BatchHandle,
-    /// Maps engine batch index → spec index.
-    batch_to_spec: Vec<usize>,
-    started: Instant,
-    request_id: String,
-    /// The originating request's service-side timeline (parse/submit phases).
-    trace: Arc<TraceTimeline>,
-}
-
-impl ConsensusStream {
-    /// Number of requests in the batch.
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// True for an (impossible via the API) empty batch.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// When the batch was admitted (transports time the drain from here).
-    pub fn started(&self) -> Instant {
-        self.started
-    }
-
+pub struct NdjsonStream {
+    lines: StreamLines,
+    /// The latency label the stream records under (`consensus_stream` or
+    /// `session`).
+    pub label: &'static str,
+    /// The operation the access log names (`POST /v1/consensus` or
+    /// `POST /v1/sessions`).
+    pub target: &'static str,
+    /// When the stream was admitted (transports time the drain from here).
+    pub started: Instant,
     /// Correlation id of the originating request.
-    pub fn request_id(&self) -> &str {
-        &self.request_id
-    }
-
+    pub request_id: String,
     /// The originating request's phase timeline.
-    pub fn trace(&self) -> &Arc<TraceTimeline> {
-        &self.trace
-    }
+    pub trace: Arc<TraceTimeline>,
+}
 
-    /// Drives the stream to completion, handing each NDJSON line (newline
-    /// included) to `emit` the moment it is available.
-    fn emit_lines<E>(
-        mut self,
-        service: &Service,
-        emit: &mut dyn FnMut(&str) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let total = self.specs.len();
-        let mut completed = 0usize;
-        let mut cached = 0usize;
-        let mut errors = 0usize;
-        let mut total_solve_ms = 0f64;
+/// What an [`NdjsonStream`] emits.
+#[derive(Debug)]
+enum StreamLines {
+    /// A consensus batch: cache replays first, in request order, then
+    /// engine results in completion order.
+    Batch {
+        requests: Vec<ConsensusRequest>,
+        dispositions: Vec<Disposition>,
+        batch: BatchHandle,
+        /// Maps engine batch index → request index.
+        batch_to_request: Vec<usize>,
+    },
+    /// A what-if session: the base request, then one line per edit, each
+    /// state's matrix delta-derived from its predecessor's.
+    Session {
+        request: ConsensusRequest,
+        steps: Vec<SessionStep>,
+    },
+}
 
-        // Cache replays are complete before any solve: emit them first, in
-        // request order.
-        for (index, (spec, disposition)) in self.specs.iter().zip(&self.dispositions).enumerate() {
-            if let Disposition::Cached(values) = disposition {
-                completed += 1;
-                cached += 1;
-                emit(&stream_line(
-                    index,
-                    None,
-                    cached_response_json(spec.dataset.name(), values),
-                ))?;
-            }
+impl NdjsonStream {
+    fn new(
+        label: &'static str,
+        target: &'static str,
+        lines: StreamLines,
+        ctx: &RequestContext,
+    ) -> Self {
+        Self {
+            lines,
+            label,
+            target,
+            started: Instant::now(),
+            request_id: ctx.id.clone(),
+            trace: Arc::clone(&ctx.trace),
         }
-
-        // Engine results stream in as-completed order — the whole point: a
-        // cheap Fair-Borda line goes out while a budgeted Fair-Kemeny in the
-        // same batch is still searching.
-        while let Some(item) = self.batch.wait_next() {
-            let spec_index = self.batch_to_spec[item.index];
-            let spec = &self.specs[spec_index];
-            let job_trace = self.batch.handles()[item.index].trace();
-            let payload = {
-                let _render = Span::enter(&job_trace, "render");
-                service.rendered_response(spec, &item.response)
-            };
-            completed += 1;
-            if !item.response.is_complete() {
-                errors += 1;
-            }
-            total_solve_ms += item.response.total_solve_time.as_secs_f64() * 1e3;
-            emit(&stream_line(spec_index, Some(item.id), payload))?;
-        }
-
-        // Terminal summary line with batch totals.
-        let summary = obj(vec![
-            ("summary", Value::Bool(true)),
-            ("requests", Value::UInt(total as u64)),
-            ("completed", Value::UInt(completed as u64)),
-            ("cached", Value::UInt(cached as u64)),
-            ("errors", Value::UInt(errors as u64)),
-            ("total_solve_time_ms", Value::Float(total_solve_ms)),
-        ]);
-        emit(&format!("{}\n", render(&summary)))
     }
 }
 
-/// One NDJSON result line: the per-request payload prefixed with its batch
-/// `index` and `job_id` (`null` for cache replays, which never reach the
-/// engine).
-fn stream_line(index: usize, job: Option<JobId>, payload: Value) -> String {
-    let mut entries = vec![
-        ("index".to_string(), Value::UInt(index as u64)),
-        (
-            "job_id".to_string(),
-            match job {
-                Some(id) => Value::String(id.to_string()),
-                None => Value::Null,
-            },
-        ),
-    ];
+/// One NDJSON line: the `head` fields, then the payload object's fields.
+fn ndjson_line(head: Vec<(&str, Value)>, payload: Value) -> String {
+    let mut entries: Vec<(String, Value)> = head
+        .into_iter()
+        .map(|(key, value)| (key.to_string(), value))
+        .collect();
     match payload {
         Value::Object(fields) => entries.extend(fields),
         other => entries.push(("payload".to_string(), other)),
@@ -279,8 +228,8 @@ fn stream_line(index: usize, job: Option<JobId>, payload: Value) -> String {
     format!("{}\n", render(&Value::Object(entries)))
 }
 
-/// The response object for a spec whose every method outcome came from the
-/// response cache (shared by the buffered and streaming paths).
+/// The response object for a request whose every method outcome came from
+/// the response cache (shared by the buffered and streaming paths).
 fn cached_response_json(dataset: &str, values: &[Arc<Value>]) -> Value {
     obj(vec![
         ("dataset", s(dataset)),
@@ -306,153 +255,12 @@ struct SessionStep {
     deltas: Vec<RankingDelta>,
 }
 
-/// A live what-if session: a base dataset plus a validated edit script,
-/// solved edit-by-edit with delta-derived precedence matrices and streamed
-/// as one NDJSON line per edit (see [`Service::session`]).
-#[derive(Debug)]
-pub struct WhatIfSession {
-    base: Arc<EngineDataset>,
-    steps: Vec<SessionStep>,
-    methods: Vec<MethodKind>,
-    thresholds: FairnessThresholds,
-    budget: Option<u64>,
-    started: Instant,
-    request_id: String,
-    trace: Arc<TraceTimeline>,
-}
-
-impl WhatIfSession {
-    /// Number of edits in the session.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// True for an (impossible via the API) empty session.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// When the session was admitted (transports time the drain from here).
-    pub fn started(&self) -> Instant {
-        self.started
-    }
-
-    /// Correlation id of the originating request.
-    pub fn request_id(&self) -> &str {
-        &self.request_id
-    }
-
-    /// The originating request's phase timeline.
-    pub fn trace(&self) -> &Arc<TraceTimeline> {
-        &self.trace
-    }
-
-    /// Drives the session to completion: per edit, derive the edited state's
-    /// precedence matrix from its parent's (delta fold; a cold parent costs
-    /// one full build, after which every subsequent edit derives), solve or
-    /// replay from the response cache, and emit one NDJSON line.
-    fn emit_lines<E>(
-        self,
-        service: &Service,
-        emit: &mut dyn FnMut(&str) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let total = self.steps.len();
-        let mut derived = 0usize;
-        let mut rebuilds = 0usize;
-        let mut cached = 0usize;
-        let mut errors = 0usize;
-        let mut total_solve_ms = 0f64;
-        let mut parent = Arc::clone(&self.base);
-        for (index, step) in self.steps.into_iter().enumerate() {
-            let (_, from_delta) = service.engine.cache().derive_with(
-                &parent,
-                &step.dataset,
-                &step.deltas,
-                &service.engine.kernel_parallelism(),
-            );
-            if from_delta {
-                derived += 1;
-            } else {
-                rebuilds += 1;
-            }
-            let spec = ConsensusSpec {
-                dataset: Arc::clone(&step.dataset),
-                methods: self.methods.clone(),
-                thresholds: self.thresholds.clone(),
-                budget: self.budget,
-            };
-            // An edit state already solved (here or by any other request with
-            // identical content) replays from the response cache.
-            let payload = if let Some(hits) = service.cached_results(&spec) {
-                cached += 1;
-                cached_response_json(spec.dataset.name(), &hits)
-            } else {
-                match service.submit(std::slice::from_ref(&spec)) {
-                    Ok(handles) => {
-                        let response = handles[0].wait();
-                        if !response.is_complete() {
-                            errors += 1;
-                        }
-                        total_solve_ms += response.total_solve_time.as_secs_f64() * 1e3;
-                        service.rendered_response(&spec, &response)
-                    }
-                    Err(error) => {
-                        // The stream head is already committed: an admission
-                        // failure becomes an error line, not a failed
-                        // request, and later edits still run.
-                        errors += 1;
-                        obj(vec![
-                            ("error", s(error.message)),
-                            ("kind", s(error.kind.label())),
-                        ])
-                    }
-                }
-            };
-            emit(&session_line(index, &step.dataset, from_delta, payload))?;
-            parent = step.dataset;
-        }
-        let summary = obj(vec![
-            ("summary", Value::Bool(true)),
-            ("edits", Value::UInt(total as u64)),
-            ("derived", Value::UInt(derived as u64)),
-            ("rebuilds", Value::UInt(rebuilds as u64)),
-            ("cached", Value::UInt(cached as u64)),
-            ("errors", Value::UInt(errors as u64)),
-            ("total_solve_time_ms", Value::Float(total_solve_ms)),
-        ]);
-        emit(&format!("{}\n", render(&summary)))
-    }
-}
-
-/// One NDJSON session line: the edit index, the edited state's content
-/// fingerprint and profile size, whether its matrix was delta-derived, and
-/// the solve payload.
-fn session_line(index: usize, dataset: &EngineDataset, derived: bool, payload: Value) -> String {
-    let mut entries = vec![
-        ("edit".to_string(), Value::UInt(index as u64)),
-        (
-            "fingerprint".to_string(),
-            Value::String(format!("{:016x}", dataset.fingerprint())),
-        ),
-        (
-            "rankings".to_string(),
-            Value::UInt(dataset.num_rankings() as u64),
-        ),
-        ("derived".to_string(), Value::Bool(derived)),
-    ];
-    match payload {
-        Value::Object(fields) => entries.extend(fields),
-        other => entries.push(("payload".to_string(), other)),
-    }
-    format!("{}\n", render(&Value::Object(entries)))
-}
-
 /// One tracked async job: its handle plus what is needed to render and cache
 /// its response when a poll observes completion.
 #[derive(Debug)]
 struct JobEntry {
     handle: JobHandle,
-    spec: ConsensusSpec,
+    request: ConsensusRequest,
     cached: AtomicBool,
     /// Correlation id of the submitting request, surfaced by the job and
     /// trace operations so a poll can be matched with the original access
@@ -542,30 +350,30 @@ impl Service {
         });
     }
 
-    /// Submits already-parsed specs as async jobs (the CLI's local batch
+    /// Submits already-read requests as async jobs (the CLI's local batch
     /// path). Admission failures map to service error kinds.
-    pub fn submit(&self, specs: &[ConsensusSpec]) -> Result<Vec<JobHandle>, ApiError> {
-        if specs.is_empty() {
+    pub fn submit(&self, requests: &[ConsensusRequest]) -> Result<Vec<JobHandle>, ApiError> {
+        if requests.is_empty() {
             return Ok(Vec::new());
         }
         self.engine
-            .submit_batch_async(specs.iter().map(ConsensusSpec::request).collect())
+            .submit_batch_async(requests.to_vec())
             .map_err(engine_error)
     }
 
-    /// Submits already-parsed specs as a streaming batch whose results arrive
-    /// in completion order (the CLI's `--stream` path).
-    pub fn submit_streaming(&self, specs: &[ConsensusSpec]) -> Result<BatchHandle, ApiError> {
-        if specs.is_empty() {
+    /// Submits already-read requests as a streaming batch whose results
+    /// arrive in completion order (the CLI's `--stream` path).
+    pub fn submit_streaming(&self, requests: &[ConsensusRequest]) -> Result<BatchHandle, ApiError> {
+        if requests.is_empty() {
             return Ok(BatchHandle::new(Vec::new()));
         }
         self.engine
-            .submit_batch_streaming(specs.iter().map(ConsensusSpec::request).collect())
+            .submit_batch_streaming(requests.to_vec())
             .map_err(engine_error)
     }
 
-    /// The consensus operation over a parsed JSON document: single spec or
-    /// `{"requests": [...]}` batch, buffered by default, streamed with
+    /// The consensus operation over a parsed JSON document: single request
+    /// or `{"requests": [...]}` batch, buffered by default, streamed with
     /// `"stream": true`, async with `"wait": false`. Service-side phases
     /// (`parse`, `cache_probe`, `submit`, `wait`, `render`) are recorded into
     /// the context's timeline.
@@ -575,7 +383,7 @@ impl Service {
         ctx: &RequestContext,
     ) -> Result<ConsensusReply, ApiError> {
         let parse_span = Span::enter(&ctx.trace, "parse");
-        let (specs, single) = match body.get("requests") {
+        let (requests, single) = match body.get("requests") {
             Some(raw) => {
                 let array = raw
                     .as_array()
@@ -586,52 +394,63 @@ impl Service {
                 (
                     array
                         .iter()
-                        .map(|raw| parse_consensus_spec(raw, Some(&self.datasets)))
+                        .map(|raw| self.read_request(raw))
                         .collect::<Result<Vec<_>, _>>()?,
                     false,
                 )
             }
-            None => (
-                vec![parse_consensus_spec(body, Some(&self.datasets))?],
-                true,
-            ),
+            None => (vec![self.read_request(body)?], true),
         };
-        let wait = parse_flag(body.get("wait"), "`wait` must be a boolean")?;
-        let stream_mode = parse_flag(body.get("stream"), "`stream` must be a boolean")?;
+        let (wait, stream_mode) = reply_mode(body)?;
         drop(parse_span);
-        self.consensus_specs(specs, single, wait, stream_mode, ctx)
+        self.consensus_requests(requests, single, wait, stream_mode, ctx)
     }
 
-    /// The consensus operation over already-parsed specs (the codec layer
-    /// lands here directly for non-JSON representations such as columnar
-    /// uploads). `single` controls whether a one-spec reply is rendered bare
-    /// or wrapped in `{"responses": [...]}`.
-    pub fn consensus_specs(
+    /// The consensus operation over an already-decoded dataset and its solve
+    /// fields (the codec layer lands here for non-JSON representations such
+    /// as columnar uploads, whose fields ride the query string). The fields
+    /// are read exactly as a JSON body's: see [`parse_solve`].
+    pub fn consensus_upload(
         &self,
-        specs: Vec<ConsensusSpec>,
+        dataset: Arc<EngineDataset>,
+        fields: &Value,
+        ctx: &RequestContext,
+    ) -> Result<ConsensusReply, ApiError> {
+        let parse_span = Span::enter(&ctx.trace, "parse");
+        let request = parse_solve(dataset, fields)?;
+        let (wait, stream_mode) = reply_mode(fields)?;
+        drop(parse_span);
+        self.consensus_requests(vec![request], true, wait, stream_mode, ctx)
+    }
+
+    /// One request body read through the registry: its dataset, then its
+    /// solve options.
+    fn read_request(&self, body: &Value) -> Result<ConsensusRequest, ApiError> {
+        parse_solve(resolve_dataset(body, Some(&self.datasets))?, body)
+    }
+
+    /// The consensus operation over read requests. `single` controls whether
+    /// a one-request reply is rendered bare or wrapped in
+    /// `{"responses": [...]}`.
+    fn consensus_requests(
+        &self,
+        requests: Vec<ConsensusRequest>,
         single: bool,
         wait: bool,
         stream_mode: bool,
         ctx: &RequestContext,
     ) -> Result<ConsensusReply, ApiError> {
-        if stream_mode && wait {
-            return Err(ApiError::invalid(
-                "`stream` and `wait` are mutually exclusive: a streamed batch \
-                 delivers each result as it completes",
-            ));
-        }
-
-        // Probe the response cache per spec: a spec whose every method
+        // Probe the response cache per request: a request whose every method
         // outcome is cached never reaches the engine.
         let probe_span = Span::enter(&ctx.trace, "cache_probe");
         let mut to_submit: Vec<ConsensusRequest> = Vec::new();
-        let mut dispositions = Vec::with_capacity(specs.len());
-        for spec in &specs {
-            if let Some(hits) = self.cached_results(spec) {
+        let mut dispositions = Vec::with_capacity(requests.len());
+        for request in &requests {
+            if let Some(hits) = self.cached_results(request) {
                 dispositions.push(Disposition::Cached(hits));
             } else {
                 dispositions.push(Disposition::Submitted(to_submit.len()));
-                to_submit.push(spec.request());
+                to_submit.push(request.clone());
             }
         }
         drop(probe_span);
@@ -648,10 +467,10 @@ impl Service {
                     .submit_batch_streaming(to_submit)
                     .map_err(engine_error)?
             };
-            let mut batch_to_spec = Vec::with_capacity(batch.len());
-            for (spec_index, disposition) in dispositions.iter().enumerate() {
+            let mut batch_to_request = Vec::with_capacity(batch.len());
+            for (index, disposition) in dispositions.iter().enumerate() {
                 if let Disposition::Submitted(_) = disposition {
-                    batch_to_spec.push(spec_index);
+                    batch_to_request.push(index);
                 }
             }
             // Every streamed job is also registered: a client that loses its
@@ -659,17 +478,24 @@ impl Service {
             // jobs operation using the `job_id` values it already saw (or
             // re-send the batch, which replays from the response cache).
             for (batch_index, handle) in batch.handles().iter().enumerate() {
-                self.register_job(&specs[batch_to_spec[batch_index]], handle.clone(), &ctx.id);
+                self.register_job(
+                    &requests[batch_to_request[batch_index]],
+                    handle.clone(),
+                    &ctx.id,
+                );
             }
-            return Ok(ConsensusReply::Stream(ConsensusStream {
-                specs,
+            let lines = StreamLines::Batch {
+                requests,
                 dispositions,
                 batch,
-                batch_to_spec,
-                started: Instant::now(),
-                request_id: ctx.id.clone(),
-                trace: Arc::clone(&ctx.trace),
-            }));
+                batch_to_request,
+            };
+            return Ok(ConsensusReply::Stream(NdjsonStream::new(
+                "consensus_stream",
+                "POST /v1/consensus",
+                lines,
+                ctx,
+            )));
         }
 
         let handles = if to_submit.is_empty() {
@@ -682,10 +508,12 @@ impl Service {
         };
 
         let mut any_pending = false;
-        let mut rendered = Vec::with_capacity(specs.len());
-        for (spec, disposition) in specs.iter().zip(dispositions) {
+        let mut rendered = Vec::with_capacity(requests.len());
+        for (request, disposition) in requests.iter().zip(dispositions) {
             rendered.push(match disposition {
-                Disposition::Cached(values) => cached_response_json(spec.dataset.name(), &values),
+                Disposition::Cached(values) => {
+                    cached_response_json(request.dataset.name(), &values)
+                }
                 Disposition::Submitted(index) => {
                     let handle = &handles[index];
                     if wait {
@@ -699,14 +527,14 @@ impl Service {
                         let job_trace = handle.trace();
                         let _render_request = Span::enter(&ctx.trace, "render");
                         let _render_job = Span::enter(&job_trace, "render");
-                        self.rendered_response(spec, &response)
+                        self.rendered_response(request, &response)
                     } else {
                         any_pending = true;
-                        self.register_job(spec, handle.clone(), &ctx.id);
+                        self.register_job(request, handle.clone(), &ctx.id);
                         obj(vec![
                             ("id", s(handle.id().to_string())),
                             ("status", s(handle.status().label())),
-                            ("dataset", s(spec.dataset.name())),
+                            ("dataset", s(request.dataset.name())),
                             ("poll", s(format!("/v1/jobs/{}", handle.id()))),
                         ])
                     }
@@ -718,7 +546,7 @@ impl Service {
             rendered
                 .into_iter()
                 .next()
-                .expect("one spec, one rendering")
+                .expect("one request, one rendering")
         } else {
             obj(vec![("responses", Value::Array(rendered))])
         };
@@ -729,35 +557,191 @@ impl Service {
         })
     }
 
-    /// Drives a [`ConsensusStream`] into `sink`, one line per completion.
-    pub fn stream_consensus<S: StreamSink>(
-        &self,
-        stream: ConsensusStream,
-        sink: &mut S,
-    ) -> Result<(), S::Error> {
-        stream.emit_lines(self, &mut |line| sink.emit_line(line))
+    /// Drives an [`NdjsonStream`] into `sink`: one line per result as it
+    /// lands, then a summary line.
+    pub fn drive<S: StreamSink>(&self, stream: NdjsonStream, sink: &mut S) -> Result<(), S::Error> {
+        match stream.lines {
+            StreamLines::Batch {
+                requests,
+                dispositions,
+                batch,
+                batch_to_request,
+            } => self.emit_batch(&requests, &dispositions, batch, &batch_to_request, sink),
+            StreamLines::Session { request, steps } => self.emit_session(request, steps, sink),
+        }
     }
 
-    /// Every method outcome of `spec` from the response cache, or `None` when
-    /// one misses (the probe stops there) or the spec names no method.
-    fn cached_results(&self, spec: &ConsensusSpec) -> Option<Vec<Arc<Value>>> {
-        if spec.methods.is_empty() {
+    /// Emits a streamed consensus batch: cache replays first, in request
+    /// order (those results exist before any solve), then engine results in
+    /// completion order, then the batch totals.
+    fn emit_batch<S: StreamSink>(
+        &self,
+        requests: &[ConsensusRequest],
+        dispositions: &[Disposition],
+        mut batch: BatchHandle,
+        batch_to_request: &[usize],
+        sink: &mut S,
+    ) -> Result<(), S::Error> {
+        let mut completed = 0usize;
+        let mut cached = 0usize;
+        let mut errors = 0usize;
+        let mut total_solve_ms = 0f64;
+        for (index, (request, disposition)) in requests.iter().zip(dispositions).enumerate() {
+            if let Disposition::Cached(values) = disposition {
+                completed += 1;
+                cached += 1;
+                sink.emit_line(&ndjson_line(
+                    vec![
+                        ("index", Value::UInt(index as u64)),
+                        ("job_id", Value::Null),
+                    ],
+                    cached_response_json(request.dataset.name(), values),
+                ))?;
+            }
+        }
+
+        // Engine results stream in as-completed order — the whole point: a
+        // cheap Fair-Borda line goes out while a budgeted Fair-Kemeny in the
+        // same batch is still searching.
+        while let Some(item) = batch.wait_next() {
+            let index = batch_to_request[item.index];
+            let job_trace = batch.handles()[item.index].trace();
+            let payload = {
+                let _render = Span::enter(&job_trace, "render");
+                self.rendered_response(&requests[index], &item.response)
+            };
+            completed += 1;
+            if !item.response.is_complete() {
+                errors += 1;
+            }
+            total_solve_ms += item.response.total_solve_time.as_secs_f64() * 1e3;
+            sink.emit_line(&ndjson_line(
+                vec![
+                    ("index", Value::UInt(index as u64)),
+                    ("job_id", s(item.id.to_string())),
+                ],
+                payload,
+            ))?;
+        }
+
+        let summary = obj(vec![
+            ("summary", Value::Bool(true)),
+            ("requests", Value::UInt(requests.len() as u64)),
+            ("completed", Value::UInt(completed as u64)),
+            ("cached", Value::UInt(cached as u64)),
+            ("errors", Value::UInt(errors as u64)),
+            ("total_solve_time_ms", Value::Float(total_solve_ms)),
+        ]);
+        sink.emit_line(&format!("{}\n", render(&summary)))
+    }
+
+    /// Emits a what-if session: per edit, derive the edited state's
+    /// precedence matrix from its parent's (delta fold; a cold parent costs
+    /// one full build, after which every subsequent edit derives), solve or
+    /// replay from the response cache, and emit one line; then the session
+    /// totals.
+    fn emit_session<S: StreamSink>(
+        &self,
+        base: ConsensusRequest,
+        steps: Vec<SessionStep>,
+        sink: &mut S,
+    ) -> Result<(), S::Error> {
+        let total = steps.len();
+        let mut derived = 0usize;
+        let mut rebuilds = 0usize;
+        let mut cached = 0usize;
+        let mut errors = 0usize;
+        let mut total_solve_ms = 0f64;
+        let mut parent = Arc::clone(&base.dataset);
+        for (index, step) in steps.into_iter().enumerate() {
+            let (_, from_delta) = self.engine.cache().derive_with(
+                &parent,
+                &step.dataset,
+                &step.deltas,
+                &self.engine.kernel_parallelism(),
+            );
+            if from_delta {
+                derived += 1;
+            } else {
+                rebuilds += 1;
+            }
+            let request = ConsensusRequest {
+                dataset: Arc::clone(&step.dataset),
+                ..base.clone()
+            };
+            // An edit state already solved (here or by any other request with
+            // identical content) replays from the response cache.
+            let payload = if let Some(hits) = self.cached_results(&request) {
+                cached += 1;
+                cached_response_json(request.dataset.name(), &hits)
+            } else {
+                match self.submit(std::slice::from_ref(&request)) {
+                    Ok(handles) => {
+                        let response = handles[0].wait();
+                        if !response.is_complete() {
+                            errors += 1;
+                        }
+                        total_solve_ms += response.total_solve_time.as_secs_f64() * 1e3;
+                        self.rendered_response(&request, &response)
+                    }
+                    Err(error) => {
+                        // The stream head is already committed: an admission
+                        // failure becomes an error line, not a failed
+                        // request, and later edits still run.
+                        errors += 1;
+                        obj(vec![
+                            ("error", s(error.message)),
+                            ("kind", s(error.kind.label())),
+                        ])
+                    }
+                }
+            };
+            let dataset = &step.dataset;
+            sink.emit_line(&ndjson_line(
+                vec![
+                    ("edit", Value::UInt(index as u64)),
+                    ("fingerprint", s(format!("{:016x}", dataset.fingerprint()))),
+                    ("rankings", Value::UInt(dataset.num_rankings() as u64)),
+                    ("derived", Value::Bool(from_delta)),
+                ],
+                payload,
+            ))?;
+            parent = step.dataset;
+        }
+        let summary = obj(vec![
+            ("summary", Value::Bool(true)),
+            ("edits", Value::UInt(total as u64)),
+            ("derived", Value::UInt(derived as u64)),
+            ("rebuilds", Value::UInt(rebuilds as u64)),
+            ("cached", Value::UInt(cached as u64)),
+            ("errors", Value::UInt(errors as u64)),
+            ("total_solve_time_ms", Value::Float(total_solve_ms)),
+        ]);
+        sink.emit_line(&format!("{}\n", render(&summary)))
+    }
+
+    /// Every method outcome of `request` from the response cache, or `None`
+    /// when one misses (the probe stops there) or the request names no
+    /// method.
+    fn cached_results(&self, request: &ConsensusRequest) -> Option<Vec<Arc<Value>>> {
+        if request.methods.is_empty() {
             return None;
         }
-        spec.methods
+        request
+            .methods
             .iter()
-            .map(|method| self.cache.get(&spec.cache_key(*method)))
+            .map(|method| self.cache.get(&cache_key(request, *method)))
             .collect()
     }
 
-    /// Renders a completed response for `spec`, inserting every successful
-    /// method outcome into the response cache.
-    fn rendered_response(&self, spec: &ConsensusSpec, response: &ConsensusResponse) -> Value {
+    /// Renders a completed response for `request`, inserting every
+    /// successful method outcome into the response cache.
+    fn rendered_response(&self, request: &ConsensusRequest, response: &ConsensusResponse) -> Value {
         obj(vec![
             ("dataset", s(&response.dataset)),
             ("status", s(JobStatus::Done.label())),
             ("cached", Value::Bool(false)),
-            ("results", self.rendered_results(spec, response, true)),
+            ("results", self.rendered_results(request, response, true)),
             (
                 "total_solve_time_ms",
                 Value::Float(response.total_solve_time.as_secs_f64() * 1e3),
@@ -765,12 +749,12 @@ impl Service {
         ])
     }
 
-    /// The `results` array of a completed response for `spec`: each method
-    /// outcome marked `"cached": false`, or its error. With `insert`, every
-    /// successful outcome also goes into the response cache.
+    /// The `results` array of a completed response for `request`: each
+    /// method outcome marked `"cached": false`, or its error. With `insert`,
+    /// every successful outcome also goes into the response cache.
     fn rendered_results(
         &self,
-        spec: &ConsensusSpec,
+        request: &ConsensusRequest,
         response: &ConsensusResponse,
         insert: bool,
     ) -> Value {
@@ -778,10 +762,10 @@ impl Service {
         for (index, result) in response.results.iter().enumerate() {
             results.push(match result {
                 Ok(result) => {
-                    let value = method_result_json(result, spec.dataset.db());
-                    if let Some(method) = spec.methods.get(index).filter(|_| insert) {
+                    let value = method_result_json(result, request.dataset.db());
+                    if let Some(method) = request.methods.get(index).filter(|_| insert) {
                         self.cache
-                            .insert(spec.cache_key(*method), Arc::new(value.clone()));
+                            .insert(cache_key(request, *method), Arc::new(value.clone()));
                     }
                     with_entry(value, "cached", Value::Bool(false))
                 }
@@ -793,9 +777,9 @@ impl Service {
 
     /// Tracks an async job for the jobs operation, pruning completed entries
     /// once the registry outgrows [`MAX_TRACKED_JOBS`].
-    fn register_job(&self, spec: &ConsensusSpec, handle: JobHandle, request_id: &str) {
+    fn register_job(&self, request: &ConsensusRequest, handle: JobHandle, request_id: &str) {
         let entry = JobEntry {
-            spec: spec.clone(),
+            request: request.clone(),
             cached: AtomicBool::new(false),
             request_id: request_id.to_string(),
             handle,
@@ -824,14 +808,14 @@ impl Service {
     /// completed job (also populating the response cache exactly once).
     pub fn job(&self, raw_id: &str) -> Result<Value, ApiError> {
         let id = parse_job_id(raw_id)?;
-        let (handle, spec, already_cached, request_id) = {
+        let (handle, request, already_cached, request_id) = {
             let jobs = self.jobs.lock().expect("job registry lock poisoned");
             let entry = jobs
                 .get(&id)
                 .ok_or_else(|| ApiError::not_found(format!("no such job `job-{id}`")))?;
             (
                 entry.handle.clone(),
-                entry.spec.clone(),
+                entry.request.clone(),
                 entry.cached.swap(true, Ordering::AcqRel),
                 entry.request_id.clone(),
             )
@@ -850,11 +834,11 @@ impl Service {
             return Ok(obj(vec![
                 ("id", s(format!("job-{id}"))),
                 ("status", s(status.label())),
-                ("dataset", s(spec.dataset.name())),
+                ("dataset", s(request.dataset.name())),
                 ("request_id", s(&request_id)),
             ]));
         };
-        let results = self.rendered_results(&spec, &response, !already_cached);
+        let results = self.rendered_results(&request, &response, !already_cached);
         Ok(obj(vec![
             ("id", s(format!("job-{id}"))),
             ("status", s(JobStatus::Done.label())),
@@ -881,7 +865,7 @@ impl Service {
                 .ok_or_else(|| ApiError::not_found(format!("no such job `job-{id}`")))?;
             (
                 entry.handle.clone(),
-                Arc::clone(&entry.spec.dataset),
+                Arc::clone(&entry.request.dataset),
                 entry.request_id.clone(),
             )
         };
@@ -921,11 +905,8 @@ impl Service {
     /// unconstrained consensus is the memoised Copeland ranking Fair-Copeland
     /// corrected.
     pub fn audit(&self, body: &Value) -> Result<Value, ApiError> {
-        let dataset = resolve_spec_dataset(body, Some(&self.datasets))?;
-        let delta = match body.get("delta") {
-            None | Some(Value::Null) => 0.1,
-            Some(raw) => as_f64(raw, "`delta`")?,
-        };
+        let dataset = resolve_dataset(body, Some(&self.datasets))?;
+        let delta = uniform_delta(body)?;
         let per_ranking = matches!(body.get("per_ranking"), Some(Value::Bool(true)));
 
         let kernel = self.engine.kernel_parallelism();
@@ -1085,22 +1066,22 @@ impl Service {
     /// The what-if session operation: a base dataset (inline, by id, or a
     /// pinned version) plus an `edits` array, each edit an op object or a
     /// list of ops applied on top of the previous edit's state. The whole
-    /// script is validated here, before any solve; drive the returned session
-    /// with [`Service::stream_session`] to get one NDJSON line of consensus +
-    /// parity results per edit. Nothing is persisted — a session explores
+    /// script is validated here, before any solve; drive the returned stream
+    /// with [`Service::drive`] to get one NDJSON line of consensus + parity
+    /// results per edit. Nothing is persisted — a session explores
     /// counterfactual edits without touching the id's version chain (use the
     /// dataset patch operation to commit an edit).
-    pub fn session(&self, body: &Value, ctx: &RequestContext) -> Result<WhatIfSession, ApiError> {
+    pub fn session(&self, body: &Value, ctx: &RequestContext) -> Result<NdjsonStream, ApiError> {
         let _parse = Span::enter(&ctx.trace, "parse");
-        let spec = parse_consensus_spec(body, Some(&self.datasets))?;
+        let request = self.read_request(body)?;
         let edits = body
             .get("edits")
             .and_then(Value::as_array)
             .filter(|edits| !edits.is_empty())
             .ok_or_else(|| ApiError::invalid("a session needs a non-empty `edits` array"))?;
-        let names = spec.dataset.db().name_index();
+        let names = request.dataset.db().name_index();
         let mut steps = Vec::with_capacity(edits.len());
-        let mut parent = Arc::clone(&spec.dataset);
+        let mut parent = Arc::clone(&request.dataset);
         for (index, edit) in edits.iter().enumerate() {
             let deltas = match edit {
                 Value::Object(_) => vec![parse_edit_op(index, edit, &names)?],
@@ -1122,26 +1103,12 @@ impl Service {
             });
             parent = child;
         }
-        Ok(WhatIfSession {
-            base: Arc::clone(&spec.dataset),
-            steps,
-            methods: spec.methods,
-            thresholds: spec.thresholds,
-            budget: spec.budget,
-            started: Instant::now(),
-            request_id: ctx.id.clone(),
-            trace: Arc::clone(&ctx.trace),
-        })
-    }
-
-    /// Drives a [`WhatIfSession`] into `sink`, one line per edit plus a
-    /// terminal summary.
-    pub fn stream_session<S: StreamSink>(
-        &self,
-        session: WhatIfSession,
-        sink: &mut S,
-    ) -> Result<(), S::Error> {
-        session.emit_lines(self, &mut |line| sink.emit_line(line))
+        Ok(NdjsonStream::new(
+            "session",
+            "POST /v1/sessions",
+            StreamLines::Session { request, steps },
+            ctx,
+        ))
     }
 
     /// The stats operation: every counter surface as one JSON document.
@@ -1795,6 +1762,20 @@ fn engine_error(error: EngineError) -> ApiError {
     ApiError::new(kind, error.to_string())
 }
 
+/// Reads how a consensus reply is delivered: the `wait` and `stream` flags
+/// of `fields`, which are mutually exclusive.
+fn reply_mode(fields: &Value) -> Result<(bool, bool), ApiError> {
+    let wait = parse_flag(fields.get("wait"), "`wait` must be a boolean")?;
+    let stream = parse_flag(fields.get("stream"), "`stream` must be a boolean")?;
+    if stream && wait {
+        return Err(ApiError::invalid(
+            "`stream` and `wait` are mutually exclusive: a streamed batch \
+             delivers each result as it completes",
+        ));
+    }
+    Ok((wait, stream))
+}
+
 /// Parses an optional boolean flag field.
 fn parse_flag(value: Option<&Value>, message: &str) -> Result<bool, ApiError> {
     match value {
@@ -1927,9 +1908,8 @@ mod tests {
         let ConsensusReply::Stream(stream) = reply else {
             panic!("stream mode must stream");
         };
-        assert_eq!(stream.len(), 1);
         let mut collected = String::new();
-        match service.stream_consensus(stream, &mut collected) {
+        match service.drive(stream, &mut collected) {
             Ok(()) => {}
             Err(never) => match never {},
         }
@@ -2581,9 +2561,8 @@ mod tests {
             ));
         }
         let session = service.session(&body, &RequestContext::new(None)).unwrap();
-        assert_eq!(session.len(), 2);
         let mut collected = String::new();
-        match service.stream_session(session, &mut collected) {
+        match service.drive(session, &mut collected) {
             Ok(()) => {}
             Err(never) => match never {},
         }

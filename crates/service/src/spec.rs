@@ -1,4 +1,4 @@
-//! Consensus request specs: parsing API payloads into engine types and
+//! Consensus requests: reading API payloads into engine requests and
 //! rendering engine results back out, all over the workspace's serde shim
 //! [`Value`] data model.
 //!
@@ -23,6 +23,12 @@
 //! }
 //! ```
 //!
+//! [`parse_solve`] reads the solve options of every request into one
+//! [`ConsensusRequest`]: a JSON body with flat fields or a nested `options`
+//! object, a what-if session body, and the text parameters of a columnar
+//! upload's query string or of `mani`'s flags (through [`query_fields`]). No
+//! option reads differently by the way it arrived.
+//!
 //! Attribute value domains are inferred in first-appearance order across the
 //! candidate list (like the CSV front-end); the optional `domains` object pins
 //! an explicit order so group ids stay stable across clients.
@@ -44,154 +50,106 @@ use crate::error::ApiError;
 use crate::registry::DatasetRegistry;
 use crate::value::{as_f64, obj, s};
 
-/// One fully parsed consensus request spec, ready to submit or cache-key.
-#[derive(Debug, Clone)]
-pub struct ConsensusSpec {
-    /// The parsed dataset.
-    pub dataset: Arc<EngineDataset>,
-    /// Methods to run, in response order.
-    pub methods: Vec<MethodKind>,
-    /// Fairness thresholds Δ.
-    pub thresholds: FairnessThresholds,
-    /// Optional exact-solver node budget.
-    pub budget: Option<u64>,
-}
+/// The uniform Δ of a request that names none.
+const DEFAULT_DELTA: f64 = 0.1;
 
-impl ConsensusSpec {
-    /// The engine request this spec describes.
-    pub fn request(&self) -> ConsensusRequest {
-        let mut request = ConsensusRequest::new(
-            Arc::clone(&self.dataset),
-            self.methods.iter().copied(),
-            self.thresholds.clone(),
-        );
-        if let Some(budget) = self.budget {
-            request = request.with_budget(budget);
-        }
-        request
-    }
-
-    /// Canonical response-cache key for one method of this spec: dataset
-    /// content fingerprint + serialized thresholds + method + budget. Two
-    /// requests with identical content collide on purpose, whatever their
-    /// dataset display names.
-    pub fn cache_key(&self, method: MethodKind) -> String {
-        let thresholds = serde_json::to_string(&self.thresholds)
-            .expect("shim serialization of thresholds cannot fail");
-        format!(
-            "{:016x}|{}|{}|{:?}",
-            self.dataset.fingerprint(),
-            thresholds,
-            method.name(),
-            self.budget
-        )
-    }
-}
+/// The flat solve fields, none of which may sit beside a nested `options`.
+const FLAT_FIELDS: [&str; 5] = [
+    "methods",
+    "delta",
+    "attribute_deltas",
+    "intersection_delta",
+    "budget",
+];
 
 /// Resolves the dataset of a request body.
 ///
-/// Three forms are accepted under `dataset`:
+/// Two forms are accepted under `dataset`:
 ///
 /// * an inline document (`{"name", "candidates", "rankings", ...}`);
 /// * a registry reference `{"id": "ds-...", "version"?: N}` — distinguished
 ///   from the inline form by the presence of an `id` key. Omitting `version`
 ///   resolves the id's current version; pinning an evicted version is a
-///   [`crate::ApiErrorKind::Conflict`].
-/// * (legacy, deprecated) a flat string sibling `"dataset_id": "ds-..."`.
-pub fn resolve_spec_dataset(
+///   [`crate::ApiErrorKind::Conflict`]. `registry` resolves the reference.
+///
+/// A body that still carries the removed flat id field is refused with an
+/// error naming its replacement.
+pub(crate) fn resolve_dataset(
     value: &Value,
     registry: Option<&DatasetRegistry>,
 ) -> Result<Arc<EngineDataset>, ApiError> {
-    match (value.get("dataset"), value.get("dataset_id")) {
-        (Some(_), Some(_)) => Err(ApiError::invalid(
-            "pass either `dataset` or `dataset_id`, not both",
-        )),
-        (Some(inline), None) => match inline.get("id") {
-            Some(raw) => {
-                let id = raw
-                    .as_str()
-                    .ok_or_else(|| ApiError::invalid("`dataset.id` must be a string"))?;
-                let registry = require_registry(registry)?;
-                match inline.get("version") {
-                    None | Some(Value::Null) => registry.resolve(id),
-                    Some(raw) => {
-                        let version = match raw {
-                            Value::UInt(u) => *u,
-                            Value::Int(i) if *i > 0 => *i as u64,
-                            _ => {
-                                return Err(ApiError::invalid(
-                                    "`dataset.version` must be a positive integer",
-                                ))
-                            }
-                        };
-                        registry.resolve_version(id, version).map(|r| r.dataset)
-                    }
-                }
-            }
-            None => parse_dataset(inline),
-        },
-        (None, Some(raw)) => {
-            let id = raw
-                .as_str()
-                .ok_or_else(|| ApiError::invalid("`dataset_id` must be a string"))?;
-            require_registry(registry)?.resolve(id)
-        }
-        (None, None) => Err(ApiError::invalid("missing `dataset` (or `dataset_id`)")),
+    if value.get("dataset_id").is_some() {
+        return Err(ApiError::invalid(
+            "`dataset_id` is not accepted: reference a registered dataset as \
+             `\"dataset\": {\"id\": ...}`",
+        ));
     }
-}
-
-/// The registry, or the invalid-argument error contexts without one report.
-fn require_registry(registry: Option<&DatasetRegistry>) -> Result<&DatasetRegistry, ApiError> {
-    registry.ok_or_else(|| {
+    let dataset = value
+        .get("dataset")
+        .ok_or_else(|| ApiError::invalid("missing `dataset`"))?;
+    let Some(raw) = dataset.get("id") else {
+        return parse_dataset(dataset);
+    };
+    let id = raw
+        .as_str()
+        .ok_or_else(|| ApiError::invalid("`dataset.id` must be a string"))?;
+    let registry = registry.ok_or_else(|| {
         ApiError::invalid("dataset references by id are not supported in this context")
-    })
+    })?;
+    let version = match dataset.get("version") {
+        None | Some(Value::Null) => return registry.resolve(id),
+        Some(Value::UInt(u)) => *u,
+        Some(Value::Int(i)) if *i > 0 => *i as u64,
+        Some(_) => {
+            return Err(ApiError::invalid(
+                "`dataset.version` must be a positive integer",
+            ))
+        }
+    };
+    registry.resolve_version(id, version).map(|r| r.dataset)
 }
 
-/// Parses one consensus spec (`dataset` or `dataset_id`, plus solve
-/// options). `registry` resolves dataset references by id.
+/// Reads the solve options of one request into the engine request over
+/// `dataset`. This is the one reader of solve options: `fields` is a JSON
+/// consensus or session body, or the fields [`query_fields`] read from a
+/// columnar upload's query string or from `mani`'s flags.
 ///
-/// Solve options come in two equivalent shapes:
+/// Options come in two equivalent shapes, and both are supported:
 ///
+/// * **flat** — `methods`, `delta`, `attribute_deltas`,
+///   `intersection_delta`, `budget` as top-level fields;
 /// * **nested** — one `"options"` object:
 ///   `{"methods": [...], "thresholds": {"delta", "attribute_deltas",
 ///   "intersection_delta"}, "budget": N, "parallelism": K}`. `parallelism`
 ///   is an advisory worker-count hint: every kernel in the workspace is
 ///   bit-identical across thread counts, so it never changes results and the
 ///   engine's configured budget wins.
-/// * **flat (legacy)** — `methods`, `delta`, `attribute_deltas`,
-///   `intersection_delta`, `budget` as top-level siblings.
 ///
 /// Mixing the two shapes in one request is rejected so clients cannot send
-/// conflicting values.
-pub fn parse_consensus_spec(
-    value: &Value,
-    registry: Option<&DatasetRegistry>,
-) -> Result<ConsensusSpec, ApiError> {
-    let dataset = resolve_spec_dataset(value, registry)?;
-    let (methods, thresholds, budget) = match value.get("options") {
-        None => (
-            parse_methods(value.get("methods"))?,
-            parse_thresholds(value, dataset.db())?,
-            parse_budget(value.get("budget"))?,
-        ),
-        Some(options) => parse_solve_options(value, options, dataset.db())?,
+/// conflicting values. Every Δ must be a finite number ≥ 0.
+pub fn parse_solve(
+    dataset: Arc<EngineDataset>,
+    fields: &Value,
+) -> Result<ConsensusRequest, ApiError> {
+    let (solve, thresholds) = match fields.get("options") {
+        None => (fields, Some(fields)),
+        Some(options) => (options, nested_thresholds(fields, options)?),
     };
-    Ok(ConsensusSpec {
+    Ok(ConsensusRequest {
+        methods: parse_methods(solve.get("methods"))?,
+        thresholds: parse_thresholds(thresholds, dataset.db())?,
+        budget: parse_budget(solve.get("budget"))?,
         dataset,
-        methods,
-        thresholds,
-        budget,
     })
 }
 
-/// Parses the nested `options` object (see [`parse_consensus_spec`]),
-/// rejecting unknown option keys and any legacy flat sibling that would
-/// shadow a nested value.
-fn parse_solve_options(
-    value: &Value,
-    options: &Value,
-    db: &CandidateDb,
-) -> Result<(Vec<MethodKind>, FairnessThresholds, Option<u64>), ApiError> {
+/// Checks the nested `options` object (see [`parse_solve`]), rejecting
+/// unknown option keys and any flat field that would shadow a nested value,
+/// and returns its `thresholds` object, if any.
+fn nested_thresholds<'a>(
+    fields: &Value,
+    options: &'a Value,
+) -> Result<Option<&'a Value>, ApiError> {
     let entries = options
         .as_object()
         .ok_or_else(|| ApiError::invalid("`options` must be an object"))?;
@@ -206,49 +164,81 @@ fn parse_solve_options(
             }
         }
     }
-    for flat in [
-        "methods",
-        "delta",
-        "attribute_deltas",
-        "intersection_delta",
-        "budget",
-    ] {
-        if value.get(flat).is_some() {
-            return Err(ApiError::invalid(format!(
-                "pass `{flat}` either flat (legacy) or inside `options`, not both"
-            )));
+    if let Some(flat) = FLAT_FIELDS.iter().find(|flat| fields.get(flat).is_some()) {
+        return Err(ApiError::invalid(format!(
+            "pass `{flat}` either flat or inside `options`, not both"
+        )));
+    }
+    match options.get("parallelism") {
+        None | Some(Value::Null) => {}
+        Some(Value::UInt(u)) if *u > 0 => {}
+        Some(Value::Int(i)) if *i > 0 => {}
+        Some(_) => {
+            return Err(ApiError::invalid(
+                "`options.parallelism` must be a positive integer",
+            ));
         }
     }
-    let thresholds = match options.get("thresholds") {
-        None | Some(Value::Null) => FairnessThresholds::uniform(0.1),
-        Some(nested) => {
-            nested
-                .as_object()
-                .ok_or_else(|| ApiError::invalid("`options.thresholds` must be an object"))?;
-            parse_thresholds(nested, db)?
-        }
-    };
-    if let Some(raw) = options.get("parallelism") {
-        match raw {
-            Value::Null => {}
-            Value::UInt(u) if *u > 0 => {}
-            Value::Int(i) if *i > 0 => {}
-            _ => {
-                return Err(ApiError::invalid(
-                    "`options.parallelism` must be a positive integer",
-                ));
+    match options.get("thresholds") {
+        None | Some(Value::Null) => Ok(None),
+        Some(nested) if nested.as_object().is_some() => Ok(Some(nested)),
+        Some(_) => Err(ApiError::invalid("`options.thresholds` must be an object")),
+    }
+}
+
+/// Reads solve parameters written as `key=value` text — a columnar upload's
+/// query string, or the flags of `mani consensus` and `mani session` — into
+/// the fields a JSON body carries, so [`parse_solve`] reads them exactly as
+/// it reads a body: `methods` is a comma-separated list of names, `delta`
+/// and `budget` are numbers in the JSON grammar (`.5`, `+5` and `NaN` are
+/// not), and `wait` and `stream` are `true`, `false`, `1`, `0`, or empty for
+/// true. A repeated parameter keeps its last value; an unknown one is
+/// rejected, so typos fail loudly.
+pub fn query_fields<'a>(
+    params: impl IntoIterator<Item = (&'a str, &'a str)>,
+) -> Result<Value, ApiError> {
+    let mut fields: Vec<(String, Value)> = Vec::new();
+    for (key, raw) in params {
+        let value = match key {
+            "methods" => Value::Array(
+                raw.split(',')
+                    .map(str::trim)
+                    .filter(|name| !name.is_empty())
+                    .map(s)
+                    .collect(),
+            ),
+            "delta" | "budget" => match serde_json::from_str(raw) {
+                Ok(number @ (Value::UInt(_) | Value::Int(_) | Value::Float(_))) => number,
+                _ => {
+                    return Err(ApiError::invalid(format!(
+                        "cannot parse `{key}` value `{raw}` as a JSON number"
+                    )));
+                }
+            },
+            "wait" | "stream" => Value::Bool(match raw {
+                "" | "true" | "1" => true,
+                "false" | "0" => false,
+                other => {
+                    return Err(ApiError::invalid(format!(
+                        "cannot parse `{key}` value `{other}` (expected true or false)"
+                    )));
+                }
+            }),
+            other => {
+                return Err(ApiError::invalid(format!(
+                    "unknown query parameter `{other}` (expected methods, delta, budget, \
+                     wait, or stream)"
+                )));
             }
-        }
+        };
+        fields.retain(|(name, _)| name != key);
+        fields.push((key.to_string(), value));
     }
-    Ok((
-        parse_methods(options.get("methods"))?,
-        thresholds,
-        parse_budget(options.get("budget"))?,
-    ))
+    Ok(Value::Object(fields))
 }
 
 /// Parses the optional exact-solver node budget.
-pub fn parse_budget(value: Option<&Value>) -> Result<Option<u64>, ApiError> {
+fn parse_budget(value: Option<&Value>) -> Result<Option<u64>, ApiError> {
     match value {
         None | Some(Value::Null) => Ok(None),
         Some(Value::UInt(u)) => Ok(Some(*u)),
@@ -258,7 +248,7 @@ pub fn parse_budget(value: Option<&Value>) -> Result<Option<u64>, ApiError> {
 }
 
 /// Parses the `methods` list (default: the paper's four proposed methods).
-pub fn parse_methods(value: Option<&Value>) -> Result<Vec<MethodKind>, ApiError> {
+fn parse_methods(value: Option<&Value>) -> Result<Vec<MethodKind>, ApiError> {
     let Some(value) = value else {
         return Ok(MethodKind::proposed().to_vec());
     };
@@ -275,7 +265,9 @@ pub fn parse_methods(value: Option<&Value>) -> Result<Vec<MethodKind>, ApiError>
                 .as_str()
                 .ok_or_else(|| ApiError::invalid("`methods` entries must be strings"))?;
             MethodKind::parse(name).ok_or_else(|| {
-                ApiError::invalid(format!("unknown method `{name}` (see GET /v1/methods)"))
+                ApiError::invalid(format!(
+                    "unknown method `{name}` (`GET /v1/methods` and `mani methods` list them)"
+                ))
             })
         })
         .collect::<Result<_, _>>()?;
@@ -294,25 +286,16 @@ pub fn parse_methods(value: Option<&Value>) -> Result<Vec<MethodKind>, ApiError>
     Ok(methods)
 }
 
-/// Parses a comma-separated method list (the query-string form used by
-/// columnar uploads, where the body is the dataset itself).
-pub fn parse_methods_csv(raw: &str) -> Result<Vec<MethodKind>, ApiError> {
-    let names: Vec<Value> = raw
-        .split(',')
-        .map(str::trim)
-        .filter(|n| !n.is_empty())
-        .map(s)
-        .collect();
-    parse_methods(Some(&Value::Array(names)))
-}
-
-/// Parses the threshold fields (`delta`, `attribute_deltas`, `intersection_delta`).
-fn parse_thresholds(value: &Value, db: &CandidateDb) -> Result<FairnessThresholds, ApiError> {
-    let delta = match value.get("delta") {
-        None | Some(Value::Null) => 0.1,
-        Some(raw) => as_f64(raw, "`delta`")?,
+/// Parses the threshold fields (`delta`, `attribute_deltas`,
+/// `intersection_delta`) of `value`; `None` is the default uniform Δ.
+fn parse_thresholds(
+    value: Option<&Value>,
+    db: &CandidateDb,
+) -> Result<FairnessThresholds, ApiError> {
+    let Some(value) = value else {
+        return Ok(FairnessThresholds::uniform(DEFAULT_DELTA));
     };
-    let mut thresholds = FairnessThresholds::uniform(delta);
+    let mut thresholds = FairnessThresholds::uniform(uniform_delta(value)?);
     if let Some(overrides) = value.get("attribute_deltas") {
         let entries = overrides
             .as_object()
@@ -324,15 +307,38 @@ fn parse_thresholds(value: &Value, db: &CandidateDb) -> Result<FairnessThreshold
                 ))
             })?;
             thresholds =
-                thresholds.with_attribute_delta(id, as_f64(raw, "`attribute_deltas` value")?);
+                thresholds.with_attribute_delta(id, delta_value(raw, "`attribute_deltas` value")?);
         }
     }
-    if let Some(raw) = value.get("intersection_delta") {
-        if !matches!(raw, Value::Null) {
-            thresholds = thresholds.with_intersection_delta(as_f64(raw, "`intersection_delta`")?);
+    match value.get("intersection_delta") {
+        None | Some(Value::Null) => {}
+        Some(raw) => {
+            thresholds =
+                thresholds.with_intersection_delta(delta_value(raw, "`intersection_delta`")?)
         }
     }
     Ok(thresholds)
+}
+
+/// The uniform `delta` field of `fields` (default 0.1), read like every Δ.
+pub(crate) fn uniform_delta(fields: &Value) -> Result<f64, ApiError> {
+    match fields.get("delta") {
+        None | Some(Value::Null) => Ok(DEFAULT_DELTA),
+        Some(raw) => delta_value(raw, "`delta`"),
+    }
+}
+
+/// Reads one fairness threshold Δ: a finite number ≥ 0. A Δ above 1 is
+/// accepted (every axis then passes); NaN, ±∞ and negative values are not.
+fn delta_value(raw: &Value, what: &str) -> Result<f64, ApiError> {
+    let delta = as_f64(raw, what)?;
+    if delta.is_finite() && delta >= 0.0 {
+        Ok(delta)
+    } else {
+        Err(ApiError::invalid(format!(
+            "{what} must be a finite number >= 0, got {delta}"
+        )))
+    }
 }
 
 /// Parses an inline dataset: candidates with attribute assignments plus a
@@ -642,6 +648,7 @@ pub fn method_result_json(result: &MethodResult, db: &CandidateDb) -> Value {
 mod tests {
     use super::*;
     use crate::error::ApiErrorKind;
+    use crate::response_cache::cache_key;
     use crate::value::parse_body;
 
     pub(crate) fn demo_spec_value(delta: f64) -> Value {
@@ -664,16 +671,23 @@ mod tests {
         .unwrap()
     }
 
+    /// Reads a whole consensus body: its dataset, then its solve options.
+    fn parse(
+        value: &Value,
+        registry: Option<&DatasetRegistry>,
+    ) -> Result<ConsensusRequest, ApiError> {
+        parse_solve(resolve_dataset(value, registry)?, value)
+    }
+
     #[test]
     fn parses_a_full_spec() {
-        let spec = parse_consensus_spec(&demo_spec_value(0.2), None).unwrap();
-        assert_eq!(spec.dataset.name(), "demo");
-        assert_eq!(spec.dataset.num_candidates(), 4);
-        assert_eq!(spec.dataset.num_rankings(), 3);
-        assert_eq!(spec.methods, vec![MethodKind::FairBorda]);
-        assert_eq!(spec.thresholds.default_delta(), 0.2);
-        assert_eq!(spec.budget, None);
-        let request = spec.request();
+        let request = parse(&demo_spec_value(0.2), None).unwrap();
+        assert_eq!(request.dataset.name(), "demo");
+        assert_eq!(request.dataset.num_candidates(), 4);
+        assert_eq!(request.dataset.num_rankings(), 3);
+        assert_eq!(request.methods, vec![MethodKind::FairBorda]);
+        assert_eq!(request.thresholds.default_delta(), 0.2);
+        assert_eq!(request.budget, None);
         assert!(request.validate().is_ok());
     }
 
@@ -691,18 +705,21 @@ mod tests {
 
     #[test]
     fn methods_parse_from_csv_form() {
-        let methods = parse_methods_csv("Fair-Borda, Fair-Copeland").unwrap();
+        let methods_of = |raw: &str| {
+            let fields = query_fields([("methods", raw)])?;
+            parse_methods(fields.get("methods"))
+        };
         assert_eq!(
-            methods,
+            methods_of("Fair-Borda, Fair-Copeland").unwrap(),
             vec![MethodKind::FairBorda, MethodKind::FairCopeland]
         );
-        assert!(parse_methods_csv("Fair-Borda,Fair-Borda").is_err());
-        assert!(parse_methods_csv("").is_err(), "empty list is invalid");
+        assert!(methods_of("Fair-Borda,Fair-Borda").is_err());
+        assert!(methods_of("").is_err(), "empty list is invalid");
     }
 
     #[test]
     fn cache_key_sees_content_not_names() {
-        let a = parse_consensus_spec(&demo_spec_value(0.2), None).unwrap();
+        let a = parse(&demo_spec_value(0.2), None).unwrap();
         let mut renamed = demo_spec_value(0.2);
         if let Value::Object(ref mut entries) = renamed {
             if let Some((_, Value::Object(ref mut fields))) =
@@ -715,21 +732,21 @@ mod tests {
                 }
             }
         }
-        let b = parse_consensus_spec(&renamed, None).unwrap();
+        let b = parse(&renamed, None).unwrap();
         assert_eq!(
-            a.cache_key(MethodKind::FairBorda),
-            b.cache_key(MethodKind::FairBorda),
+            cache_key(&a, MethodKind::FairBorda),
+            cache_key(&b, MethodKind::FairBorda),
             "display names must not split the cache"
         );
-        let c = parse_consensus_spec(&demo_spec_value(0.3), None).unwrap();
+        let c = parse(&demo_spec_value(0.3), None).unwrap();
         assert_ne!(
-            a.cache_key(MethodKind::FairBorda),
-            c.cache_key(MethodKind::FairBorda),
+            cache_key(&a, MethodKind::FairBorda),
+            cache_key(&c, MethodKind::FairBorda),
             "thresholds must split the cache"
         );
         assert_ne!(
-            a.cache_key(MethodKind::FairBorda),
-            a.cache_key(MethodKind::FairCopeland),
+            cache_key(&a, MethodKind::FairBorda),
+            cache_key(&a, MethodKind::FairCopeland),
             "methods must split the cache"
         );
     }
@@ -737,7 +754,7 @@ mod tests {
     #[test]
     fn dataset_errors_are_descriptive() {
         let missing = parse_body(r#"{"methods": ["Fair-Borda"]}"#).unwrap();
-        assert!(parse_consensus_spec(&missing, None)
+        assert!(parse(&missing, None)
             .unwrap_err()
             .message
             .contains("dataset"));
@@ -749,7 +766,7 @@ mod tests {
             ], "rankings": [["a", "nope"]]}}"#,
         )
         .unwrap();
-        assert!(parse_consensus_spec(&unknown, None)
+        assert!(parse(&unknown, None)
             .unwrap_err()
             .message
             .contains("unknown candidate"));
@@ -761,7 +778,7 @@ mod tests {
             ], "rankings": [["a", "b"]]}}"#,
         )
         .unwrap();
-        assert!(parse_consensus_spec(&single_valued, None)
+        assert!(parse(&single_valued, None)
             .unwrap_err()
             .message
             .contains("at least 2"));
@@ -780,8 +797,8 @@ mod tests {
             }}"#,
         )
         .unwrap();
-        let spec = parse_consensus_spec(&pinned, None).unwrap();
-        let db = spec.dataset.db();
+        let request = parse(&pinned, None).unwrap();
+        let db = request.dataset.db();
         let g = db.schema().attribute_id("G").unwrap();
         let values: Vec<&str> = db.schema().attribute(g).unwrap().values().collect();
         assert_eq!(values, vec!["x", "y"], "declared order wins");
@@ -797,10 +814,10 @@ mod tests {
             ));
             entries.push(("intersection_delta".to_string(), Value::Float(0.4)));
         }
-        let spec = parse_consensus_spec(&value, None).unwrap();
-        let g = spec.dataset.db().schema().attribute_id("G").unwrap();
-        assert_eq!(spec.thresholds.attribute_delta(g), Some(0.05));
-        assert_eq!(spec.thresholds.intersection_delta(), Some(0.4));
+        let request = parse(&value, None).unwrap();
+        let g = request.dataset.db().schema().attribute_id("G").unwrap();
+        assert_eq!(request.thresholds.attribute_delta(g), Some(0.05));
+        assert_eq!(request.thresholds.intersection_delta(), Some(0.4));
 
         let mut bad = demo_spec_value(0.2);
         if let Value::Object(ref mut entries) = bad {
@@ -809,93 +826,80 @@ mod tests {
                 obj(vec![("Nope", Value::Float(0.05))]),
             ));
         }
-        assert!(parse_consensus_spec(&bad, None)
+        assert!(parse(&bad, None)
             .unwrap_err()
             .message
             .contains("unknown attribute"));
     }
 
     #[test]
-    fn dataset_id_resolves_through_the_registry() {
+    fn dataset_id_is_refused_naming_its_replacement() {
         let registry = DatasetRegistry::new(4);
-        let inline = parse_consensus_spec(&demo_spec_value(0.2), None).unwrap();
+        let inline = parse(&demo_spec_value(0.2), None).unwrap();
         let (registered, _) = registry.register(Arc::clone(&inline.dataset)).unwrap();
-        let id = registered.id;
 
+        // Alone, or beside an inline dataset: the removed field is an
+        // invalid argument whose message names `"dataset": {"id": ...}`.
         let mut by_id = demo_spec_value(0.2);
         if let Value::Object(ref mut entries) = by_id {
             entries.retain(|(k, _)| k != "dataset");
-            entries.push(("dataset_id".to_string(), s(id.clone())));
+            entries.push(("dataset_id".to_string(), s(registered.id.clone())));
         }
-        let spec = parse_consensus_spec(&by_id, Some(&registry)).unwrap();
-        assert_eq!(
-            spec.dataset.fingerprint(),
-            inline.dataset.fingerprint(),
-            "registry resolution must hand back identical content"
-        );
-        assert_eq!(
-            spec.cache_key(MethodKind::FairBorda),
-            inline.cache_key(MethodKind::FairBorda),
-            "dataset_id and inline specs must share the response cache"
-        );
-
-        // Unknown ids are not-found; missing registry support and
-        // both-at-once are invalid arguments.
-        let mut unknown = by_id.clone();
-        if let Value::Object(ref mut entries) = unknown {
-            entries.retain(|(k, _)| k != "dataset_id");
-            entries.push(("dataset_id".to_string(), s("ds-nope")));
-        }
-        assert_eq!(
-            parse_consensus_spec(&unknown, Some(&registry))
-                .unwrap_err()
-                .kind,
-            ApiErrorKind::NotFound
-        );
-        assert_eq!(
-            parse_consensus_spec(&by_id, None).unwrap_err().kind,
-            ApiErrorKind::InvalidArgument
-        );
         let mut both = demo_spec_value(0.2);
         if let Value::Object(ref mut entries) = both {
-            entries.push(("dataset_id".to_string(), s(id)));
+            entries.push(("dataset_id".to_string(), s(registered.id)));
         }
-        let err = parse_consensus_spec(&both, Some(&registry)).unwrap_err();
-        assert!(err.message.contains("not both"), "{err}");
+        for body in [&by_id, &both] {
+            let err = parse(body, Some(&registry)).unwrap_err();
+            assert_eq!(err.kind, ApiErrorKind::InvalidArgument);
+            assert!(err.message.contains(r#""dataset": {"id""#), "{err}");
+        }
     }
 
     #[test]
     fn dataset_references_resolve_ids_and_pinned_versions() {
         let registry = DatasetRegistry::new(4);
-        let inline = parse_consensus_spec(&demo_spec_value(0.2), None).unwrap();
+        let inline = parse(&demo_spec_value(0.2), None).unwrap();
         let (registered, _) = registry.register(Arc::clone(&inline.dataset)).unwrap();
         let id = registered.id;
 
-        // `"dataset": {"id": ...}` resolves the current version.
+        // `"dataset": {"id": ...}` resolves the current version, to the
+        // same content and the same response-cache key as the inline rows.
         let by_ref = parse_body(&format!(
             r#"{{"dataset": {{"id": "{id}"}}, "methods": ["Fair-Borda"], "delta": 0.2}}"#
         ))
         .unwrap();
-        let spec = parse_consensus_spec(&by_ref, Some(&registry)).unwrap();
-        assert_eq!(spec.dataset.fingerprint(), inline.dataset.fingerprint());
+        let request = parse(&by_ref, Some(&registry)).unwrap();
+        assert_eq!(request.dataset.fingerprint(), inline.dataset.fingerprint());
+        assert_eq!(
+            cache_key(&request, MethodKind::FairBorda),
+            cache_key(&inline, MethodKind::FairBorda),
+            "by-reference and inline requests must share the response cache"
+        );
 
         // An explicit version pin resolves the same content while retained.
         let pinned = parse_body(&format!(
             r#"{{"dataset": {{"id": "{id}", "version": 1}}, "methods": ["Fair-Borda"]}}"#
         ))
         .unwrap();
-        let spec = parse_consensus_spec(&pinned, Some(&registry)).unwrap();
-        assert_eq!(spec.dataset.fingerprint(), inline.dataset.fingerprint());
+        let request = parse(&pinned, Some(&registry)).unwrap();
+        assert_eq!(request.dataset.fingerprint(), inline.dataset.fingerprint());
 
-        // Unknown versions are not-found; malformed pins are invalid.
+        // Unknown ids and versions are not-found; malformed pins are invalid.
+        let unknown = parse_body(
+            r#"{"dataset": {"id": "ds-nope"}, "methods": ["Fair-Borda"], "delta": 0.2}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            parse(&unknown, Some(&registry)).unwrap_err().kind,
+            ApiErrorKind::NotFound
+        );
         let future = parse_body(&format!(
             r#"{{"dataset": {{"id": "{id}", "version": 9}}, "methods": ["Fair-Borda"]}}"#
         ))
         .unwrap();
         assert_eq!(
-            parse_consensus_spec(&future, Some(&registry))
-                .unwrap_err()
-                .kind,
+            parse(&future, Some(&registry)).unwrap_err().kind,
             ApiErrorKind::NotFound
         );
         let bad = parse_body(&format!(
@@ -903,22 +907,20 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(
-            parse_consensus_spec(&bad, Some(&registry))
-                .unwrap_err()
-                .kind,
+            parse(&bad, Some(&registry)).unwrap_err().kind,
             ApiErrorKind::InvalidArgument
         );
-        // References need a registry, like `dataset_id`.
+        // References need a registry.
         assert_eq!(
-            parse_consensus_spec(&by_ref, None).unwrap_err().kind,
+            parse(&by_ref, None).unwrap_err().kind,
             ApiErrorKind::InvalidArgument
         );
     }
 
     #[test]
     fn nested_options_are_equivalent_to_flat_fields() {
-        // The same solve expressed flat (legacy) and nested under `options`
-        // must produce identical specs — and identical response-cache keys.
+        // The same solve expressed flat and nested under `options` must
+        // produce identical requests — and identical response-cache keys.
         let mut flat = demo_spec_value(0.25);
         if let Value::Object(ref mut entries) = flat {
             entries.push((
@@ -953,14 +955,14 @@ mod tests {
             }"#,
         )
         .unwrap();
-        let flat_spec = parse_consensus_spec(&flat, None).unwrap();
-        let nested_spec = parse_consensus_spec(&nested, None).unwrap();
-        assert_eq!(flat_spec.methods, nested_spec.methods);
-        assert_eq!(flat_spec.thresholds, nested_spec.thresholds);
-        assert_eq!(flat_spec.budget, nested_spec.budget);
+        let flat_request = parse(&flat, None).unwrap();
+        let nested_request = parse(&nested, None).unwrap();
+        assert_eq!(flat_request.methods, nested_request.methods);
+        assert_eq!(flat_request.thresholds, nested_request.thresholds);
+        assert_eq!(flat_request.budget, nested_request.budget);
         assert_eq!(
-            flat_spec.cache_key(MethodKind::FairBorda),
-            nested_spec.cache_key(MethodKind::FairBorda),
+            cache_key(&flat_request, MethodKind::FairBorda),
+            cache_key(&nested_request, MethodKind::FairBorda),
             "equivalent shapes must share the response cache"
         );
 
@@ -972,7 +974,7 @@ mod tests {
                 obj(vec![("budget", Value::UInt(10))]),
             ));
         }
-        let err = parse_consensus_spec(&mixed, None).unwrap_err();
+        let err = parse(&mixed, None).unwrap_err();
         assert!(err.message.contains("not both"), "{err}");
         let unknown = parse_body(
             r#"{"dataset": {"candidates": [
@@ -982,7 +984,7 @@ mod tests {
                 "options": {"banana": 1}}"#,
         )
         .unwrap();
-        let err = parse_consensus_spec(&unknown, None).unwrap_err();
+        let err = parse(&unknown, None).unwrap_err();
         assert!(err.message.contains("unknown `options` key"), "{err}");
         let bad_par = parse_body(
             r#"{"dataset": {"candidates": [
@@ -992,7 +994,7 @@ mod tests {
                 "options": {"parallelism": 0}}"#,
         )
         .unwrap();
-        assert!(parse_consensus_spec(&bad_par, None)
+        assert!(parse(&bad_par, None)
             .unwrap_err()
             .message
             .contains("parallelism"));
@@ -1000,12 +1002,12 @@ mod tests {
 
     #[test]
     fn dataset_to_value_round_trips_bit_identically() {
-        let spec = parse_consensus_spec(&demo_spec_value(0.2), None).unwrap();
-        let encoded = dataset_to_value(&spec.dataset);
+        let request = parse(&demo_spec_value(0.2), None).unwrap();
+        let encoded = dataset_to_value(&request.dataset);
         let reparsed = parse_dataset(&encoded).unwrap();
         assert_eq!(
             reparsed.fingerprint(),
-            spec.dataset.fingerprint(),
+            request.dataset.fingerprint(),
             "JSON round-trip must preserve the content fingerprint"
         );
         assert_eq!(reparsed.name(), "demo");

@@ -8,11 +8,11 @@
 use std::sync::Arc;
 
 use mani_core::MethodKind;
-use mani_engine::{EngineConfig, EngineDataset};
+use mani_engine::{ConsensusRequest, EngineConfig, EngineDataset};
 use mani_fairness::FairnessThresholds;
 use mani_service::{
     dataset_to_value, decode_dataset, encode_dataset, method_result_json, parse_body,
-    parse_dataset, render, ColumnarDataset, ConsensusSpec, Service,
+    parse_dataset, render, ColumnarDataset, Service,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -118,14 +118,13 @@ proptest! {
             EngineConfig { threads: 2, ..EngineConfig::default() },
             16,
         );
-        let spec = |dataset: Arc<EngineDataset>| ConsensusSpec {
+        let request = |dataset: Arc<EngineDataset>| ConsensusRequest::new(
             dataset,
-            methods: vec![MethodKind::FairBorda, MethodKind::FairCopeland],
-            thresholds: FairnessThresholds::uniform(0.2),
-            budget: None,
-        };
+            [MethodKind::FairBorda, MethodKind::FairCopeland],
+            FairnessThresholds::uniform(0.2),
+        );
         let handles = service
-            .submit(&[spec(Arc::clone(&from_json)), spec(from_columnar)])
+            .submit(&[request(Arc::clone(&from_json)), request(from_columnar)])
             .expect("submit");
         // Strip the volatile timing/cache fields; everything else — rankings,
         // losses, ARPs, satisfaction — must match byte for byte.

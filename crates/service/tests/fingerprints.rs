@@ -151,7 +151,7 @@ fn every_session_step_stores_the_fingerprint_of_its_rows() {
         .session(&body, &RequestContext::new(None))
         .expect("session");
     let mut lines = String::new();
-    match service.stream_session(session, &mut lines) {
+    match service.drive(session, &mut lines) {
         Ok(()) => {}
         Err(never) => match never {},
     }
