@@ -71,6 +71,16 @@ mod tests {
     }
 
     #[test]
+    fn heavy_run_dominates_consensus() {
+        let favourite = Ranking::from_ids([2, 1, 0]).unwrap();
+        let other = favourite.reversed();
+        // As copies, the two of `other` win; a run of 10 favourites flips it.
+        let profile = RankingProfile::from_runs([(favourite, 10), (other, 2)]).unwrap();
+        let consensus = BordaAggregator::new().consensus(&profile);
+        assert_eq!(consensus.candidate_at(0), mani_ranking::CandidateId(2));
+    }
+
+    #[test]
     fn tie_broken_by_candidate_id() {
         // Symmetric profile: candidates 0 and 1 get identical points.
         let profile = RankingProfile::new(vec![

@@ -10,7 +10,6 @@
 //!   Floyd–Warshall variant over the pairwise support graph.
 //! * [`pick_a_perm`] — Pick-A-Perm: return the base ranking that minimises total Kendall
 //!   distance to the profile (a classic 2-approximation of Kemeny).
-//! * [`weighted`] — weighted profiles, used by the paper's Kemeny-Weighted baseline.
 //! * [`local_search`] — adjacent-swap local search that refines any consensus towards the
 //!   Kemeny objective; used as an anytime improver and as an incumbent generator for the
 //!   exact solver.
@@ -30,7 +29,6 @@ pub mod pick_a_perm;
 pub mod schulze;
 pub mod scoring;
 pub mod traits;
-pub mod weighted;
 
 pub use borda::BordaAggregator;
 pub use copeland::CopelandAggregator;
@@ -38,4 +36,3 @@ pub use local_search::{kemeny_local_search, LocalSearchConfig};
 pub use pick_a_perm::PickAPerm;
 pub use schulze::{PathMatrix, SchulzeAggregator};
 pub use traits::ConsensusMethod;
-pub use weighted::{weighted_precedence_matrix, WeightedProfile};

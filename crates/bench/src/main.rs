@@ -873,7 +873,7 @@ fn bench_wire_codec(n: usize, r: usize, iters: usize) -> Entry {
 fn bench_delta_update(n: usize, r: usize, iters: usize) -> Entry {
     let fixture = BenchFixture::low_fair(n, r, 0.6, 0xDE17A);
     let edit = fixture.profile.rankings()[0].clone();
-    let mut edited: Vec<Ranking> = fixture.profile.rankings().to_vec();
+    let mut edited: Vec<Ranking> = fixture.profile.copies().cloned().collect();
     edited.push(edit.clone());
     let (rebuild_ns, rebuilt) = time_best(iters, || {
         PrecedenceMatrix::from_rankings(&edited).expect("bench rebuild")

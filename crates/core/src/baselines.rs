@@ -12,9 +12,9 @@
 //! satisfies them but represents the base rankings poorly. They exist to reproduce
 //! Figures 4–7.
 
-use mani_aggregation::{kemeny_local_search, weighted_precedence_matrix, LocalSearchConfig};
+use mani_aggregation::{kemeny_local_search, LocalSearchConfig};
 use mani_fairness::ParityScores;
-use mani_ranking::{Ranking, Result};
+use mani_ranking::{PrecedenceMatrix, Ranking, RankingError, Result};
 use mani_solver::{KemenyProblem, SolverConfig};
 
 use crate::context::{solver_config_for_ctx, BaseAggregator, MfcrContext};
@@ -28,7 +28,7 @@ fn unfairness(ranking: &Ranking, ctx: &MfcrContext<'_>) -> f64 {
     ParityScores::compute(ranking, ctx.groups).max_violation()
 }
 
-/// Index of the fairest base ranking (ties broken by profile order).
+/// Index of the run holding the fairest base ranking (ties broken by profile order).
 fn fairest_index(ctx: &MfcrContext<'_>) -> usize {
     let mut best = 0usize;
     let mut best_score = f64::INFINITY;
@@ -97,17 +97,14 @@ impl KemenyWeighted {
         Self { solver_config }
     }
 
-    /// Computes the per-ranking weights: rankings sorted from least to most fair receive
-    /// weights `1..=|R|`.
+    /// Computes each run's weight. The copies of the profile, sorted from least to most
+    /// fair (ties by profile order), receive weights `1..=|R|`. A run's copies tie and sit
+    /// next to each other, so a run of `w` copies at sorted ranks `k + 1 ..= k + w`
+    /// weighs the sum of theirs, `w·k + w(w + 1)/2`.
     pub fn weights(ctx: &MfcrContext<'_>) -> Vec<u64> {
-        let m = ctx.profile.len();
-        let mut order: Vec<usize> = (0..m).collect();
-        let scores: Vec<f64> = ctx
-            .profile
-            .rankings()
-            .iter()
-            .map(|r| unfairness(r, ctx))
-            .collect();
+        let runs = ctx.profile.rankings();
+        let scores: Vec<f64> = runs.iter().map(|r| unfairness(r, ctx)).collect();
+        let mut order: Vec<usize> = (0..runs.len()).collect();
         // Sort by descending unfairness: position 0 = least fair -> weight 1.
         order.sort_by(|&a, &b| {
             scores[b]
@@ -115,9 +112,12 @@ impl KemenyWeighted {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
-        let mut weights = vec![0u64; m];
-        for (rank, &idx) in order.iter().enumerate() {
-            weights[idx] = rank as u64 + 1;
+        let mut weights = vec![0u64; runs.len()];
+        let mut k = 0u64;
+        for idx in order {
+            let w = u64::from(ctx.profile.weights()[idx]);
+            weights[idx] = w * k + w * (w + 1) / 2;
+            k += w;
         }
         weights
     }
@@ -130,7 +130,11 @@ impl MfcrMethod for KemenyWeighted {
 
     fn solve(&self, ctx: &MfcrContext<'_>) -> Result<MfcrOutcome> {
         let weights = Self::weights(ctx);
-        let matrix = weighted_precedence_matrix(ctx.profile, &weights)?;
+        let narrowed: Option<Vec<u32>> = weights.iter().map(|&w| w.try_into().ok()).collect();
+        let narrowed = narrowed.ok_or(RankingError::SupportOverflow {
+            total_weight: weights.iter().sum(),
+        })?;
+        let matrix = PrecedenceMatrix::from_weighted_rankings(ctx.profile.rankings(), &narrowed)?;
         let borda = ctx.base_consensus(BaseAggregator::Borda);
         let (incumbent, _) = kemeny_local_search(&matrix, &borda, LocalSearchConfig::default())?;
         let problem = KemenyProblem::unconstrained(matrix);
@@ -194,6 +198,11 @@ impl MfcrMethod for CorrectFairestPerm {
 mod tests {
     use super::*;
     use crate::test_support::{low_fair_context, TestFixture};
+    use mani_fairness::FairnessThresholds;
+    use mani_ranking::RankingProfile;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn exact_kemeny_minimises_pd_loss_among_all_methods() {
@@ -228,6 +237,68 @@ mod tests {
         // the fairest ranking carries the largest weight
         let fairest = fairest_index(&ctx);
         assert_eq!(weights[fairest], 7);
+    }
+
+    /// Kemeny-Weighted's weights over a per-copy list: the copies sorted from
+    /// least to most fair (ties by index) receive `1..=|R|`.
+    fn per_copy_weights(copies: &[Ranking], ctx: &MfcrContext<'_>) -> Vec<u64> {
+        let scores: Vec<f64> = copies.iter().map(|r| unfairness(r, ctx)).collect();
+        let mut order: Vec<usize> = (0..copies.len()).collect();
+        order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap().then(a.cmp(&b)));
+        let mut weights = vec![0u64; copies.len()];
+        for (rank, &idx) in order.iter().enumerate() {
+            weights[idx] = rank as u64 + 1;
+        }
+        weights
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn prop_kemeny_weighted_weights_sum_their_copies(runs in 1usize..8, seed in any::<u64>()) {
+            let fixture = TestFixture::low_fair(10, 4, 0.3, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pool = fixture.profile.rankings();
+            let runs: Vec<(Ranking, u32)> = (0..runs)
+                .map(|_| (pool[rng.gen_range(0..pool.len())].clone(), rng.gen_range(1..5) as u32))
+                .collect();
+            let profile = RankingProfile::from_runs(runs).unwrap();
+            let ctx = MfcrContext::new(
+                &fixture.db,
+                &fixture.groups,
+                &profile,
+                FairnessThresholds::uniform(0.1),
+            );
+            let per_copy = per_copy_weights(&profile.copies().cloned().collect::<Vec<_>>(), &ctx);
+            let mut copies = per_copy.iter();
+            let summed: Vec<u64> = profile
+                .weights()
+                .iter()
+                .map(|&w| copies.by_ref().take(w as usize).sum())
+                .collect();
+            prop_assert_eq!(KemenyWeighted::weights(&ctx), summed);
+        }
+    }
+
+    #[test]
+    fn kemeny_weighted_total_weight_above_the_matrix_capacity_is_an_error() {
+        let fixture = TestFixture::low_fair(6, 3, 0.4, 7);
+        let heavy = RankingProfile::from_runs([
+            (fixture.profile.rankings()[0].clone(), u32::MAX - 1),
+            (fixture.profile.rankings()[0].reversed(), 1),
+        ])
+        .unwrap();
+        let ctx = MfcrContext::new(
+            &fixture.db,
+            &fixture.groups,
+            &heavy,
+            FairnessThresholds::uniform(0.1),
+        );
+        assert!(matches!(
+            KemenyWeighted::new().solve(&ctx),
+            Err(RankingError::SupportOverflow { .. })
+        ));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! MFCR method outcomes: the consensus ranking plus all its evaluation metrics.
 
-use mani_fairness::{pairwise_disagreement_loss, FairnessAudit, ManiRankCriteria};
+use mani_fairness::{FairnessAudit, ManiRankCriteria};
 use mani_ranking::{Ranking, Result};
 use serde::Serialize;
 
@@ -47,15 +47,15 @@ impl MfcrOutcome {
         let pd_loss = match ctx.shared_precedence() {
             Some(matrix) => {
                 let total = matrix.total_disagreements(&ranking)?;
-                let denom = mani_ranking::total_pairs(ctx.profile.num_candidates())
-                    * ctx.profile.len() as u64;
-                if denom == 0 {
+                let denom = mani_ranking::total_pairs(ctx.profile.num_candidates()) as f64
+                    * ctx.profile.len() as f64;
+                if denom == 0.0 {
                     0.0
                 } else {
-                    total as f64 / denom as f64
+                    total as f64 / denom
                 }
             }
-            None => pairwise_disagreement_loss(ctx.profile, &ranking)?,
+            None => ctx.profile.pairwise_disagreement_loss(&ranking)?,
         };
         Ok(Self {
             method,

@@ -210,11 +210,11 @@ mod tests {
         // Departmental strength persists, so year-to-year Kendall distance should be well
         // below the 0.5 expected for independent rankings.
         let ds = CsRankingsDataset::generate(&CsRankingsConfig::default());
-        let rankings = ds.profile.rankings();
+        let rankings: Vec<_> = ds.profile.copies().collect();
         let mut total = 0.0;
         let mut count = 0usize;
         for w in rankings.windows(2) {
-            total += mani_ranking::normalized_kendall_tau(&w[0], &w[1]).unwrap();
+            total += mani_ranking::normalized_kendall_tau(w[0], w[1]).unwrap();
             count += 1;
         }
         let mean = total / count as f64;

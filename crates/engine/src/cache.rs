@@ -22,32 +22,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use mani_core::{ConsensusMemo, MemoCounters};
-use mani_ranking::{GroupIndex, Parallelism, PrecedenceMatrix, Ranking};
+use mani_ranking::{GroupIndex, Parallelism, PrecedenceMatrix, RankingDelta};
 
 use crate::dataset::EngineDataset;
-
-/// One incremental edit to a dataset's ranking profile, used by
-/// [`PrecedenceCache::derive_with`] to fold the edit into a warm precedence
-/// matrix in `O(n²)` instead of rebuilding from scratch in `O(n² · |R|)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RankingDelta {
-    /// Add one ranking with the given weight (weight `w` is equivalent to
-    /// appending `w` identical copies).
-    Append {
-        /// The ranking being added.
-        ranking: Ranking,
-        /// How many copies it counts for.
-        weight: u32,
-    },
-    /// Remove one ranking with the given weight; fails (falling back to a
-    /// full rebuild) if the matrix does not contain it with that weight.
-    Retract {
-        /// The ranking being removed.
-        ranking: Ranking,
-        /// How many copies to remove.
-        weight: u32,
-    },
-}
 
 /// The per-dataset artifacts every method shares.
 #[derive(Debug, Clone)]
@@ -364,14 +341,12 @@ mod tests {
     /// The dataset that results from appending `extra` to `parent`'s profile
     /// (sharing the candidate database Arc, as the service PATCH path does).
     fn appended(parent: &EngineDataset, extra: Ranking, name: &str) -> EngineDataset {
-        let mut rankings = parent.profile().rankings().to_vec();
-        rankings.push(extra);
-        EngineDataset::from_arcs(
-            name,
-            Arc::clone(parent.db()),
-            Arc::new(RankingProfile::new(rankings).unwrap()),
-        )
-        .unwrap()
+        let append = RankingDelta::Append {
+            ranking: extra,
+            weight: 1,
+        };
+        let profile = parent.profile().edited(&[append]).unwrap();
+        EngineDataset::from_arcs(name, Arc::clone(parent.db()), Arc::new(profile)).unwrap()
     }
 
     #[test]
@@ -472,14 +447,9 @@ mod tests {
         // Retracting a ranking the (unanimous identity) profile cannot cover
         // underflows the matrix, so the derivation must rebuild instead.
         let absent = Ranking::identity(6).reversed();
-        let mut survivors = parent.profile().rankings().to_vec();
-        survivors.pop();
-        let child = EngineDataset::from_arcs(
-            "p-1",
-            Arc::clone(parent.db()),
-            Arc::new(RankingProfile::new(survivors).unwrap()),
-        )
-        .unwrap();
+        let survivors = RankingProfile::new(vec![Ranking::identity(6); 2]).unwrap();
+        let child =
+            EngineDataset::from_arcs("p-1", Arc::clone(parent.db()), Arc::new(survivors)).unwrap();
         let deltas = [RankingDelta::Retract {
             ranking: absent,
             weight: 1,

@@ -202,10 +202,11 @@ pub fn render_candidates(db: &CandidateDb) -> String {
     out
 }
 
-/// Renders a profile in the CSV format [`parse_rankings`] reads.
+/// Renders a profile in the CSV format [`parse_rankings`] reads: one row per
+/// copy, so a run of weight `w` is `w` rows.
 pub fn render_rankings(profile: &RankingProfile, db: &CandidateDb) -> String {
     let mut out = String::new();
-    for ranking in profile.rankings() {
+    for ranking in profile.copies() {
         let names: Vec<String> = ranking
             .iter()
             .map(|id| {

@@ -90,7 +90,7 @@ impl EngineDataset {
     }
 }
 
-/// Hashes a dataset's content: the schema, every candidate and every ranking.
+/// Hashes a dataset's content: the schema, every candidate and every run.
 fn content_fingerprint(db: &CandidateDb, profile: &RankingProfile) -> u64 {
     let mut hasher = DefaultHasher::new();
     // Schema: attribute names and value domains in order.
@@ -107,11 +107,17 @@ fn content_fingerprint(db: &CandidateDb, profile: &RankingProfile) -> u64 {
             value.index().hash(&mut hasher);
         }
     }
-    // Profile: every ranking's order.
+    // Profile: every run's order. A run of one copy hashes as a lone
+    // ranking; a heavier run adds a marker no candidate id takes, then its
+    // weight, so profiles without adjacent repeats keep their fingerprints.
     profile.num_candidates().hash(&mut hasher);
-    for ranking in profile.rankings() {
+    for (ranking, weight) in profile.runs() {
         for candidate in ranking.iter() {
             candidate.0.hash(&mut hasher);
+        }
+        if weight > 1 {
+            (u32::MAX - 1).hash(&mut hasher);
+            weight.hash(&mut hasher);
         }
         // Separate rankings so concatenations cannot collide.
         u32::MAX.hash(&mut hasher);

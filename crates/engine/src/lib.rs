@@ -74,13 +74,13 @@ pub mod report;
 pub mod request;
 
 pub use batch::{BatchHandle, BatchItem};
-pub use cache::{CacheStats, PrecedenceCache, RankingDelta, SharedArtifacts};
+pub use cache::{CacheStats, PrecedenceCache, SharedArtifacts};
 pub use dataset::EngineDataset;
 pub use engine::{ConsensusEngine, EngineConfig, EngineStats, DEFAULT_QUEUE_DEPTH};
 pub use error::EngineError;
 pub use jobs::{JobHandle, JobId, JobStatus};
 pub use mani_obs::{PhaseSnapshot, TraceTimeline};
-pub use mani_ranking::Parallelism;
+pub use mani_ranking::{Parallelism, RankingDelta};
 pub use pool::{PoolStats, WorkerPool};
 pub use report::{attribute_labels, audit_table, response_table, ReportTable};
 pub use request::{ConsensusRequest, ConsensusResponse, MethodResult};

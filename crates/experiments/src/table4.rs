@@ -66,7 +66,7 @@ pub fn run(scale: &Scale) -> Result<TextTable> {
     let groups = GroupIndex::new(&dataset.db);
 
     // Base rankings.
-    for (subject, ranking) in dataset.subjects.iter().zip(dataset.profile.rankings()) {
+    for (subject, ranking) in dataset.subjects.iter().zip(dataset.profile.copies()) {
         let audit = FairnessAudit::new(*subject, ranking, &dataset.db, &groups);
         table.push_row(audit_row(&audit));
     }

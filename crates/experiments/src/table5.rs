@@ -71,7 +71,7 @@ pub fn run(scale: &Scale) -> Result<TextTable> {
     });
     let groups = GroupIndex::new(&dataset.db);
 
-    for (year, ranking) in dataset.years.iter().zip(dataset.profile.rankings()) {
+    for (year, ranking) in dataset.years.iter().zip(dataset.profile.copies()) {
         let audit = FairnessAudit::new(year.to_string(), ranking, &dataset.db, &groups);
         table.push_row(audit_row(&audit));
     }

@@ -7,7 +7,6 @@
 use mani_ranking::{CandidateDb, GroupIndex, Ranking};
 use serde::{Deserialize, Serialize};
 
-use crate::fpr::group_fprs;
 use crate::parity::ParityScores;
 
 /// FPR of one group, labelled with its attribute and value names.
@@ -59,7 +58,7 @@ impl FairnessAudit {
         let parity = ParityScores::compute(ranking, groups);
         let mut attributes = Vec::with_capacity(schema.num_attributes());
         for (attr_id, attr) in schema.attributes() {
-            let fprs = group_fprs(ranking, groups.attribute(attr_id));
+            let fprs = parity.attribute_fprs(attr_id);
             let group_audits = attr
                 .values()
                 .enumerate()
@@ -76,7 +75,7 @@ impl FairnessAudit {
                 arp: parity.arp(attr_id),
             });
         }
-        let inter_fprs = group_fprs(ranking, groups.intersection());
+        let inter_fprs = parity.intersection_fprs();
         let intersection_groups = groups
             .intersection()
             .non_empty_groups()

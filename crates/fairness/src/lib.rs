@@ -10,8 +10,6 @@
 //!   attribute / of the intersection.
 //! * [`criteria`] — the MANI-Rank criteria (Definition 7): `ARP_pk ≤ Δ` for every
 //!   protected attribute and `IRP ≤ Δ`, with optional per-attribute thresholds.
-//! * [`pd_loss`] — Pairwise Disagreement loss (Definition 9), the preference
-//!   representation metric of the MFCR problem.
 //! * [`pof`] — Price of Fairness (Equation 13).
 //! * [`audit`] — one-call fairness audits producing the per-group / per-attribute rows
 //!   reported in the paper's Tables IV and V.
@@ -23,7 +21,6 @@ pub mod audit;
 pub mod criteria;
 pub mod fpr;
 pub mod parity;
-pub mod pd_loss;
 pub mod pof;
 
 pub use audit::{AttributeAudit, FairnessAudit, GroupAudit};
@@ -32,5 +29,4 @@ pub use fpr::{favored_pair_counts, group_fpr, group_fprs, FprScores};
 pub use parity::{
     attribute_rank_parity, intersectional_rank_parity, max_parity_violation, ParityScores,
 };
-pub use pd_loss::{pairwise_disagreement_loss, total_kendall_distance};
 pub use pof::price_of_fairness;

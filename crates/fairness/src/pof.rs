@@ -6,16 +6,14 @@
 
 use mani_ranking::{Ranking, RankingProfile, Result};
 
-use crate::pd_loss::pairwise_disagreement_loss;
-
 /// Price of Fairness between a fair consensus and a fairness-unaware consensus.
 pub fn price_of_fairness(
     profile: &RankingProfile,
     fair_consensus: &Ranking,
     unfair_consensus: &Ranking,
 ) -> Result<f64> {
-    let fair = pairwise_disagreement_loss(profile, fair_consensus)?;
-    let unfair = pairwise_disagreement_loss(profile, unfair_consensus)?;
+    let fair = profile.pairwise_disagreement_loss(fair_consensus)?;
+    let unfair = profile.pairwise_disagreement_loss(unfair_consensus)?;
     Ok(fair - unfair)
 }
 

@@ -81,6 +81,17 @@ pub enum RankingError {
         /// Weight that was being retracted.
         weight: u32,
     },
+    /// An edit retracted more copies of a ranking than the profile holds.
+    RetractShortfall {
+        /// Index of the failing op in the edit.
+        op: usize,
+        /// Copies the op asked to retract.
+        weight: u32,
+        /// Copies the profile held when the op ran.
+        held: u64,
+    },
+    /// A weighted Kendall distance sum outgrew `u64`.
+    DistanceOverflow,
 }
 
 impl fmt::Display for RankingError {
@@ -152,6 +163,13 @@ impl fmt::Display for RankingError {
                 "cannot retract a ranking with weight {weight}: the precedence matrix does \
                  not contain it with that weight"
             ),
+            RankingError::RetractShortfall { op, weight, held } => write!(
+                f,
+                "op {op} retracts {weight} cop(ies) of a ranking the profile holds only {held} of"
+            ),
+            RankingError::DistanceOverflow => {
+                write!(f, "the weighted Kendall distance sum overflows u64")
+            }
         }
     }
 }

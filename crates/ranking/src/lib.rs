@@ -59,7 +59,7 @@ pub use parallel::{
     Parallelism,
 };
 pub use precedence::PrecedenceMatrix;
-pub use profile::RankingProfile;
+pub use profile::{RankingDelta, RankingProfile};
 pub use ranking::Ranking;
 
 /// Convenience result alias used throughout the crate.

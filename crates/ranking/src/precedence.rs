@@ -175,7 +175,7 @@ fn build_threads(n: usize, rankings: usize, parallelism: &Parallelism) -> usize 
 /// `O(|R|)` bound check at build time guarantees no `u32` cell can wrap
 /// during accumulation (and that downstream `u32` path-strength cells in the
 /// Schulze kernel cannot overflow either).
-fn check_support_capacity(total_weight: u64) -> Result<()> {
+pub(crate) fn check_support_capacity(total_weight: u64) -> Result<()> {
     if total_weight > u32::MAX as u64 {
         return Err(RankingError::SupportOverflow { total_weight });
     }

@@ -64,7 +64,8 @@ CONSENSUS OPTIONS:
                                  of waiting for the whole batch
 
 AUDIT OPTIONS:
-    --per-ranking                audit every base ranking, not just the profile consensus
+    --per-ranking                audit every base ranking (each run of repeats once,
+                                 with its weight), not just the profile consensus
 
 SESSION / DATASET PATCH OPTIONS:
     --candidates FILE            candidate CSV of the base dataset
@@ -366,9 +367,15 @@ fn cmd_audit(args: &[String]) -> Result<(), EngineError> {
     let groups = GroupIndex::new(&db);
 
     if flags.has("per-ranking") {
-        for (index, ranking) in profile.rankings().iter().enumerate() {
-            let audit = FairnessAudit::new(format!("ranking-{index}"), ranking, &db, &groups);
-            emit(audit_table(&audit).render());
+        // One audit per run, labelled by the index of its first copy.
+        let mut first = 0u64;
+        for (ranking, weight) in profile.runs() {
+            let label = match weight {
+                1 => format!("ranking-{first}"),
+                _ => format!("ranking-{first} (weight {weight})"),
+            };
+            first += u64::from(weight);
+            emit(audit_table(&FairnessAudit::new(label, ranking, &db, &groups)).render());
         }
     }
 

@@ -2,13 +2,15 @@
 //! reuse, poisoned-framing close, slow-loris read timeouts, `503` at pool
 //! saturation (never a silent drop), the dataset registry round trip,
 //! latency histograms advancing in `GET /v1/stats`, a deeply nested body the
-//! server survives, and keep-alive exchanges and streamed sessions that never
-//! wait for a delayed ACK — all over real sockets.
+//! server survives, keep-alive exchanges and streamed sessions that never
+//! wait for a delayed ACK, and weighted edits and uploads whose cost follows
+//! their body rather than their weight — all over real sockets.
 
 mod common;
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use common::{
@@ -16,7 +18,7 @@ use common::{
     read_chunk, read_head, read_response, send_request, small_engine, spawn_server,
 };
 use mani_serve::{ServerConfig, COLUMNAR_CONTENT_TYPE};
-use mani_service::COLUMNAR_MAGIC;
+use mani_service::{ColumnarDataset, COLUMNAR_MAGIC};
 use serde::Value;
 
 #[test]
@@ -702,5 +704,225 @@ fn streamed_sessions_do_not_wait_for_delayed_acks() {
         .filter(|d| **d < Duration::from_millis(40))
         .count();
     assert!(prompt >= 7, "sessions took {durations:?}");
+    handle.stop();
+}
+
+/// Serialises the weight probes: each reads the process's memory
+/// high-water mark around its requests, so no two may overlap.
+static WEIGHT_PROBES: Mutex<()> = Mutex::new(());
+
+/// The process's peak resident set (`VmHWM`) in kB. The server runs in this
+/// process, so its allocations count.
+fn peak_rss_kb() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|value| value.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("a VmHWM line")
+}
+
+/// Most a weight probe may raise the peak resident set. Expanding weight
+/// 2^24 into copies raised it by 3.4 GB.
+const PROBE_RSS_KB: u64 = 64 * 1024;
+
+/// A live server for one weight probe, with a registered four-candidate
+/// dataset of two rankings; returns the server and the dataset's id.
+fn weight_probe_server() -> (mani_serve::ServerHandle, String) {
+    let handle = spawn_server(ServerConfig {
+        engine: small_engine(1),
+        ..ServerConfig::default()
+    });
+    let (status, uploaded) = exchange(handle.addr(), "POST", "/v1/datasets", PAIR);
+    assert_eq!(status, 200, "{uploaded:?}");
+    let id = uploaded.get("id").and_then(Value::as_str).unwrap();
+    (handle, id.to_string())
+}
+
+/// Four candidates ranked by two rankings.
+const PAIR: &str = r#"{"name": "pair",
+    "candidates": [
+        {"name": "a", "attributes": {"G": "x"}}, {"name": "b", "attributes": {"G": "y"}},
+        {"name": "c", "attributes": {"G": "x"}}, {"name": "d", "attributes": {"G": "y"}}
+    ],
+    "rankings": [["a","b","c","d"], ["d","c","b","a"]]}"#;
+
+/// One op of `weight` copies of the ranking `b, a, d, c` (or `order`).
+fn weighted_op(op: &str, order: &str, weight: u64) -> String {
+    format!(r#"{{"op": "{op}", "ranking": [{order}], "weight": {weight}}}"#)
+}
+
+const BADC: &str = r#""b","a","d","c""#;
+const CDAB: &str = r#""c","d","a","b""#;
+
+/// PATCHes the dataset `id` with `ops`, returning the status, the reply and
+/// the time the exchange took.
+fn patch(addr: SocketAddr, id: &str, ops: &[String]) -> (u16, Value, Duration) {
+    let started = Instant::now();
+    let body = format!(r#"{{"ops": [{}]}}"#, ops.join(","));
+    let (status, reply) = exchange(addr, "PATCH", &format!("/v1/datasets/{id}"), &body);
+    (status, reply, started.elapsed())
+}
+
+/// The server still answers after a probe.
+fn assert_still_serving(addr: SocketAddr) {
+    let (status, methods) = exchange(addr, "GET", "/v1/methods", "");
+    assert_eq!(status, 200, "{methods:?}");
+}
+
+#[test]
+fn a_patch_of_weight_two_to_the_24_answers_at_once_in_flat_memory() {
+    let _serial = WEIGHT_PROBES.lock().unwrap_or_else(|e| e.into_inner());
+    let (handle, id) = weight_probe_server();
+    let addr = handle.addr();
+    let before = peak_rss_kb();
+    let (status, reply, elapsed) = patch(addr, &id, &[weighted_op("append", BADC, 1 << 24)]);
+    assert_eq!(status, 200, "{reply:?}");
+    assert_eq!(get_u64(&reply, &["rankings"]), 2 + (1 << 24));
+    assert!(elapsed < Duration::from_millis(500), "took {elapsed:?}");
+    let grown = peak_rss_kb() - before;
+    assert!(grown < PROBE_RSS_KB, "peak RSS grew by {grown} kB");
+    assert_still_serving(addr);
+    handle.stop();
+}
+
+#[test]
+fn a_patch_past_the_total_weight_limit_answers_400() {
+    let _serial = WEIGHT_PROBES.lock().unwrap_or_else(|e| e.into_inner());
+    let (handle, id) = weight_probe_server();
+    let addr = handle.addr();
+    let before = peak_rss_kb();
+    let (status, reply, elapsed) = patch(addr, &id, &[weighted_op("append", BADC, 4_294_967_295)]);
+    assert_eq!(status, 400, "{reply:?}");
+    let message = reply.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(
+        message.contains("total ranking weight 4294967297"),
+        "{reply:?}"
+    );
+    assert!(message.contains("4294967295"), "{reply:?}");
+    assert!(elapsed < Duration::from_millis(500), "took {elapsed:?}");
+    assert!(peak_rss_kb() - before < PROBE_RSS_KB);
+    // The refused edit installed nothing.
+    let (_, meta) = exchange(addr, "GET", &format!("/v1/datasets/{id}"), "");
+    assert_eq!(get_u64(&meta, &["version"]), 1);
+    assert_still_serving(addr);
+    handle.stop();
+}
+
+#[test]
+fn a_patch_up_to_the_total_weight_limit_answers_and_solves() {
+    let _serial = WEIGHT_PROBES.lock().unwrap_or_else(|e| e.into_inner());
+    let (handle, id) = weight_probe_server();
+    let addr = handle.addr();
+    let before = peak_rss_kb();
+    let (status, reply, elapsed) = patch(addr, &id, &[weighted_op("append", BADC, 4_294_967_293)]);
+    assert_eq!(status, 200, "{reply:?}");
+    assert_eq!(get_u64(&reply, &["rankings"]), u64::from(u32::MAX));
+    assert!(elapsed < Duration::from_millis(500), "took {elapsed:?}");
+    let solve = format!(
+        r#"{{"dataset": {{"id": "{id}"}}, "methods": ["Fair-Borda"], "delta": 0.2, "wait": true}}"#
+    );
+    let (status, solved) = exchange(addr, "POST", "/v1/consensus", &solve);
+    assert_eq!(status, 200, "{solved:?}");
+    let result = &solved.get("results").and_then(Value::as_array).unwrap()[0];
+    assert!(result.get("pd_loss").is_some(), "{solved:?}");
+    assert!(peak_rss_kb() - before < PROBE_RSS_KB);
+    assert_still_serving(addr);
+    handle.stop();
+}
+
+#[test]
+fn retracting_copies_before_a_heavy_run_takes_milliseconds() {
+    let _serial = WEIGHT_PROBES.lock().unwrap_or_else(|e| e.into_inner());
+    let (handle, id) = weight_probe_server();
+    let addr = handle.addr();
+    let (status, reply, _) = patch(
+        addr,
+        &id,
+        &[
+            weighted_op("append", BADC, 256),
+            weighted_op("append", CDAB, 1 << 20),
+        ],
+    );
+    assert_eq!(status, 200, "{reply:?}");
+    let before = peak_rss_kb();
+    let (status, reply, elapsed) = patch(addr, &id, &[weighted_op("retract", BADC, 256)]);
+    assert_eq!(status, 200, "{reply:?}");
+    assert_eq!(get_u64(&reply, &["retracts"]), 256);
+    assert_eq!(get_u64(&reply, &["rankings"]), 2 + (1 << 20));
+    // Removing one copy at a time behind 2^20 others took ~4 s.
+    assert!(elapsed < Duration::from_millis(100), "took {elapsed:?}");
+    assert!(peak_rss_kb() - before < PROBE_RSS_KB);
+    assert_still_serving(addr);
+    handle.stop();
+}
+
+#[test]
+fn columnar_weights_decode_up_to_the_total_weight_limit_and_answer_400_past_it() {
+    let _serial = WEIGHT_PROBES.lock().unwrap_or_else(|e| e.into_inner());
+    let (handle, _) = weight_probe_server();
+    let addr = handle.addr();
+    let before = peak_rss_kb();
+    let solve = "/v1/consensus?methods=Fair-Borda&delta=0.2&wait=true";
+    let parsed = mani_service::parse_dataset(&mani_service::parse_body(PAIR).unwrap()).unwrap();
+    let mut columns = ColumnarDataset::from_dataset(&parsed);
+    columns.weights = Some(vec![u32::MAX - 1, 1]);
+    let at_limit = columns.encode().unwrap();
+    let (status, reply) = exchange_binary(addr, "POST", solve, COLUMNAR_CONTENT_TYPE, &at_limit);
+    assert_eq!(status, 200, "{reply:?}");
+    let result = &reply.get("results").and_then(Value::as_array).unwrap()[0];
+    assert!(result.get("pd_loss").is_some(), "{reply:?}");
+    // One more copy is past the limit. The encoder refuses that total, so
+    // the body's weights column (its last 8 bytes) is rewritten.
+    let mut past = at_limit;
+    let at = past.len() - 8;
+    past[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let (status, reply) = exchange_binary(addr, "POST", solve, COLUMNAR_CONTENT_TYPE, &past);
+    assert_eq!(status, 400, "{reply:?}");
+    let message = reply.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(message.contains("total ranking weight"), "{reply:?}");
+    assert!(peak_rss_kb() - before < PROBE_RSS_KB);
+    assert_still_serving(addr);
+    handle.stop();
+}
+
+#[test]
+fn a_session_edit_of_a_huge_weight_costs_its_body_too() {
+    let _serial = WEIGHT_PROBES.lock().unwrap_or_else(|e| e.into_inner());
+    let (handle, _) = weight_probe_server();
+    let addr = handle.addr();
+    let session = |weight: u64| {
+        format!(
+            r#"{{"dataset": {PAIR}, "methods": ["Fair-Borda"], "delta": 0.2,
+                "edits": [{}, {}]}}"#,
+            weighted_op("append", BADC, weight),
+            weighted_op("retract", BADC, weight / 2),
+        )
+    };
+    let before = peak_rss_kb();
+    let started = Instant::now();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    send_request(&mut stream, "POST", "/v1/sessions", &session(1 << 24), true);
+    let (status, _) = read_head(&mut stream);
+    assert_eq!(status, 200);
+    let mut lines = Vec::new();
+    while let Some(chunk) = read_chunk(&mut stream) {
+        lines.push(chunk);
+    }
+    let elapsed = started.elapsed();
+    assert_eq!(lines.len(), 3, "two edit lines + summary: {lines:?}");
+    let last: Value = serde_json::from_str(&lines[1]).unwrap();
+    assert_eq!(get_u64(&last, &["rankings"]), 2 + (1 << 23));
+    assert!(elapsed < Duration::from_millis(500), "took {elapsed:?}");
+    assert!(peak_rss_kb() - before < PROBE_RSS_KB);
+
+    let (status, reply) = exchange(addr, "POST", "/v1/sessions", &session(4_294_967_295));
+    assert_eq!(status, 400, "{reply:?}");
+    let message = reply.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(message.contains("total ranking weight"), "{reply:?}");
+    assert_still_serving(addr);
     handle.stop();
 }

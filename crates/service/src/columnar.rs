@@ -32,8 +32,11 @@
 //! shares the warm precedence-matrix cache with it.
 //!
 //! A `weights` column declares each ranking's multiplicity (voter count).
-//! The data model has no weighted profiles, so decoding expands weights into
-//! repeated rankings; the expansion is bounded by [`MAX_EXPANDED_RANKINGS`].
+//! The decoder builds the profile's runs straight from it: a row of weight
+//! `w` is one run of the profile, never `w` copies, and adjacent equal rows
+//! merge. The weights may sum to at most `u32::MAX`, the profile's limit.
+//! [`encode_dataset`] writes the column only when some run weighs more than
+//! 1, so an unweighted dataset encodes without it.
 
 use std::sync::Arc;
 
@@ -50,10 +53,6 @@ pub const COLUMNAR_MAGIC: [u8; 8] = *b"MANICOL1";
 
 /// Flag bit: a weights column follows the ranking items.
 const FLAG_WEIGHTS: u32 = 1;
-
-/// Most rankings a weighted document may expand to. Bounds decoder memory
-/// the same way the transport's body cap bounds parse memory.
-pub const MAX_EXPANDED_RANKINGS: usize = 1 << 20;
 
 /// In-memory form of a columnar document: the dataset as columns, before it
 /// is reassembled into an [`EngineDataset`].
@@ -73,8 +72,21 @@ pub struct ColumnarDataset {
 }
 
 impl ColumnarDataset {
-    /// Extracts the columns of an existing dataset (unweighted).
+    /// Extracts the columns of an existing dataset, unweighted: one row per
+    /// copy, as [`crate::dataset_to_value`] writes JSON.
     pub fn from_dataset(dataset: &EngineDataset) -> Self {
+        Self::with_rows(
+            dataset,
+            dataset.profile().copies().map(|ranking| (ranking, 1)),
+        )
+    }
+
+    /// Extracts the columns of an existing dataset with one row per `rows`
+    /// item, and a weights column when some row weighs more than 1.
+    fn with_rows<'a>(
+        dataset: &'a EngineDataset,
+        rows: impl Iterator<Item = (&'a Ranking, u32)>,
+    ) -> Self {
         let db = dataset.db();
         let attributes: Vec<(String, Vec<String>)> = db
             .schema()
@@ -99,23 +111,20 @@ impl ColumnarDataset {
                 )
             })
             .collect();
-        let rankings = dataset
-            .profile()
-            .rankings()
-            .iter()
-            .map(|ranking| ranking.iter().map(|id| id.0).collect())
-            .collect();
+        let (rankings, weights): (Vec<Vec<u32>>, Vec<u32>) = rows
+            .map(|(ranking, weight)| (ranking.iter().map(|id| id.0).collect(), weight))
+            .unzip();
         Self {
             name: dataset.name().to_string(),
             attributes,
             candidates,
             rankings,
-            weights: None,
+            weights: weights.iter().any(|&w| w > 1).then_some(weights),
         }
     }
 
-    /// Reassembles the columns into a validated [`EngineDataset`], expanding
-    /// weights into repeated rankings.
+    /// Reassembles the columns into a validated [`EngineDataset`], each row
+    /// one run of its weight.
     pub fn to_dataset(&self) -> Result<Arc<EngineDataset>, ApiError> {
         let mut builder = CandidateDbBuilder::new();
         let mut attribute_ids = Vec::with_capacity(self.attributes.len());
@@ -165,8 +174,7 @@ impl ColumnarDataset {
                 )));
             }
         }
-        let mut expanded_total = 0usize;
-        let mut parsed = Vec::with_capacity(self.rankings.len());
+        let mut runs = Vec::with_capacity(self.rankings.len());
         for (index, ids) in self.rankings.iter().enumerate() {
             if let Some(&bad) = ids.iter().find(|id| **id as usize >= num_candidates) {
                 return Err(ApiError::invalid(format!(
@@ -175,27 +183,15 @@ impl ColumnarDataset {
             }
             let ranking = Ranking::from_ids(ids.iter().copied())
                 .map_err(|e| ApiError::invalid(format!("columnar: ranking {index}: {e}")))?;
-            let weight = match &self.weights {
-                Some(weights) => weights[index] as usize,
-                None => 1,
-            };
+            let weight = self.weights.as_ref().map_or(1, |weights| weights[index]);
             if weight == 0 {
                 return Err(ApiError::invalid(format!(
                     "columnar: ranking {index} has weight 0; drop it instead"
                 )));
             }
-            expanded_total = expanded_total.saturating_add(weight);
-            if expanded_total > MAX_EXPANDED_RANKINGS {
-                return Err(ApiError::invalid(format!(
-                    "columnar: weights expand to more than {MAX_EXPANDED_RANKINGS} rankings"
-                )));
-            }
-            for _ in 1..weight {
-                parsed.push(ranking.clone());
-            }
-            parsed.push(ranking);
+            runs.push((ranking, weight));
         }
-        let profile = RankingProfile::for_database(&db, parsed)
+        let profile = RankingProfile::from_runs(runs)
             .map_err(|e| ApiError::invalid(format!("columnar: {e}")))?;
         EngineDataset::new(self.name.clone(), db, profile)
             .map(Arc::new)
@@ -362,9 +358,11 @@ impl ColumnarDataset {
     }
 }
 
-/// Encodes a dataset into columnar wire bytes.
+/// Encodes a dataset into columnar wire bytes: one row per run, and a
+/// weights column only when some run weighs more than 1.
 pub fn encode_dataset(dataset: &EngineDataset) -> Vec<u8> {
-    ColumnarDataset::from_dataset(dataset).encode_with_fingerprint(dataset.fingerprint())
+    ColumnarDataset::with_rows(dataset, dataset.profile().runs())
+        .encode_with_fingerprint(dataset.fingerprint())
 }
 
 /// Decodes columnar wire bytes into a validated dataset, rejecting documents
@@ -484,6 +482,12 @@ mod tests {
         let dataset = demo();
         let bytes = encode_dataset(&dataset);
         assert_eq!(&bytes[..8], b"MANICOL1");
+        // Without adjacent repeats every run weighs 1: no weights column,
+        // the bytes of one row per ranking.
+        assert_eq!(
+            bytes,
+            ColumnarDataset::from_dataset(&dataset).encode().unwrap()
+        );
         let decoded = decode_dataset(&bytes).unwrap();
         assert_eq!(decoded.fingerprint(), dataset.fingerprint());
         assert_eq!(decoded.name(), "demo");
@@ -528,18 +532,28 @@ mod tests {
         let bytes = columns.encode().unwrap();
         let decoded = decode_dataset(&bytes).unwrap();
         assert_eq!(decoded.num_rankings(), 6);
-        let expanded = decoded.profile().rankings();
-        assert_eq!(expanded[0].as_slice(), expanded[1].as_slice());
-        assert_eq!(expanded[0].as_slice(), expanded[2].as_slice());
-        assert_ne!(expanded[2].as_slice(), expanded[3].as_slice());
+        // Each row is one run of its weight: the profile of the rows
+        // repeated, without the copies.
+        assert_eq!(decoded.profile().weights(), &[3, 1, 2]);
+        let rows = demo().profile().rankings().to_vec();
+        let repeated = [0, 0, 0, 1, 2, 2].map(|i| rows[i].clone()).to_vec();
+        assert_eq!(**decoded.profile(), RankingProfile::new(repeated).unwrap());
+        // The encoder writes the runs back with their weights.
+        assert_eq!(encode_dataset(&decoded), bytes);
 
         let mut zero = ColumnarDataset::from_dataset(&demo());
         zero.weights = Some(vec![1, 0, 1]);
         assert!(zero.to_dataset().unwrap_err().message.contains("weight 0"));
 
-        let mut bomb = ColumnarDataset::from_dataset(&demo());
-        bomb.weights = Some(vec![u32::MAX, 1, 1]);
-        assert!(bomb.to_dataset().unwrap_err().message.contains("expand"));
+        let mut full = ColumnarDataset::from_dataset(&demo());
+        full.weights = Some(vec![u32::MAX - 2, 1, 1]);
+        assert_eq!(full.to_dataset().unwrap().num_rankings(), u32::MAX as usize);
+        full.weights = Some(vec![u32::MAX, 1, 1]);
+        let err = full.to_dataset().unwrap_err();
+        assert!(
+            err.message.contains("total ranking weight 4294967296"),
+            "{err}"
+        );
     }
 
     #[test]

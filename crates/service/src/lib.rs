@@ -31,7 +31,6 @@ mod service;
 
 pub use columnar::{
     decode_dataset, encode_dataset, ColumnarDataset, COLUMNAR_CONTENT_TYPE, COLUMNAR_MAGIC,
-    MAX_EXPANDED_RANKINGS,
 };
 pub use error::{ApiError, ApiErrorKind};
 pub use metrics::{

@@ -286,7 +286,7 @@ impl DatasetRegistry {
 mod tests {
     use super::*;
     use crate::error::ApiErrorKind;
-    use mani_ranking::{CandidateDbBuilder, Ranking, RankingProfile};
+    use mani_ranking::{CandidateDbBuilder, Ranking, RankingDelta, RankingProfile};
 
     fn dataset(name: &str, n: usize) -> Arc<EngineDataset> {
         let mut b = CandidateDbBuilder::new();
@@ -300,17 +300,15 @@ mod tests {
     }
 
     /// `base` with `extra` more identity rankings appended (a content edit).
-    fn edited(base: &EngineDataset, extra: usize) -> Arc<EngineDataset> {
-        let n = base.num_candidates();
-        let mut rankings = base.profile().rankings().to_vec();
-        rankings.extend((0..extra).map(|_| Ranking::identity(n).reversed()));
+    fn edited(base: &EngineDataset, extra: u32) -> Arc<EngineDataset> {
+        let append = RankingDelta::Append {
+            ranking: Ranking::identity(base.num_candidates()).reversed(),
+            weight: extra,
+        };
+        let profile = base.profile().edited(&[append]).unwrap();
         Arc::new(
-            EngineDataset::from_arcs(
-                base.name(),
-                Arc::clone(base.db()),
-                Arc::new(RankingProfile::new(rankings).unwrap()),
-            )
-            .unwrap(),
+            EngineDataset::from_arcs(base.name(), Arc::clone(base.db()), Arc::new(profile))
+                .unwrap(),
         )
     }
 
@@ -427,7 +425,7 @@ mod tests {
         // Push enough edits to rotate version 1 out of the retained window.
         for extra in 1..=MAX_RETAINED_VERSIONS {
             registry
-                .update(&id, extra as u64, edited(&base, extra))
+                .update(&id, extra as u64, edited(&base, extra as u32))
                 .unwrap();
         }
         let current = registry.current(&id).unwrap().version;

@@ -31,7 +31,7 @@ use mani_engine::{
 };
 use mani_fairness::{FairnessAudit, FairnessThresholds};
 use mani_obs::{PromWriter, SlowEntry, SlowRing, Span, TraceTimeline};
-use mani_ranking::{CandidateId, Ranking, RankingProfile};
+use mani_ranking::{CandidateId, Ranking, RankingError};
 use serde::{Serialize, Value};
 
 use crate::error::{ApiError, ApiErrorKind};
@@ -940,26 +940,22 @@ impl Service {
             ("consensus", fair.serialize_value()),
             ("unconstrained", unfair.serialize_value()),
         ];
-        let base_audits;
         if per_ranking {
-            base_audits = Value::Array(
-                dataset
-                    .profile()
-                    .rankings()
-                    .iter()
-                    .enumerate()
-                    .map(|(index, ranking)| {
-                        FairnessAudit::new(
-                            format!("ranking-{index}"),
-                            ranking,
-                            dataset.db(),
-                            groups,
-                        )
-                        .serialize_value()
-                    })
-                    .collect(),
-            );
-            entries.push(("rankings", base_audits));
+            // One audit per run, labelled by the index of its first copy.
+            let mut first = 0u64;
+            let audits = (dataset.profile().runs())
+                .map(|(ranking, weight)| {
+                    let label = format!("ranking-{first}");
+                    first += u64::from(weight);
+                    let audit = FairnessAudit::new(label, ranking, dataset.db(), groups);
+                    with_entry(
+                        audit.serialize_value(),
+                        "weight",
+                        Value::UInt(weight.into()),
+                    )
+                })
+                .collect();
+            entries.push(("rankings", Value::Array(audits)));
         }
         Ok(obj(entries))
     }
@@ -1716,38 +1712,18 @@ fn parse_edit_op(
 /// Applies ranking deltas to a dataset's profile, producing the edited
 /// dataset (same candidate database, same name, new profile). Retracting a
 /// ranking the profile does not hold enough copies of is invalid and leaves
-/// nothing changed; so is editing the profile down to zero rankings.
+/// nothing changed; so is editing the profile down to zero rankings or past
+/// the total-weight limit. The cost follows the ops, not their weights.
 fn apply_ranking_deltas(
     parent: &EngineDataset,
     deltas: &[RankingDelta],
 ) -> Result<Arc<EngineDataset>, ApiError> {
-    let mut rankings = parent.profile().rankings().to_vec();
-    for (index, delta) in deltas.iter().enumerate() {
-        match delta {
-            RankingDelta::Append { ranking, weight } => {
-                rankings.extend(std::iter::repeat_with(|| ranking.clone()).take(*weight as usize));
-            }
-            RankingDelta::Retract { ranking, weight } => {
-                for removed in 0..*weight {
-                    let position =
-                        rankings.iter().rposition(|r| r == ranking).ok_or_else(|| {
-                            ApiError::invalid(format!(
-                                "op {index} retracts {weight} cop(ies) of a ranking the \
-                             profile holds only {removed} of"
-                            ))
-                        })?;
-                    rankings.remove(position);
-                }
-            }
+    let profile = parent.profile().edited(deltas).map_err(|e| match e {
+        RankingError::EmptyProfile => {
+            ApiError::invalid("the edits would leave the dataset with no rankings")
         }
-    }
-    if rankings.is_empty() {
-        return Err(ApiError::invalid(
-            "the edits would leave the dataset with no rankings",
-        ));
-    }
-    let profile = RankingProfile::for_database(parent.db(), rankings)
-        .map_err(|e| ApiError::invalid(e.to_string()))?;
+        other => ApiError::invalid(other.to_string()),
+    })?;
     EngineDataset::from_arcs(parent.name(), Arc::clone(parent.db()), Arc::new(profile))
         .map(Arc::new)
         .map_err(|e| ApiError::internal(e.to_string()))
@@ -2237,8 +2213,8 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(index, ranking)| {
-                FairnessAudit::new(format!("ranking-{index}"), ranking, db, &groups)
-                    .serialize_value()
+                let audit = FairnessAudit::new(format!("ranking-{index}"), ranking, db, &groups);
+                with_entry(audit.serialize_value(), "weight", Value::UInt(1))
             })
             .collect();
         obj(vec![
@@ -2419,8 +2395,10 @@ mod tests {
         let names = current.dataset.db().name_index();
         for order in &orders {
             let ranking = Ranking::from_order(order.iter().map(|n| names[n]).collect()).unwrap();
-            let copies = profile.rankings().iter().filter(|r| **r == ranking).count();
-            assert_eq!(copies, PATCHES, "{order:?}");
+            let copies: u32 = (profile.runs().filter(|(r, _)| **r == ranking))
+                .map(|(_, weight)| weight)
+                .sum();
+            assert_eq!(copies as usize, PATCHES, "{order:?}");
         }
     }
 

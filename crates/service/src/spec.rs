@@ -120,10 +120,7 @@ pub(crate) fn resolve_dataset(
 ///   `intersection_delta`, `budget` as top-level fields;
 /// * **nested** — one `"options"` object:
 ///   `{"methods": [...], "thresholds": {"delta", "attribute_deltas",
-///   "intersection_delta"}, "budget": N, "parallelism": K}`. `parallelism`
-///   is an advisory worker-count hint: every kernel in the workspace is
-///   bit-identical across thread counts, so it never changes results and the
-///   engine's configured budget wins.
+///   "intersection_delta"}, "budget": N}`.
 ///
 /// Mixing the two shapes in one request is rejected so clients cannot send
 /// conflicting values. Every Δ must be a finite number ≥ 0.
@@ -155,11 +152,10 @@ fn nested_thresholds<'a>(
         .ok_or_else(|| ApiError::invalid("`options` must be an object"))?;
     for (key, _) in entries {
         match key.as_str() {
-            "methods" | "thresholds" | "budget" | "parallelism" => {}
+            "methods" | "thresholds" | "budget" => {}
             other => {
                 return Err(ApiError::invalid(format!(
-                    "unknown `options` key `{other}` (expected methods, thresholds, \
-                     budget, or parallelism)"
+                    "unknown `options` key `{other}` (expected methods, thresholds, or budget)"
                 )));
             }
         }
@@ -168,16 +164,6 @@ fn nested_thresholds<'a>(
         return Err(ApiError::invalid(format!(
             "pass `{flat}` either flat or inside `options`, not both"
         )));
-    }
-    match options.get("parallelism") {
-        None | Some(Value::Null) => {}
-        Some(Value::UInt(u)) if *u > 0 => {}
-        Some(Value::Int(i)) if *i > 0 => {}
-        Some(_) => {
-            return Err(ApiError::invalid(
-                "`options.parallelism` must be a positive integer",
-            ));
-        }
     }
     match options.get("thresholds") {
         None | Some(Value::Null) => Ok(None),
@@ -540,7 +526,7 @@ impl<'a> Domain<'a> {
 
 /// Renders a dataset back into the JSON upload shape [`parse_dataset`]
 /// accepts: `name`, `candidates` (with `attributes` objects), `rankings`
-/// (name lists), and a `domains` object pinning every attribute's declared
+/// (name lists, one per copy: JSON has no weights), and a `domains` object pinning every attribute's declared
 /// value order so a round-trip rebuilds identical value ids (and therefore an
 /// identical content fingerprint).
 pub fn dataset_to_value(dataset: &EngineDataset) -> Value {
@@ -575,10 +561,7 @@ pub fn dataset_to_value(dataset: &EngineDataset) -> Value {
             .collect(),
     );
     let rankings = Value::Array(
-        dataset
-            .profile()
-            .rankings()
-            .iter()
+        (dataset.profile().copies())
             .map(|ranking| ranking_names(ranking, db))
             .collect(),
     );
@@ -949,8 +932,7 @@ mod tests {
                         "attribute_deltas": {"G": 0.05},
                         "intersection_delta": 0.4
                     },
-                    "budget": 5000,
-                    "parallelism": 4
+                    "budget": 5000
                 }
             }"#,
         )
@@ -986,18 +968,20 @@ mod tests {
         .unwrap();
         let err = parse(&unknown, None).unwrap_err();
         assert!(err.message.contains("unknown `options` key"), "{err}");
-        let bad_par = parse_body(
+        // `parallelism` is not an option: a body that sends it is refused.
+        let retired = parse_body(
             r#"{"dataset": {"candidates": [
                     {"name": "a", "attributes": {"G": "x"}},
                     {"name": "b", "attributes": {"G": "y"}}
                 ], "rankings": [["a","b"]]},
-                "options": {"parallelism": 0}}"#,
+                "options": {"parallelism": 4}}"#,
         )
         .unwrap();
-        assert!(parse(&bad_par, None)
-            .unwrap_err()
-            .message
-            .contains("parallelism"));
+        let err = parse(&retired, None).unwrap_err();
+        assert!(
+            err.message.contains("unknown `options` key `parallelism`"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -130,8 +130,9 @@ fn a_patched_version_stores_the_fingerprint_of_its_rows() {
         hex_field(&patched, "fingerprint"),
         format!("{:016x}", fresh(&current.dataset))
     );
-    // The documented PATCH example answers this fingerprint.
-    assert_eq!(hex_field(&patched, "fingerprint"), "7358e261672c17ee");
+    // The documented PATCH example answers this fingerprint. Its version
+    // holds two adjacent copies of one ranking: one run of weight 2.
+    assert_eq!(hex_field(&patched, "fingerprint"), "f701b8a9025ce8cb");
 }
 
 #[test]

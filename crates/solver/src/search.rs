@@ -580,7 +580,7 @@ impl SearchContext<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mani_ranking::{kendall_tau, Ranking, RankingProfile};
+    use mani_ranking::{Ranking, RankingProfile};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -592,12 +592,7 @@ mod tests {
         let mut best = u64::MAX;
         permute(&mut ids, 0, &mut |perm| {
             let r = Ranking::from_ids(perm.to_vec()).unwrap();
-            let cost: u64 = profile
-                .rankings()
-                .iter()
-                .map(|b| kendall_tau(&r, b).unwrap())
-                .sum();
-            best = best.min(cost);
+            best = best.min(profile.total_kendall_distance(&r).unwrap());
         });
         best
     }

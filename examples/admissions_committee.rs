@@ -18,10 +18,11 @@ fn main() {
     // ranking, one (like r3 in the paper) is nearly parity-respecting.
     let biased_modal = ModalRankingBuilder::new(&db).build(&FairnessTarget::low_fair(2));
     let fair_modal = ModalRankingBuilder::new(&db).build(&FairnessTarget::uniform(2, 0.15, 0.2));
-    let mut rankings = MallowsModel::new(biased_modal, 1.2)
+    let mut rankings: Vec<Ranking> = MallowsModel::new(biased_modal, 1.2)
         .sample_profile(3, 7)
-        .rankings()
-        .to_vec();
+        .copies()
+        .cloned()
+        .collect();
     rankings.push(
         MallowsModel::new(fair_modal, 1.2)
             .sample_profile(1, 8)
@@ -31,7 +32,7 @@ fn main() {
     let profile = RankingProfile::for_database(&db, rankings).unwrap();
 
     println!("Base rankings (committee members):");
-    for (i, ranking) in profile.rankings().iter().enumerate() {
+    for (i, ranking) in profile.copies().enumerate() {
         let parity = ParityScores::compute(ranking, &groups);
         println!(
             "  r{} — ARP(Gender) = {:.2}, ARP(Race) = {:.2}, IRP = {:.2}",

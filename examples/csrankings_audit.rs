@@ -16,7 +16,7 @@ fn main() {
     let mut location_arp = 0.0;
     let mut type_arp = 0.0;
     let mut irp = 0.0;
-    for ranking in dataset.profile.rankings() {
+    for ranking in dataset.profile.copies() {
         let parity = ParityScores::compute(ranking, &groups);
         location_arp += parity.arp(location);
         type_arp += parity.arp(kind_attr);
@@ -67,7 +67,7 @@ fn main() {
     }
     println!(
         "\nPD loss: Copeland = {:.3}, Fair-Copeland = {:.3}",
-        pairwise_disagreement_loss(&dataset.profile, &unfair).unwrap(),
+        dataset.profile.pairwise_disagreement_loss(&unfair).unwrap(),
         fair.pd_loss
     );
 }

@@ -15,7 +15,7 @@ fn main() {
     let groups = GroupIndex::new(&dataset.db);
 
     println!("Fairness audit of the base rankings:");
-    for (subject, ranking) in dataset.subjects.iter().zip(dataset.profile.rankings()) {
+    for (subject, ranking) in dataset.subjects.iter().zip(dataset.profile.copies()) {
         let audit = FairnessAudit::new(*subject, ranking, &dataset.db, &groups);
         println!("  {}", audit.summary());
     }

@@ -76,8 +76,8 @@ pub mod prelude {
         JobHandle, JobId, JobStatus, PrecedenceCache,
     };
     pub use mani_fairness::{
-        attribute_rank_parity, intersectional_rank_parity, pairwise_disagreement_loss,
-        price_of_fairness, FairnessAudit, FairnessThresholds, ManiRankCriteria, ParityScores,
+        attribute_rank_parity, intersectional_rank_parity, price_of_fairness, FairnessAudit,
+        FairnessThresholds, ManiRankCriteria, ParityScores,
     };
     pub use mani_ranking::{
         kendall_tau, CandidateDb, CandidateDbBuilder, CandidateId, GroupIndex, GroupKey,

@@ -69,7 +69,7 @@ proptest! {
         let (db, groups, profile) = workload(n, m, 0.4, seed);
         let ctx = MfcrContext::new(&db, &groups, &profile, FairnessThresholds::uniform(0.2));
         let outcome = FairCopeland::new().solve(&ctx).unwrap();
-        let recomputed = pairwise_disagreement_loss(&profile, &outcome.ranking).unwrap();
+        let recomputed = profile.pairwise_disagreement_loss(&outcome.ranking).unwrap();
         prop_assert!((outcome.pd_loss - recomputed).abs() < 1e-12);
     }
 
@@ -82,8 +82,7 @@ proptest! {
         let mean_distance = |theta: f64| -> f64 {
             let profile = MallowsModel::new(modal.clone(), theta).sample_profile(30, seed ^ 0x77);
             profile
-                .rankings()
-                .iter()
+                .copies()
                 .map(|r| mani_rank::ranking::normalized_kendall_tau(r, &modal).unwrap())
                 .sum::<f64>()
                 / 30.0
